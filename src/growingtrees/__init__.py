@@ -61,12 +61,9 @@ from .sequences import (
     scaling_limit_deviation,
 )
 from .tree_core import (
-    BinaryNode,
-    BinaryTree,
-    GrowingNode,
-    GrowingTree,
     GrowthChoice,
     NodeKind,
+    Tree,
     TreeStats,
     freeze,
     from_json,
@@ -84,13 +81,9 @@ from .tree_core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryNode",
-    "BinaryTree",
     "BitSource",
     "CellSet",
     "CountTable",
-    "GrowingNode",
-    "GrowingTree",
     "GrowthChoice",
     "HeightTable",
     "InternalProfile",
@@ -100,6 +93,7 @@ __all__ = [
     "ProbeResult",
     "Profile",
     "SampleStats",
+    "Tree",
     "TreeStats",
     "a_gf_check",
     "a_hat_seq",

@@ -142,15 +142,16 @@ def cmd_sample(args: argparse.Namespace) -> int:
                   f"bits_consumed={stats.bits_consumed} node_count={stats.node_count}")
             print(tree_core.to_dot(tree), end="")
         else:
-            record = {
+            record = json.dumps({
                 "seed": seed,
                 "profile": str(p),
                 "index": index,
                 "bits_consumed": stats.bits_consumed,
                 "node_count": stats.node_count,
-                "tree": json.loads(tree_core.to_json(tree)),
-            }
-            print(json.dumps(record, separators=(",", ":")))
+            }, separators=(",", ":"))
+            # The tree text goes in as written: the json module cannot
+            # re-encode trees nested deeper than about 1,000 levels.
+            print(f'{record[:-1]},"tree":{tree_core.to_json(tree)}}}')
     return 0
 
 

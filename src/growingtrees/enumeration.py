@@ -174,16 +174,13 @@ def catalan(n: int) -> int:
 def catalan_column_check(table: CountTable) -> bool:
     """Check the per-column Catalan identity on a count table.
 
-    For each n the active column sum plus the count of trees not in the
-    table must equal C_n; the latter is obtained as C_n minus the column sum
-    and must be nonnegative. For tables built by t_table that remainder is 0
-    in every column, because the column sums are exactly Catalan (see the
-    module docstring); the check guards arbitrary tables handed in.
+    Every plane binary tree with n internal nodes is the frozen image of
+    exactly one active growing tree, so each column n of a complete count
+    table sums to C_n (see the module docstring). True iff column_sum(n) ==
+    catalan(n) for every n up to n_max; a table with a cell missing or
+    inflated fails.
     """
-    for n in range(1, table.n_max + 1):
-        if catalan(n) - table.column_sum(n) < 0:
-            return False
-    return True
+    return all(table.column_sum(n) == catalan(n) for n in range(1, table.n_max + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .profiles import Profile
 from .tree_core import (
-    BinaryNode,
-    BinaryTree,
-    GrowingTree,
+    INTERNAL,
+    LEAF,
     GrowthChoice,
+    Tree,
     TreeStats,
     grow_step,
     new_seed,
@@ -52,23 +52,29 @@ def _shapes(n_leaves: int) -> list:
     return _shape_cache[n_leaves]
 
 
-def _tree_of_shape(shape) -> BinaryTree:
-    nodes: list[BinaryNode] = []
+def _tree_of_shape(shape) -> Tree:
+    kinds = bytearray()
+    left: list[int] = []
+    right: list[int] = []
 
     def build(s) -> int:
         if s is None:
-            nodes.append(BinaryNode(leaf=True))
+            kinds.append(LEAF)
+            left.append(-1)
+            right.append(-1)
         else:
-            left = build(s[0])
-            right = build(s[1])
-            nodes.append(BinaryNode(leaf=False, left=left, right=right))
-        return len(nodes) - 1
+            left_root = build(s[0])
+            right_root = build(s[1])
+            kinds.append(INTERNAL)
+            left.append(left_root)
+            right.append(right_root)
+        return len(kinds) - 1
 
     root = build(shape)
-    return BinaryTree(nodes=tuple(nodes), root=root)
+    return Tree(bytes(kinds), tuple(left), tuple(right), root)
 
 
-def all_binary_trees(n_leaves: int) -> list[BinaryTree]:
+def all_binary_trees(n_leaves: int) -> list[Tree]:
     """Every plane binary tree with the given number of leaves, no duplicates.
 
     Enumerated by root split in increasing left-size order; the result has
@@ -79,7 +85,7 @@ def all_binary_trees(n_leaves: int) -> list[BinaryTree]:
     return [_tree_of_shape(s) for s in _shapes(n_leaves)]
 
 
-def trees_with_profile(p: Profile) -> list[BinaryTree]:
+def trees_with_profile(p: Profile) -> list[Tree]:
     """Every binary tree whose leaf profile equals p; empty for invalid p."""
     leaves = p.total_leaves
     if leaves > MAX_ORACLE_LEAVES:
@@ -90,7 +96,7 @@ def trees_with_profile(p: Profile) -> list[BinaryTree]:
 _CHOICE_PAIR = (GrowthChoice.DIE, GrowthChoice.BRANCH)
 
 
-def all_growth_histories(h_steps: int) -> Iterator[tuple[GrowingTree, TreeStats]]:
+def all_growth_histories(h_steps: int) -> Iterator[tuple[Tree, TreeStats]]:
     """Every state reachable from the seed within h_steps growth steps.
 
     Counts in the yielded stats are maintained incrementally (branching b of
@@ -103,7 +109,7 @@ def all_growth_histories(h_steps: int) -> Iterator[tuple[GrowingTree, TreeStats]
     return _expand(new_seed(), 0, 0, h_steps)
 
 
-def _expand(t: GrowingTree, n: int, ell: int, h_steps: int) -> Iterator[tuple[GrowingTree, TreeStats]]:
+def _expand(t: Tree, n: int, ell: int, h_steps: int) -> Iterator[tuple[Tree, TreeStats]]:
     m = t.anchor_count
     for choices in itertools.product(_CHOICE_PAIR, repeat=m):
         child = grow_step(t, choices)
@@ -115,47 +121,6 @@ def _expand(t: GrowingTree, n: int, ell: int, h_steps: int) -> Iterator[tuple[Gr
         yield child, TreeStats(n=child_n, m=child_m, ell=child_ell, h=height)
         if child_m and child.step < h_steps:
             yield from _expand(child, child_n, child_ell, h_steps)
-
-
-CHI2_FALSE_ALARM = 1e-6
-
-
-@dataclass(frozen=True)
-class ChiSquareResult:
-    """Pearson statistic against the uniform null, with its pass threshold."""
-
-    statistic: float
-    threshold: float
-    dof: int
-    passed: bool
-
-
-def chi_square(observed: Sequence[int]) -> ChiSquareResult:
-    """Test observed outcome counts against the uniform distribution.
-
-    Passes when the Pearson statistic stays below the 1 - 1e-6 quantile of
-    the chi-square law with len(observed) - 1 degrees of freedom, a roughly
-    5-sigma false-alarm rate chosen so that repeated CI runs do not flake.
-    Requires at least 100 draws per outcome.
-    """
-    counts = list(observed)
-    n_outcomes = len(counts)
-    if n_outcomes < 2:
-        raise ValueError("need at least 2 outcomes")
-    total = sum(counts)
-    if total < 100 * n_outcomes:
-        raise ValueError(f"insufficient draws: {total} < 100 * {n_outcomes}")
-    mean = total / n_outcomes
-    statistic = sum((c - mean) ** 2 for c in counts) / mean
-    from scipy.stats import chi2
-
-    threshold = float(chi2.ppf(1 - CHI2_FALSE_ALARM, n_outcomes - 1))
-    return ChiSquareResult(
-        statistic=statistic,
-        threshold=threshold,
-        dof=n_outcomes - 1,
-        passed=statistic < threshold,
-    )
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ The number of binary trees realizing a valid profile is the product
 one independent choice per level: the l_{k+1} leaves at depth k+1 pick their
 positions among the 2*i_k children slots of the depth-k internal nodes.
 
-All rational arithmetic is exact (fractions.Fraction); counts are exact big
-integers.
+The validity test is exact integer arithmetic; kraft_sum reports the exact
+sum as a fractions.Fraction for messages. Counts are exact big integers.
 """
 
 from __future__ import annotations
@@ -97,8 +97,15 @@ def kraft_sum(p: Profile) -> Fraction:
 
 
 def is_valid(p: Profile) -> bool:
-    """True iff the profile is realized by some binary tree (Kraft sum = 1)."""
-    return kraft_sum(p) == 1
+    """True iff the profile is realized by some binary tree (Kraft sum = 1).
+
+    Tested in integers, sum_i l_i * 2^{h-i} == 2^h, accumulated by Horner's
+    rule: one shift-and-add per level and no rational arithmetic.
+    """
+    total = 0
+    for l in p.levels:
+        total = 2 * total + l
+    return total == 1 << p.height
 
 
 def internal_profile(p: Profile) -> InternalProfile:
@@ -139,16 +146,18 @@ def internal_profile(p: Profile) -> InternalProfile:
 
 
 def count_trees(p: Profile) -> int:
-    """Exact number of binary trees with profile p (>= 1 for valid profiles)."""
-    s = kraft_sum(p)
-    if s != 1:
-        raise ValueError(f"invalid profile, kraft sum {s} != 1")
-    if p.height == 0:
-        return 1
-    internals = internal_profile(p).levels
+    """Exact number of binary trees with profile p (>= 1 for valid profiles).
+
+    The internal-node counts come top-down (i_0 = 1, i_k = 2*i_{k-1} - l_k),
+    which a valid profile forces, so the Kraft test is the only validation.
+    """
+    if not is_valid(p):
+        raise ValueError(f"invalid profile, kraft sum {kraft_sum(p)} != 1")
     result = 1
-    for k in range(p.height):
-        result *= comb(2 * internals[k], p.levels[k + 1])
+    internals = 1
+    for l in p.levels[1:]:
+        result *= comb(2 * internals, l)
+        internals = 2 * internals - l
     return result
 
 

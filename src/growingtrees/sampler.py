@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .profiles import Profile, count_trees, is_valid, kraft_sum
-from .tree_core import BinaryNode, BinaryTree
+from .tree_core import INTERNAL, LEAF, Tree
 
 
 class BitSource:
@@ -131,47 +131,58 @@ def sample_merge(src: BitSource, p: int, q: int) -> MergePattern:
     return unrank_merge(draw_below(src, comb(p + q, q)), p, q)
 
 
-def _build(p: Profile, src: BitSource) -> tuple[BinaryTree, int]:
+_PAIR = bytes((LEAF, LEAF, INTERNAL))
+
+
+def _build(p: Profile, src: BitSource) -> tuple[Tree, int]:
     """Construct one tree; returns it with the elementary-step count.
 
     Steps: 1 per leaf created, 2 per internal node (one pointer hookup per
     child), so a tree with L leaves costs exactly L + 2*(L-1) = 3L - 2.
+    Nodes are numbered in creation order, which the DOT output shows.
     """
-    nodes: list[BinaryNode] = []
+    kinds = bytearray()
+    left: list[int] = []
+    right: list[int] = []
     steps = 0
     levels = p.levels
     h = p.height
     if h == 0:
-        return BinaryTree(nodes=(BinaryNode(leaf=True),), root=0), 1
+        return Tree(bytes((LEAF,)), (-1,), (-1,), 0), 1
     seq: list[int] = []
     for _ in range(levels[h] // 2):
-        nodes.append(BinaryNode(leaf=True))
-        nodes.append(BinaryNode(leaf=True))
-        nodes.append(BinaryNode(leaf=False, left=len(nodes) - 2, right=len(nodes) - 1))
+        k = len(kinds)
+        kinds += _PAIR
+        left += (-1, -1, k)
+        right += (-1, -1, k + 1)
         steps += 4
-        seq.append(len(nodes) - 1)
+        seq.append(k + 2)
     for i in range(h - 1, 0, -1):
         pattern = sample_merge(src, len(seq), levels[i])
         merged: list[int] = []
         carried = iter(seq)
         for bit in pattern.word:
             if bit:
-                nodes.append(BinaryNode(leaf=True))
+                kinds.append(LEAF)
+                left.append(-1)
+                right.append(-1)
                 steps += 1
-                merged.append(len(nodes) - 1)
+                merged.append(len(kinds) - 1)
             else:
                 merged.append(next(carried))
         seq = []
         for j in range(0, len(merged), 2):
-            nodes.append(BinaryNode(leaf=False, left=merged[j], right=merged[j + 1]))
+            kinds.append(INTERNAL)
+            left.append(merged[j])
+            right.append(merged[j + 1])
             steps += 2
-            seq.append(len(nodes) - 1)
+            seq.append(len(kinds) - 1)
     # A valid profile always reduces to the single root: i_0 = 1.
     assert len(seq) == 1
-    return BinaryTree(nodes=tuple(nodes), root=seq[0]), steps
+    return Tree(bytes(kinds), tuple(left), tuple(right), seq[0]), steps
 
 
-def uniform_tree(p: Profile, src: BitSource) -> BinaryTree:
+def uniform_tree(p: Profile, src: BitSource) -> Tree:
     """A uniformly random binary tree with profile p.
 
     The profile is validated before any bits are drawn; the single-leaf
@@ -194,7 +205,7 @@ class SampleStats:
     steps: int
 
 
-def sample_with_stats(p: Profile, src: BitSource) -> tuple[BinaryTree, SampleStats]:
+def sample_with_stats(p: Profile, src: BitSource) -> tuple[Tree, SampleStats]:
     """uniform_tree plus the bookkeeping record for this one sample."""
     if not is_valid(p):
         raise ValueError(f"invalid profile, kraft sum {kraft_sum(p)} != 1")

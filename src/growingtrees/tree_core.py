@@ -14,16 +14,22 @@ m anchors and l dead leaves:
     m even whenever step >= 1 and m > 0 (anchors are created in pairs)
     h <= n - k + 1 <= 2^{h-1}           (active tree, k = m/2, height h)
 
-Freezing a growing tree turns every anchor into an ordinary leaf and forgets
-the step counter; the result is a classical plane binary tree in which every
-internal node has exactly two children. Trees are stored as flat node arrays
-with children referenced by index; the (left, right) order is significant.
+Freezing a growing tree turns every anchor and dead leaf into an ordinary
+leaf and forgets the step counter; the result is a classical plane binary
+tree in which every internal node has exactly two children. Growing and
+frozen trees share one flat layout, `Tree`: a kind code per node and two
+child-index arrays, with the (left, right) order significant. Trees built
+here number their nodes in postorder (children before parents, left before
+right), so equal shapes with equal kinds compare equal. Every traversal uses
+an explicit stack, so depth is limited only by memory.
 
 Serialization formats:
   JSON  leaf = {"leaf": true}; internal = {"l": ..., "r": ...}. Growing-tree
         nodes carry "kind" ("internal" | "anchor" | "dead_leaf") instead, and
         the top-level document is {"step": s, "tree": node} so the step
-        counter round-trips.
+        counter round-trips. to_json writes trees of any depth, but from_json
+        reads through the standard json parser and rejects documents nested
+        deeper than its limit (about 1,000 levels).
   DOT   internal nodes as filled circles, dead leaves (and frozen leaves) as
         squares, anchors as hollow circles; edge order is left, right.
 """
@@ -32,15 +38,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 
 from .profiles import Profile
 
 
-class NodeKind(Enum):
-    INTERNAL = "internal"
-    ANCHOR = "anchor"
-    DEAD_LEAF = "dead_leaf"
+class NodeKind(IntEnum):
+    INTERNAL = 0
+    ANCHOR = 1
+    DEAD_LEAF = 2
+    LEAF = 3
 
 
 class GrowthChoice(Enum):
@@ -48,51 +55,40 @@ class GrowthChoice(Enum):
     BRANCH = "branch"
 
 
-@dataclass(frozen=True)
-class GrowingNode:
-    kind: NodeKind
-    left: int | None = None
-    right: int | None = None
+# Plain-int kind codes for the traversal loops.
+INTERNAL, ANCHOR, DEAD_LEAF, LEAF = (int(k) for k in NodeKind)
 
 
-@dataclass(frozen=True)
-class GrowingTree:
-    """Immutable growing tree: node array, root index, growth-step counter."""
+@dataclass(frozen=True, slots=True)
+class Tree:
+    """Immutable binary tree in flat form, growing or frozen.
 
-    nodes: tuple[GrowingNode, ...]
+    nodes[i] is the NodeKind code of node i; left[i] and right[i] are its
+    children, -1 for none. step is the growth-step counter of a growing tree
+    and None for a frozen tree, whose leaves are all LEAF.
+    """
+
+    nodes: bytes
+    left: tuple[int, ...]
+    right: tuple[int, ...]
     root: int
-    step: int
+    step: int | None = None
 
     @property
     def anchor_count(self) -> int:
-        return sum(1 for node in self.nodes if node.kind is NodeKind.ANCHOR)
+        return self.nodes.count(ANCHOR)
 
     @property
     def is_active(self) -> bool:
-        return any(node.kind is NodeKind.ANCHOR for node in self.nodes)
-
-
-@dataclass(frozen=True)
-class BinaryNode:
-    leaf: bool
-    left: int | None = None
-    right: int | None = None
-
-
-@dataclass(frozen=True)
-class BinaryTree:
-    """Immutable plane binary tree; every internal node has two children."""
-
-    nodes: tuple[BinaryNode, ...]
-    root: int
-
-    @property
-    def leaf_count(self) -> int:
-        return sum(1 for node in self.nodes if node.leaf)
+        return ANCHOR in self.nodes
 
     @property
     def internal_count(self) -> int:
-        return sum(1 for node in self.nodes if not node.leaf)
+        return self.nodes.count(INTERNAL)
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.nodes) - self.nodes.count(INTERNAL)
 
 
 @dataclass(frozen=True)
@@ -105,55 +101,81 @@ class TreeStats:
     h: int
 
 
-# Leaf nodes carry no per-instance data; sharing them cuts allocation in the
-# exhaustive enumerations, which create hundreds of thousands of trees.
-_ANCHOR_NODE = GrowingNode(NodeKind.ANCHOR)
-_DEAD_NODE = GrowingNode(NodeKind.DEAD_LEAF)
-
-
-def new_seed() -> GrowingTree:
+def new_seed() -> Tree:
     """The starting state: a single anchor, zero steps applied."""
-    return GrowingTree(nodes=(_ANCHOR_NODE,), root=0, step=0)
+    return Tree(bytes((ANCHOR,)), (-1,), (-1,), 0, 0)
 
 
-def grow_step(t: GrowingTree, choices: list[GrowthChoice] | tuple[GrowthChoice, ...]) -> GrowingTree:
+def _preorder(root: int, first: tuple[int, ...], second: tuple[int, ...]) -> list[int]:
+    """Node indices, each node before its subtrees and first[i]'s before second[i]'s.
+
+    Called with (left, right) this is the document order of the writers;
+    with (right, left), reversed, it is postorder.
+    """
+    order = []
+    stack = [root]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if first[i] >= 0:
+            stack.append(second[i])
+            stack.append(first[i])
+    return order
+
+
+def _depths(t: Tree) -> list[int]:
+    """Each node's depth below the root, -1 for nodes the root does not reach."""
+    depth = [-1] * len(t.nodes)
+    depth[t.root] = 0
+    for i in _preorder(t.root, t.left, t.right):
+        if t.left[i] >= 0:
+            depth[t.left[i]] = depth[t.right[i]] = depth[i] + 1
+    return depth
+
+
+_BRANCHED = bytes((ANCHOR, ANCHOR, INTERNAL))
+
+
+def grow_step(t: Tree, choices: list[GrowthChoice] | tuple[GrowthChoice, ...]) -> Tree:
     """Apply one growth step, consuming one choice per anchor, left to right.
 
     Die turns the anchor into a dead leaf; Branch turns it into an internal
     node with two fresh anchors. The choice list length must equal the
     anchor count and the tree must be active.
     """
-    m = t.anchor_count
+    m = t.nodes.count(ANCHOR)
     if m == 0:
         raise ValueError("no anchors: the tree is inactive and cannot grow")
     if len(choices) != m:
         raise ValueError(f"choice arity: tree has {m} anchors, got {len(choices)} choices")
-    new_nodes: list[GrowingNode] = []
-    choice_iter = iter(choices)
-
-    def rebuild(i: int) -> int:
-        node = t.nodes[i]
-        if node.kind is NodeKind.INTERNAL:
-            left = rebuild(node.left)
-            right = rebuild(node.right)
-            new_nodes.append(GrowingNode(NodeKind.INTERNAL, left, right))
-        elif node.kind is NodeKind.DEAD_LEAF:
-            new_nodes.append(_DEAD_NODE)
+    branches = iter([c is GrowthChoice.BRANCH for c in choices])
+    nodes, old_left, old_right = t.nodes, t.left, t.right
+    kinds = bytearray()
+    left: list[int] = []
+    right: list[int] = []
+    new = [0] * len(nodes)
+    order = _preorder(t.root, old_right, old_left)
+    order.reverse()
+    for i in order:
+        kind = nodes[i]
+        if kind == INTERNAL:
+            kinds.append(INTERNAL)
+            left.append(new[old_left[i]])
+            right.append(new[old_right[i]])
+        elif kind == ANCHOR and next(branches):
+            k = len(kinds)
+            kinds += _BRANCHED
+            left += (-1, -1, k)
+            right += (-1, -1, k + 1)
         else:
-            if next(choice_iter) is GrowthChoice.DIE:
-                new_nodes.append(_DEAD_NODE)
-            else:
-                new_nodes.append(_ANCHOR_NODE)
-                left = len(new_nodes) - 1
-                new_nodes.append(_ANCHOR_NODE)
-                new_nodes.append(GrowingNode(NodeKind.INTERNAL, left, left + 1))
-        return len(new_nodes) - 1
-
-    root = rebuild(t.root)
-    return GrowingTree(nodes=tuple(new_nodes), root=root, step=t.step + 1)
+            kinds.append(DEAD_LEAF)
+            left.append(-1)
+            right.append(-1)
+        new[i] = len(kinds) - 1
+    return Tree(bytes(kinds), tuple(left), tuple(right), len(kinds) - 1, t.step + 1)
 
 
-def grow_history(choices_per_step: list[list[GrowthChoice]]) -> GrowingTree:
+def grow_history(choices_per_step: list[list[GrowthChoice]]) -> Tree:
     """Replay a whole choice history from the seed."""
     t = new_seed()
     for step_choices in choices_per_step:
@@ -161,35 +183,29 @@ def grow_history(choices_per_step: list[list[GrowthChoice]]) -> GrowingTree:
     return t
 
 
-def stats(t: GrowingTree) -> TreeStats:
-    """Node counts and height (edge distance from root to a deepest node)."""
-    n = m = ell = 0
-    height = 0
-    stack = [(t.root, 0)]
-    while stack:
-        i, depth = stack.pop()
-        node = t.nodes[i]
-        height = max(height, depth)
-        if node.kind is NodeKind.INTERNAL:
-            n += 1
-            stack.append((node.left, depth + 1))
-            stack.append((node.right, depth + 1))
-        elif node.kind is NodeKind.ANCHOR:
-            m += 1
-        else:
-            ell += 1
-    return TreeStats(n=n, m=m, ell=ell, h=height)
+def stats(t: Tree) -> TreeStats:
+    """Node counts and height (edge distance from root to a deepest node).
+
+    A frozen tree has no anchors; its leaves count as ell.
+    """
+    n = t.nodes.count(INTERNAL)
+    m = t.nodes.count(ANCHOR)
+    return TreeStats(n=n, m=m, ell=len(t.nodes) - n - m, h=max(_depths(t)))
 
 
-def validate_growing(t: GrowingTree) -> None:
+def validate_growing(t: Tree) -> None:
     """Check the structural invariants, raising ValueError with a node index.
 
-    Verified: child indices in range, internal nodes have both children and
-    leaves none, every node reachable from the root exactly once, anchors all
-    at depth equal to the step counter, and an even anchor count for active
-    trees past step 0.
+    Verified: a growing tree (step set), child indices in range, internal
+    nodes have both children and leaves none, only growing-tree kinds, every
+    node reachable from the root exactly once, anchors all at depth equal to
+    the step counter, and an even anchor count for active trees past step 0.
     """
     size = len(t.nodes)
+    if t.step is None:
+        raise ValueError("frozen tree: no growth state to validate")
+    if len(t.left) != size or len(t.right) != size:
+        raise ValueError("node, left and right arrays differ in length")
     if not 0 <= t.root < size:
         raise ValueError(f"root index {t.root} out of range")
     if t.step < 0:
@@ -205,18 +221,20 @@ def validate_growing(t: GrowingTree) -> None:
         if seen[i]:
             raise ValueError(f"node {i}: visited twice, not a tree")
         seen[i] = True
-        node = t.nodes[i]
-        if node.kind is NodeKind.INTERNAL:
-            if node.left is None or node.right is None:
+        kind, left, right = t.nodes[i], t.left[i], t.right[i]
+        if kind == INTERNAL:
+            if left < 0 or right < 0:
                 raise ValueError(f"node {i}: internal node missing a child")
-            stack.append((node.left, depth + 1))
-            stack.append((node.right, depth + 1))
-        else:
-            if node.left is not None or node.right is not None:
+            stack.append((left, depth + 1))
+            stack.append((right, depth + 1))
+        elif kind == ANCHOR or kind == DEAD_LEAF:
+            if left != -1 or right != -1:
                 raise ValueError(f"node {i}: leaf node with children")
-            if node.kind is NodeKind.ANCHOR:
+            if kind == ANCHOR:
                 m += 1
                 anchor_depths.add(depth)
+        else:
+            raise ValueError(f"node {i}: kind code {kind} is not a growing-tree kind")
     if not all(seen):
         unreachable = seen.index(False)
         raise ValueError(f"node {unreachable}: unreachable from root")
@@ -226,18 +244,15 @@ def validate_growing(t: GrowingTree) -> None:
         raise ValueError(f"odd anchor count {m} at step {t.step}")
 
 
-def freeze(t: GrowingTree) -> BinaryTree:
+_FREEZE = bytes.maketrans(bytes((ANCHOR, DEAD_LEAF)), bytes((LEAF, LEAF)))
+
+
+def freeze(t: Tree) -> Tree:
     """Forget the growth state: anchors and dead leaves both become leaves."""
-    nodes = tuple(
-        BinaryNode(leaf=False, left=node.left, right=node.right)
-        if node.kind is NodeKind.INTERNAL
-        else BinaryNode(leaf=True)
-        for node in t.nodes
-    )
-    return BinaryTree(nodes=nodes, root=t.root)
+    return Tree(t.nodes.translate(_FREEZE), t.left, t.right, t.root, None)
 
 
-def unfreeze(bt: BinaryTree) -> GrowingTree:
+def unfreeze(bt: Tree) -> Tree:
     """The unique active growing tree whose frozen shape is bt.
 
     In an active tree every deepest node is an anchor and every anchor is at
@@ -245,187 +260,156 @@ def unfreeze(bt: BinaryTree) -> GrowingTree:
     leaves become anchors, shallower leaves dead ones, and the step counter
     is the height. Inverse of freeze on active trees.
     """
-    depths = [0] * len(bt.nodes)
-    stack = [(bt.root, 0)]
-    height = 0
-    while stack:
-        i, depth = stack.pop()
-        depths[i] = depth
-        height = max(height, depth)
-        node = bt.nodes[i]
-        if not node.leaf:
-            stack.append((node.left, depth + 1))
-            stack.append((node.right, depth + 1))
-    nodes = tuple(
-        GrowingNode(NodeKind.INTERNAL, node.left, node.right) if not node.leaf
-        else (_ANCHOR_NODE if depths[i] == height else _DEAD_NODE)
-        for i, node in enumerate(bt.nodes)
+    depth = _depths(bt)
+    height = max(depth)
+    nodes = bytes(
+        INTERNAL if kind == INTERNAL else ANCHOR if depth[i] == height else DEAD_LEAF
+        for i, kind in enumerate(bt.nodes)
     )
-    return GrowingTree(nodes=nodes, root=bt.root, step=height)
+    return Tree(nodes, bt.left, bt.right, bt.root, height)
 
 
-def profile(bt: BinaryTree) -> Profile:
+def profile(bt: Tree) -> Profile:
     """Leaf counts per depth; the deepest level of any binary tree holds leaves."""
-    counts: dict[int, int] = {}
-    height = 0
-    stack = [(bt.root, 0)]
-    while stack:
-        i, depth = stack.pop()
-        node = bt.nodes[i]
-        height = max(height, depth)
-        if node.leaf:
-            counts[depth] = counts.get(depth, 0) + 1
-        else:
-            stack.append((node.left, depth + 1))
-            stack.append((node.right, depth + 1))
-    return Profile(tuple(counts.get(d, 0) for d in range(height + 1)))
+    depth = _depths(bt)
+    counts = [0] * (max(depth) + 1)
+    for kind, d in zip(bt.nodes, depth):
+        if kind != INTERNAL and d >= 0:
+            counts[d] += 1
+    return Profile(tuple(counts))
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _binary_obj(bt: BinaryTree, i: int) -> dict:
-    node = bt.nodes[i]
-    if node.leaf:
-        return {"leaf": True}
-    return {"l": _binary_obj(bt, node.left), "r": _binary_obj(bt, node.right)}
+# Per-kind JSON text, indexed by kind code: an internal node's entry opens its
+# object, and its children follow; a leaf's entry is the whole object.
+_JSON_GROWING = ('{"kind":"internal","l":', '{"kind":"anchor"}', '{"kind":"dead_leaf"}', None)
+_JSON_FROZEN = ('{"l":', None, None, '{"leaf":true}')
+_KIND_OF_NAME = {"internal": INTERNAL, "anchor": ANCHOR, "dead_leaf": DEAD_LEAF}
 
 
-def _growing_obj(t: GrowingTree, i: int) -> dict:
-    node = t.nodes[i]
-    if node.kind is NodeKind.INTERNAL:
-        return {"kind": "internal", "l": _growing_obj(t, node.left), "r": _growing_obj(t, node.right)}
-    return {"kind": node.kind.value}
+def to_json(tree: Tree) -> str:
+    """Compact JSON text of any depth; see the module docstring for the schema."""
+    text = _JSON_FROZEN if tree.step is None else _JSON_GROWING
+    nodes, left, right = tree.nodes, tree.left, tree.right
+    out = []
+    stack: list[int | str] = [tree.root]
+    while stack:
+        i = stack.pop()
+        if isinstance(i, str):
+            out.append(i)
+            continue
+        out.append(text[nodes[i]])
+        if nodes[i] == INTERNAL:
+            stack += ("}", right[i], ',"r":', left[i])
+    body = "".join(out)
+    return body if tree.step is None else f'{{"step":{tree.step},"tree":{body}}}'
 
 
-def to_json(tree: BinaryTree | GrowingTree) -> str:
-    """Compact JSON text; see the module docstring for the schema."""
-    if isinstance(tree, GrowingTree):
-        doc: dict = {"step": tree.step, "tree": _growing_obj(tree, tree.root)}
-    else:
-        doc = _binary_obj(tree, tree.root)
-    return json.dumps(doc, separators=(",", ":"))
-
-
-def from_json(text: str) -> BinaryTree | GrowingTree:
+def from_json(text: str) -> Tree:
     """Parse a tree document, validating structure and invariants.
 
     Binary trees are bare node objects; growing trees are wrapped as
     {"step": s, "tree": node}. Node indices in error messages count nodes in
-    document order.
+    document order. Documents nested deeper than the json parser's limit
+    (about 1,000 levels) raise ValueError, although to_json writes them.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed tree document: {exc}") from None
+    except RecursionError:
+        raise ValueError("tree document nested too deeply for the json parser") from None
     if not isinstance(doc, dict):
         raise ValueError("malformed tree document: top level must be an object")
-    if "step" in doc:
-        return _growing_from_obj(doc)
-    return _binary_from_obj(doc)
-
-
-def _binary_from_obj(doc: dict) -> BinaryTree:
-    nodes: list[BinaryNode] = []
-    counter = [0]
-
-    def build(obj: object) -> int:
-        index = counter[0]
-        counter[0] += 1
-        if not isinstance(obj, dict):
-            raise ValueError(f"node {index}: expected an object")
-        if obj.get("leaf") is True:
-            if set(obj) != {"leaf"}:
-                raise ValueError(f"node {index}: leaf object with extra keys")
-            nodes.append(BinaryNode(leaf=True))
-        elif "l" in obj and "r" in obj:
-            if set(obj) != {"l", "r"}:
-                raise ValueError(f"node {index}: internal object with extra keys")
-            left = build(obj["l"])
-            right = build(obj["r"])
-            nodes.append(BinaryNode(leaf=False, left=left, right=right))
-        else:
-            raise ValueError(f"node {index}: need either leaf=true or both l and r")
-        return len(nodes) - 1
-
-    root = build(doc)
-    return BinaryTree(nodes=tuple(nodes), root=root)
-
-
-def _growing_from_obj(doc: dict) -> GrowingTree:
+    if "step" not in doc:
+        return _tree_from_obj(doc, _frozen_kind, None)
     step = doc.get("step")
-    if not isinstance(step, int) or step < 0:
+    if type(step) is not int or step < 0:  # bool is an int subclass
         raise ValueError("growing tree: step must be a nonnegative integer")
     if "tree" not in doc:
         raise ValueError("growing tree: missing tree field")
-    nodes: list[GrowingNode] = []
-    counter = [0]
-    kinds = {k.value: k for k in NodeKind}
-
-    def build(obj: object) -> int:
-        index = counter[0]
-        counter[0] += 1
-        if not isinstance(obj, dict):
-            raise ValueError(f"node {index}: expected an object")
-        kind = kinds.get(obj.get("kind"))
-        if kind is None:
-            raise ValueError(f"node {index}: unknown kind {obj.get('kind')!r}")
-        if kind is NodeKind.INTERNAL:
-            if "l" not in obj or "r" not in obj:
-                raise ValueError(f"node {index}: internal node needs l and r")
-            left = build(obj["l"])
-            right = build(obj["r"])
-            nodes.append(GrowingNode(NodeKind.INTERNAL, left, right))
-        else:
-            if "l" in obj or "r" in obj:
-                raise ValueError(f"node {index}: {kind.value} node cannot have children")
-            nodes.append(GrowingNode(kind))
-        return len(nodes) - 1
-
-    root = build(doc["tree"])
-    tree = GrowingTree(nodes=tuple(nodes), root=root, step=step)
+    tree = _tree_from_obj(doc["tree"], _growing_kind, step)
     validate_growing(tree)
     return tree
 
 
-_DOT_STYLES = {
-    NodeKind.INTERNAL: 'shape=circle, style=filled, fillcolor=black, label="", width=0.2',
-    NodeKind.ANCHOR: 'shape=circle, label="", width=0.2',
-    NodeKind.DEAD_LEAF: 'shape=square, style=filled, fillcolor=black, label="", width=0.18',
-}
+def _frozen_kind(obj: dict, index: int) -> int:
+    if obj.get("leaf") is True:
+        if len(obj) != 1:
+            raise ValueError(f"node {index}: leaf object with extra keys")
+        return LEAF
+    if "l" in obj and "r" in obj:
+        if len(obj) != 2:
+            raise ValueError(f"node {index}: internal object with extra keys")
+        return INTERNAL
+    raise ValueError(f"node {index}: need either leaf=true or both l and r")
 
 
-def to_dot(tree: BinaryTree | GrowingTree) -> str:
+def _growing_kind(obj: dict, index: int) -> int:
+    name = obj.get("kind")
+    kind = _KIND_OF_NAME.get(name) if isinstance(name, str) else None
+    if kind is None:
+        raise ValueError(f"node {index}: unknown kind {name!r}")
+    if kind == INTERNAL:
+        if "l" not in obj or "r" not in obj:
+            raise ValueError(f"node {index}: internal node needs l and r")
+    elif "l" in obj or "r" in obj:
+        raise ValueError(f"node {index}: {name} node cannot have children")
+    return kind
+
+
+_JOIN = object()  # stack marker: both subtrees of an internal node are built
+
+
+def _tree_from_obj(top: object, kind_of, step: int | None) -> Tree:
+    """Number parsed nodes in postorder, checking each in document order."""
+    kinds = bytearray()
+    left: list[int] = []
+    right: list[int] = []
+    built: list[int] = []  # indices of finished subtrees, innermost last
+    stack = [top]
+    index = 0
+    while stack:
+        obj = stack.pop()
+        if obj is _JOIN:
+            right.append(built.pop())
+            left.append(built.pop())
+            kinds.append(INTERNAL)
+        else:
+            if not isinstance(obj, dict):
+                raise ValueError(f"node {index}: expected an object")
+            kind = kind_of(obj, index)
+            index += 1
+            if kind == INTERNAL:
+                stack += (_JOIN, obj["r"], obj["l"])
+                continue
+            kinds.append(kind)
+            left.append(-1)
+            right.append(-1)
+        built.append(len(kinds) - 1)
+    return Tree(bytes(kinds), tuple(left), tuple(right), len(kinds) - 1, step)
+
+
+_SQUARE = 'shape=square, style=filled, fillcolor=black, label="", width=0.18'
+_DOT_STYLES = (  # indexed by kind code
+    'shape=circle, style=filled, fillcolor=black, label="", width=0.2',
+    'shape=circle, label="", width=0.2',
+    _SQUARE,
+    _SQUARE,
+)
+
+
+def to_dot(tree: Tree) -> str:
     """Graphviz digraph; node shapes encode the kinds (see module docstring)."""
+    order = _preorder(tree.root, tree.left, tree.right)
     lines = ["digraph tree {", "  ordering=out;"]
-    if isinstance(tree, GrowingTree):
-        kinds = [node.kind for node in tree.nodes]
-        children = [(node.left, node.right) for node in tree.nodes]
-        order = _preorder(children, tree.root)
-    else:
-        kinds = [NodeKind.DEAD_LEAF if node.leaf else NodeKind.INTERNAL for node in tree.nodes]
-        children = [(node.left, node.right) for node in tree.nodes]
-        order = _preorder(children, tree.root)
+    lines += [f"  n{i} [{_DOT_STYLES[tree.nodes[i]]}];" for i in order]
     for i in order:
-        lines.append(f"  n{i} [{_DOT_STYLES[kinds[i]]}];")
-    for i in order:
-        left, right = children[i]
-        if left is not None:
-            lines.append(f"  n{i} -> n{left};")
-            lines.append(f"  n{i} -> n{right};")
+        if tree.left[i] >= 0:
+            lines.append(f"  n{i} -> n{tree.left[i]};")
+            lines.append(f"  n{i} -> n{tree.right[i]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _preorder(children: list[tuple[int | None, int | None]], root: int) -> list[int]:
-    order = []
-    stack = [root]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        left, right = children[i]
-        if left is not None:
-            stack.append(right)
-            stack.append(left)
-    return order

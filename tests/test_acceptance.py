@@ -11,12 +11,14 @@ import time
 from collections import defaultdict
 
 import reference_data as ref
+from uniformity import chi_square
 from growingtrees import enumeration, sequences
-from growingtrees.oracle import all_binary_trees, chi_square, trees_with_profile
+from growingtrees.oracle import all_binary_trees, trees_with_profile
 from growingtrees.profiles import Profile, count_trees, is_valid
 from growingtrees.sampler import BitSource, entropy_bound, sample_with_stats, uniform_tree
 from growingtrees.tree_core import (
     GrowthChoice,
+    NodeKind,
     freeze,
     grow_history,
     profile,
@@ -43,13 +45,12 @@ def _replay_choices(bt):
         levels.append(frontier)
         nxt = []
         for i in frontier:
-            node = bt.nodes[i]
-            if not node.leaf:
-                nxt.append(node.left)
-                nxt.append(node.right)
+            if bt.nodes[i] == NodeKind.INTERNAL:
+                nxt.append(bt.left[i])
+                nxt.append(bt.right[i])
         frontier = nxt
     return [
-        [GrowthChoice.DIE if bt.nodes[i].leaf else GrowthChoice.BRANCH for i in level]
+        [GrowthChoice.BRANCH if bt.nodes[i] == NodeKind.INTERNAL else GrowthChoice.DIE for i in level]
         for level in levels[:-1]
     ]
 

@@ -6,8 +6,9 @@ import pytest
 
 import reference_data as ref
 from growingtrees.cli import run
-from growingtrees.tree_core import from_json, profile
+from growingtrees.tree_core import from_json, profile, to_json
 from growingtrees.profiles import Profile
+from growingtrees.sampler import BitSource, sample_with_stats
 
 
 def _render_grid(entries, n_lo, n_hi):
@@ -143,6 +144,19 @@ def test_sample_is_deterministic_per_seed(capsys):
     first = capsys.readouterr().out
     assert run(["sample", "--profile", "0,1,0,4", "--count", "5", "--seed", "99"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_sample_deep_profile(capsys):
+    # 1,501 levels: deeper than the json module can nest, so the record
+    # carries the tree text exactly as to_json writes it.
+    p = Profile((0,) + (1,) * 1499 + (2,))
+    assert run(["sample", "--profile", str(p), "--seed", "5"]) == 0
+    tree, stats = sample_with_stats(p, BitSource(5))
+    assert profile(tree) == p
+    assert capsys.readouterr().out == (
+        f'{{"seed":5,"profile":"{p}","index":0,"bits_consumed":{stats.bits_consumed},'
+        f'"node_count":{stats.node_count},"tree":{to_json(tree)}}}\n'
+    )
 
 
 def test_sample_generates_seed_when_absent(capsys):

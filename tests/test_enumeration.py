@@ -104,9 +104,12 @@ def test_catalan_values():
         catalan(-1)
 
 
-def test_catalan_column_check_flags_excess():
+def test_catalan_column_check_flags_excess(table14):
     inflated = CountTable(n_max=1, entries={(1, 1): 5})
     assert not catalan_column_check(inflated)
+    missing = dict(table14.entries)
+    del missing[(9, 2)]
+    assert not catalan_column_check(CountTable(n_max=14, entries=missing))
 
 
 def test_polyseries_basics():

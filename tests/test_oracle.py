@@ -7,15 +7,14 @@ import pytest
 import reference_data as ref
 from growingtrees.enumeration import t_height_table
 from growingtrees.oracle import (
-    ChiSquareResult,
     OracleReport,
     all_binary_trees,
     all_growth_histories,
-    chi_square,
     trees_with_profile,
 )
 from growingtrees.profiles import Profile
 from growingtrees.tree_core import profile, stats, validate_growing
+from uniformity import ChiSquareResult, chi_square
 
 
 def test_binary_tree_counts_are_catalan():

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from growingtrees.oracle import chi_square, trees_with_profile
+from growingtrees.oracle import trees_with_profile
 from growingtrees.profiles import Profile, count_trees
 from growingtrees.sampler import (
     BitSource,
@@ -19,6 +19,7 @@ from growingtrees.sampler import (
     unrank_merge,
 )
 from growingtrees.tree_core import profile, to_json
+from uniformity import chi_square
 
 
 def test_bit_source_is_seeded_and_counts():

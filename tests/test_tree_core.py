@@ -10,12 +10,9 @@ import reference_data as ref
 from growingtrees.oracle import all_binary_trees, all_growth_histories
 from growingtrees.profiles import Profile
 from growingtrees.tree_core import (
-    BinaryNode,
-    BinaryTree,
-    GrowingNode,
-    GrowingTree,
     GrowthChoice,
     NodeKind,
+    Tree,
     TreeStats,
     freeze,
     from_json,
@@ -81,40 +78,36 @@ def test_validate_rejects_anchor_off_step():
         validate_growing(shifted)
 
 
+A, D, I = NodeKind.ANCHOR, NodeKind.DEAD_LEAF, NodeKind.INTERNAL
+
+
 def test_validate_rejects_odd_anchor_count():
-    nodes = (
-        GrowingNode(NodeKind.ANCHOR),
-        GrowingNode(NodeKind.DEAD_LEAF),
-        GrowingNode(NodeKind.INTERNAL, 0, 1),
-    )
-    bad = GrowingTree(nodes=nodes, root=2, step=1)
+    bad = Tree(bytes((A, D, I)), (-1, -1, 0), (-1, -1, 1), root=2, step=1)
     with pytest.raises(ValueError, match="odd anchor count 1"):
         validate_growing(bad)
 
 
 def test_validate_rejects_shared_child():
-    nodes = (GrowingNode(NodeKind.ANCHOR), GrowingNode(NodeKind.INTERNAL, 0, 0))
     with pytest.raises(ValueError, match="visited twice"):
-        validate_growing(GrowingTree(nodes=nodes, root=1, step=1))
+        validate_growing(Tree(bytes((A, I)), (-1, 0), (-1, 0), root=1, step=1))
 
 
 def test_validate_rejects_malformed_nodes():
-    half = (GrowingNode(NodeKind.ANCHOR), GrowingNode(NodeKind.INTERNAL, 0, None))
+    half = Tree(bytes((A, I)), (-1, 0), (-1, -1), root=1, step=1)
     with pytest.raises(ValueError, match="missing a child"):
-        validate_growing(GrowingTree(nodes=half, root=1, step=1))
-    leafy = (GrowingNode(NodeKind.DEAD_LEAF), GrowingNode(NodeKind.ANCHOR, 0, None))
+        validate_growing(half)
+    leafy = Tree(bytes((D, A)), (-1, 0), (-1, -1), root=1, step=0)
     with pytest.raises(ValueError, match="leaf node with children"):
-        validate_growing(GrowingTree(nodes=leafy, root=1, step=0))
+        validate_growing(leafy)
 
 
 def test_validate_rejects_unreachable_and_bad_root():
-    spare = (GrowingNode(NodeKind.ANCHOR), GrowingNode(NodeKind.DEAD_LEAF))
     with pytest.raises(ValueError, match="unreachable"):
-        validate_growing(GrowingTree(nodes=spare, root=0, step=0))
+        validate_growing(Tree(bytes((A, D)), (-1, -1), (-1, -1), root=0, step=0))
     with pytest.raises(ValueError, match="root index"):
-        validate_growing(GrowingTree(nodes=spare, root=5, step=0))
+        validate_growing(Tree(bytes((A, D)), (-1, -1), (-1, -1), root=5, step=0))
     with pytest.raises(ValueError, match="negative step"):
-        validate_growing(GrowingTree(nodes=(GrowingNode(NodeKind.ANCHOR),), root=0, step=-1))
+        validate_growing(Tree(bytes((A,)), (-1,), (-1,), root=0, step=-1))
 
 
 def test_binary_json_roundtrip_exhaustive():
@@ -144,8 +137,12 @@ def test_json_document_errors():
         from_json('{"l":{"leaf":true}}')
     with pytest.raises(ValueError, match="node 1: unknown kind 'seed'"):
         from_json('{"step":1,"tree":{"kind":"internal","l":{"kind":"seed"},"r":{"kind":"anchor"}}}')
+    with pytest.raises(ValueError, match=r"node 0: unknown kind \[1\]"):
+        from_json('{"step":0,"tree":{"kind":[1]}}')
     with pytest.raises(ValueError, match="step must be a nonnegative integer"):
         from_json('{"step":-2,"tree":{"kind":"anchor"}}')
+    with pytest.raises(ValueError, match="step must be a nonnegative integer"):
+        from_json('{"step":true,"tree":{"kind":"internal","l":{"kind":"anchor"},"r":{"kind":"anchor"}}}')
     with pytest.raises(ValueError, match="missing tree field"):
         from_json('{"step":1}')
     # Structurally well-formed documents still go through the growth
@@ -272,3 +269,32 @@ def test_exhaustive_histories_match_choice_products():
     for choices in itertools.product([GrowthChoice.DIE, GrowthChoice.BRANCH], repeat=1):
         seen.add(grow_step(new_seed(), list(choices)))
     assert seen == set(step_one)
+
+
+def test_deep_caterpillar_history():
+    # 1,500 steps, each branching the left anchor and killing the right one:
+    # far deeper than any recursive traversal could go.
+    h = 1500
+    t = new_seed()
+    for step in range(h):
+        t = grow_step(t, _choices("B" if step == 0 else "BD"))
+    assert stats(t) == TreeStats(n=h, m=2, ell=h - 1, h=h)
+    validate_growing(t)
+    frozen = freeze(t)
+    assert profile(frozen) == Profile((0,) + (1,) * (h - 1) + (2,))
+    assert unfreeze(frozen) == t
+    assert to_json(t) == (
+        f'{{"step":{h},"tree":' + '{"kind":"internal","l":' * h
+        + '{"kind":"anchor"},"r":{"kind":"anchor"}}' + ',"r":{"kind":"dead_leaf"}}' * (h - 1) + "}"
+    )
+    assert to_json(frozen) == '{"l":' * h + '{"leaf":true},"r":{"leaf":true}}' + ',"r":{"leaf":true}}' * (h - 1)
+    dot = to_dot(t)
+    assert dot.count("->") == 2 * h
+    assert dot.count("shape=circle, label=") == 2
+    assert dot.count("shape=square") == h - 1
+
+
+def test_from_json_rejects_documents_nested_too_deeply():
+    deep = '{"l":' * 5000 + '{"leaf":true},"r":{"leaf":true}}' + ',"r":{"leaf":true}}' * 4999
+    with pytest.raises(ValueError, match="nested too deeply"):
+        from_json(deep)
