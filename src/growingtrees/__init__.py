@@ -13,7 +13,6 @@ DOT serialization (tree_core), and brute-force cross-check enumerators
 
 from .enumeration import (
     CountTable,
-    HeightTable,
     PolySeries,
     ProbeResult,
     catalan,
@@ -85,7 +84,6 @@ __all__ = [
     "CellSet",
     "CountTable",
     "GrowthChoice",
-    "HeightTable",
     "InternalProfile",
     "MergePattern",
     "NodeKind",

@@ -51,14 +51,17 @@ def _emit_cells(cells: "sequences.CellSet", fmt: str) -> None:
             print(f"{n},{k}")
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    table = enumeration.t_table(args.nmax)
-    if args.format == "json":
-        cells = sorted((n, 2 * k, v) for (n, k), v in table.entries.items())
-        print(json.dumps({"n_max": table.n_max, "cells": [list(c) for c in cells]},
-                         separators=(",", ":")))
+def _emit_table(table: "enumeration.CountTable", header: tuple[str, int], fmt: str) -> None:
+    """Print a count table as CSV, or as JSON with the header pair and [n, 2k, value] cells."""
+    if fmt == "json":
+        cells = [[n, 2 * k, v] for (n, k), v in sorted(table.entries.items())]
+        print(json.dumps({header[0]: header[1], "cells": cells}, separators=(",", ":")))
     else:
         print(table.to_csv(), end="")
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    _emit_table(enumeration.t_table(args.nmax), ("n_max", args.nmax), args.format)
     return 0
 
 
@@ -68,13 +71,7 @@ def cmd_height_table(args: argparse.Namespace) -> int:
             f"h out of range 1..{MAX_CLI_HEIGHT_TABLE} for the command line; "
             "use the library for larger heights"
         )
-    table = enumeration.t_height_table(args.h)
-    if args.format == "json":
-        cells = sorted((n, 2 * k, v) for (n, k), v in table.entries.items())
-        print(json.dumps({"h": table.h, "cells": [list(c) for c in cells]},
-                         separators=(",", ":")))
-    else:
-        print(table.to_csv(), end="")
+    _emit_table(enumeration.t_height_table(args.h), ("h", args.h), args.format)
     return 0
 
 
@@ -116,10 +113,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     p = profiles.Profile(args.profile)
     if args.which == "validate":
         q = profiles.kraft_sum(p)
-        print(f"valid, kraft={q}" if q == 1 else f"invalid, kraft={q}")
+        print(f"{'valid' if q == 1 else 'invalid'}, kraft={profiles.exact_text(q)}")
         return 0
     if args.which == "count":
-        print(profiles.count_trees(p))
+        print(profiles.exact_text(profiles.count_trees(p)))
         return 0
     if args.which == "internal":
         print(profiles.internal_profile(p))

@@ -39,7 +39,8 @@ z = 1/4 and escapes beyond it; fixed_point_probe measures that numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb
 
 
@@ -47,90 +48,97 @@ from math import comb
 # Count tables
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CountTable:
-    """Exact counts t_{n,2k} for 1 <= n <= n_max, keyed by (n, k), zeros omitted.
+    """Exact counts t_{n,2k}, or t_{n,2k,h} at a fixed height h, by column.
 
-    Treat instances as read-only after construction.
+    columns[n] holds the values for k = 1, 2, ..., top; a zero marks an
+    absent cell. h is None for the table over all heights. Treat the column
+    map as read-only.
     """
 
-    n_max: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    columns: dict[int, tuple[int, ...]]
+    h: int | None = None
+
+    @property
+    def n_max(self) -> int:
+        """Largest column held (0 for the empty table)."""
+        return max(self.columns, default=0)
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """The nonzero cells keyed by (n, k), derived from the columns."""
+        return {(n, k): v for n, column in self.columns.items()
+                for k, v in enumerate(column, start=1) if v}
 
     def value(self, n: int, k: int) -> int:
-        return self.entries.get((n, k), 0)
+        column = self.columns.get(n, ())
+        return column[k - 1] if 1 <= k <= len(column) else 0
 
     def column_sum(self, n: int) -> int:
-        return sum(v for (cn, _), v in self.entries.items() if cn == n)
+        return sum(self.columns.get(n, ()))
 
     def max_k(self, n: int) -> int:
-        """Largest k with t_{n,2k} > 0 (0 if the column is empty)."""
-        return max((k for (cn, k) in self.entries if cn == n), default=0)
-
-    def to_csv(self) -> str:
-        """Grid layout: header row "n,1..n_max", one row per anchor-pair count.
-
-        Row labels are the anchor counts 2k; zero cells are blank.
-        """
-        k_top = max((k for (_, k) in self.entries), default=1)
-        lines = ["n," + ",".join(str(n) for n in range(1, self.n_max + 1))]
-        for k in range(1, k_top + 1):
-            cells = [str(self.value(n, k)) if (n, k) in self.entries else ""
-                     for n in range(1, self.n_max + 1)]
-            lines.append(f"{2 * k}," + ",".join(cells))
-        return "\n".join(lines) + "\n"
-
-
-@dataclass
-class HeightTable:
-    """Exact counts t_{n,2k,h} at a fixed height h, keyed by (n, k), zeros omitted."""
-
-    h: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def value(self, n: int, k: int) -> int:
-        return self.entries.get((n, k), 0)
-
-    def support(self) -> set[tuple[int, int]]:
-        return set(self.entries)
+        """Largest k with a nonzero cell in column n (0 if there is none)."""
+        column = self.columns.get(n, ())
+        return next((k for k in range(len(column), 0, -1) if column[k - 1]), 0)
 
     def total(self) -> int:
-        """Number of active trees of height h (sum over all cells)."""
-        return sum(self.entries.values())
+        """Sum over all cells: at fixed h, the number of active trees of height h."""
+        return sum(sum(column) for column in self.columns.values())
 
     def to_csv(self) -> str:
-        """Grid layout like CountTable.to_csv, columns spanning the support."""
-        if not self.entries:
+        """Grid layout: header row "n,<columns>", one row per anchor-pair count.
+
+        The columns span the smallest to the largest n held, row labels are
+        the anchor counts 2k, and zero cells are blank. The empty table
+        gives "n\n".
+        """
+        if not self.columns:
             return "n\n"
-        n_lo = min(n for (n, _) in self.entries)
-        n_hi = max(n for (n, _) in self.entries)
-        k_top = max(k for (_, k) in self.entries)
-        lines = ["n," + ",".join(str(n) for n in range(n_lo, n_hi + 1))]
-        for k in range(1, k_top + 1):
-            cells = [str(self.value(n, k)) if (n, k) in self.entries else ""
-                     for n in range(n_lo, n_hi + 1)]
-            lines.append(f"{2 * k}," + ",".join(cells))
+        ns = range(min(self.columns), max(self.columns) + 1)
+        grid = [self.columns.get(n, ()) for n in ns]
+        lines = ["n," + ",".join(map(str, ns))]
+        for k, row in enumerate(zip_longest(*grid, fillvalue=0), start=1):
+            lines.append(f"{2 * k}," + ",".join([str(v) if v else "" for v in row]))
         return "\n".join(lines) + "\n"
+
+
+# Old name of the fixed-height table, kept because benchmark/tracing.py wraps it.
+HeightTable = CountTable
+
+
+def _spread(n: int, column: list[int], target: dict[int, list[int]], n_cap: int | None) -> None:
+    """Add the one-step transfer of column n into target, up to column n_cap.
+
+    Cell (n, k) with value v sends binom(2k, j) * v to cell (n + j, j) for
+    1 <= j <= 2k.
+    """
+    for k, v in enumerate(column, start=1):
+        if not v:
+            continue
+        for j in range(1, 2 * k + 1):
+            if n_cap is not None and n + j > n_cap:
+                break
+            cell = target.setdefault(n + j, [])
+            if len(cell) < j:
+                cell.extend([0] * (j - len(cell)))
+            cell[j - 1] += comb(2 * k, j) * v
 
 
 def t_table(n_max: int) -> CountTable:
     """Build the table of t_{n,2k} for all 1 <= n <= n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    entries: dict[tuple[int, int], int] = {(1, 1): 1}
+    columns: dict[int, list[int]] = {1: [1]}
     for n in range(1, n_max):
-        # States at n only ever receive mass from strictly smaller n.
-        column = [(k, v) for (cn, k), v in entries.items() if cn == n]
-        for k, v in column:
-            for j in range(1, 2 * k + 1):
-                if n + j > n_max:
-                    break
-                cell = (n + j, j)
-                entries[cell] = entries.get(cell, 0) + comb(2 * k, j) * v
-    return CountTable(n_max=n_max, entries=entries)
+        # Column n only ever receives mass from strictly smaller n, so it is
+        # complete before it spreads.
+        _spread(n, columns[n], columns, n_max)
+    return CountTable({n: tuple(c) for n, c in columns.items()})
 
 
-def t_height_table(h: int, n_cap: int | None = None) -> HeightTable:
+def t_height_table(h: int, n_cap: int | None = None) -> CountTable:
     """Build the table of t_{n,2k,h} at height exactly h.
 
     n_cap, when given, prunes cells with n > n_cap during the iteration; the
@@ -140,18 +148,13 @@ def t_height_table(h: int, n_cap: int | None = None) -> HeightTable:
     """
     if h < 1:
         raise ValueError("h must be at least 1")
-    current: dict[tuple[int, int], int] = {(1, 1): 1}
+    current: dict[int, list[int]] = {1: [1]}
     for _ in range(h - 1):
-        nxt: dict[tuple[int, int], int] = {}
-        for (n, k), v in current.items():
-            for j in range(1, 2 * k + 1):
-                n2 = n + j
-                if n_cap is not None and n2 > n_cap:
-                    break
-                cell = (n2, j)
-                nxt[cell] = nxt.get(cell, 0) + comb(2 * k, j) * v
+        nxt: dict[int, list[int]] = {}
+        for n, column in current.items():
+            _spread(n, column, nxt, n_cap)
         current = nxt
-    return HeightTable(h=h, entries=current)
+    return CountTable({n: tuple(c) for n, c in current.items()}, h)
 
 
 # ---------------------------------------------------------------------------

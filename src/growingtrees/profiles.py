@@ -27,6 +27,7 @@ sum as a fractions.Fraction for messages. Counts are exact big integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -91,6 +92,14 @@ class InternalProfile:
         return ",".join(str(x) for x in self.levels)
 
 
+def exact_text(x: int | Fraction) -> str:
+    """Exact decimal text of an int or a Fraction "p/q": unlike str(), Decimal
+    has no limit on the number of digits (str() stops at 4,300 by default)."""
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{exact_text(x.numerator)}/{exact_text(x.denominator)}"
+    return str(Decimal(int(x)))
+
+
 def kraft_sum(p: Profile) -> Fraction:
     """Exact Kraft sum sum_i l_i / 2^i of a profile."""
     return sum((Fraction(l, 1 << i) for i, l in enumerate(p.levels)), Fraction(0))
@@ -133,7 +142,7 @@ def internal_profile(p: Profile) -> InternalProfile:
         internals[k] = carry // 2
         carry = internals[k] + l[k]
     if internals[0] != 1:
-        raise ValueError(f"kraft violation: bottom-up pass gives i_0 = {internals[0]}, kraft sum {kraft_sum(p)}")
+        raise ValueError(f"kraft violation: bottom-up pass gives i_0 = {internals[0]}, kraft sum {exact_text(kraft_sum(p))}")
     # Top-down direction, re-derived independently.
     top_down = [1]
     for k in range(1, h):
@@ -152,7 +161,7 @@ def count_trees(p: Profile) -> int:
     which a valid profile forces, so the Kraft test is the only validation.
     """
     if not is_valid(p):
-        raise ValueError(f"invalid profile, kraft sum {kraft_sum(p)} != 1")
+        raise ValueError(f"invalid profile, kraft sum {exact_text(kraft_sum(p))} != 1")
     result = 1
     internals = 1
     for l in p.levels[1:]:

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .profiles import Profile, count_trees, is_valid, kraft_sum
+from .profiles import Profile, count_trees, exact_text, is_valid, kraft_sum
 from .tree_core import INTERNAL, LEAF, Tree
 
 
@@ -188,10 +188,7 @@ def uniform_tree(p: Profile, src: BitSource) -> Tree:
     The profile is validated before any bits are drawn; the single-leaf
     profile (1,) returns the one-node tree for free.
     """
-    if not is_valid(p):
-        raise ValueError(f"invalid profile, kraft sum {kraft_sum(p)} != 1")
-    tree, _ = _build(p, src)
-    return tree
+    return sample_with_stats(p, src)[0]
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,7 @@ class SampleStats:
 def sample_with_stats(p: Profile, src: BitSource) -> tuple[Tree, SampleStats]:
     """uniform_tree plus the bookkeeping record for this one sample."""
     if not is_valid(p):
-        raise ValueError(f"invalid profile, kraft sum {kraft_sum(p)} != 1")
+        raise ValueError(f"invalid profile, kraft sum {exact_text(kraft_sum(p))} != 1")
     before = src.bits_consumed
     tree, steps = _build(p, src)
     record = SampleStats(

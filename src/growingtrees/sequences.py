@@ -39,6 +39,7 @@ millions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -48,23 +49,28 @@ from typing import Iterator
 # The sequence a_n and its repetition counts b_n
 # ---------------------------------------------------------------------------
 
-def a_seq(n_max: int) -> list[int]:
-    """Values a_0..a_n_max by the inner recurrence a_n = max{k : k <= 2*a_{n-k}}.
+def _a_values() -> Iterator[int]:
+    """a_1, a_2, ... without end, by the inner recurrence a_n = max{k : k <= 2*a_{n-k}}.
 
-    Index 0 carries the generating-function convention a_0 = 1. The scan for
-    the maximal k starts at a_{n-1} + 1 and walks down; the feasible set
-    {k : k <= 2*a_{n-k}} is downward closed because a is nondecreasing, and
-    the total walk length stays linear in n_max.
+    The scan for the maximal k starts at a_{n-1} + 1 and walks down; the
+    feasible set {k : k <= 2*a_{n-k}} is downward closed because a is
+    nondecreasing, and the total walk length stays linear in n.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
     vals = [1, 1]
-    for n in range(2, n_max + 1):
+    yield 1
+    for n in itertools.count(2):
         k = min(vals[n - 1] + 1, n - 1)
         while k > 2 * vals[n - k]:
             k -= 1
         vals.append(k)
-    return vals
+        yield k
+
+
+def a_seq(n_max: int) -> list[int]:
+    """Values a_0..a_n_max; index 0 carries the generating-function convention a_0 = 1."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    return [1, *itertools.islice(_a_values(), n_max)]
 
 
 def a_seq_meta(n_max: int) -> list[int]:
@@ -80,34 +86,20 @@ def a_seq_meta(n_max: int) -> list[int]:
 def b_seq(n_max: int) -> list[int]:
     """Repetition counts b_1..b_n_max of a_n, with b[0] = 0 padding.
 
-    b_n counts how many times the value n occurs in the a sequence, so the a
-    values are generated until they first exceed n_max.
+    b_n counts how many times the value n occurs in the a sequence; a climbs
+    by 0 or 1, so the count stops at the first value above n_max.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    counts = [0] * (n_max + 2)
-    vals = [1, 1]
-    counts[1] = 1
-    n = 1
-    while vals[n] <= n_max:
-        n += 1
-        k = min(vals[n - 1] + 1, n - 1) if n >= 2 else 1
-        while k > 2 * vals[n - k]:
-            k -= 1
-        vals.append(k)
-        if k <= n_max:
-            counts[k] += 1
-        else:
-            break
-    return counts[: n_max + 1]
+    counts = [0] * (n_max + 1)
+    for a in itertools.takewhile(lambda a: a <= n_max, _a_values()):
+        counts[a] += 1
+    return counts
 
 
 def b_formula(n: int) -> int:
-    """Closed form of b_n: p + 2 when n = 2^p, else p + 1, with p = v_2(n)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    p = (n & -n).bit_length() - 1
-    return p + 2 if n == (1 << p) else p + 1
+    """Closed form of b_n = v_2(n) + 1 (the ruler function), plus 1 when n is a power of 2."""
+    return ruler(n) + (n & (n - 1) == 0)
 
 
 def a_gf_check(trunc: int) -> bool:

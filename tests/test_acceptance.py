@@ -83,7 +83,7 @@ def test_fixed_height_table_reproduction(criterion):
     with criterion(3, "height-4 table matches the frozen reference; supports match the cell regions for h <= 7"):
         assert enumeration.t_height_table(4).entries == ref.STEP4_COUNTS
         for h in range(1, 8):
-            support = enumeration.t_height_table(h).support()
+            support = set(enumeration.t_height_table(h).entries)
             assert support == sequences.s_domain(h).cells()
 
 
@@ -91,7 +91,7 @@ def test_boundary_formulas(criterion):
     with criterion(4, "boundary formulas equal brute extraction for h <= 7; cardinalities hold to h = 12"):
         start = time.perf_counter()
         for h in range(1, 8):
-            support = enumeration.t_height_table(h).support()
+            support = set(enumeration.t_height_table(h).entries)
             right = {(n, k) for n, k in support if (n + 1, k) not in support}
             upper = {(n, k) for n, k in support if (n, k + 1) not in support}
             assert right == sequences.gamma(h).cells()

@@ -1,6 +1,8 @@
 """Command-line behavior: formats, exit codes, determinism, seed echo."""
 
 import json
+import math
+from decimal import Decimal
 
 import pytest
 
@@ -122,6 +124,28 @@ def test_profile_error_paths(capsys):
     assert run(["profile", "count", "--profile", "1,2"]) == 1
     assert "l_0 = 0" in capsys.readouterr().err
     assert run(["profile", "count", "--profile", "0,x"]) == 2
+
+
+def test_profile_numbers_past_the_str_digit_limit(capsys):
+    # binom(16384, 8192) has 4,930 digits, past the default str() limit.
+    assert run(["profile", "count", "--profile", ",".join(["0"] * 14 + ["8192", "16384"])]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 4931
+    assert Decimal(out) == math.comb(16384, 8192)
+    # The invalid 15,001-level profile 0,1,...,1 has a Kraft sum of
+    # (2^15000 - 1) / 2^15000, over 4,500 digits on each side. Decimal reads
+    # texts of any length, where int() stops at the same limit.
+    deep = ",".join(["0"] + ["1"] * 15000)
+    assert run(["profile", "validate", "--profile", deep]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("invalid, kraft=")
+    num, den = out[len("invalid, kraft="):].split("/")
+    assert (Decimal(num), Decimal(den)) == ((1 << 15000) - 1, 1 << 15000)
+    assert run(["profile", "count", "--profile", deep]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid profile, kraft sum ") and err.endswith(" != 1\n")
+    assert run(["sample", "--profile", deep]) == 1
+    assert capsys.readouterr().err == err
 
 
 def test_sample_json_records(capsys):

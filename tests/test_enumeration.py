@@ -80,6 +80,18 @@ def test_height_table_csv_layout():
     assert t_height_table(2).to_csv() == "n,2,3\n2,2,\n4,,1\n"
 
 
+def test_empty_table():
+    # Height 3 needs at least 3 internal nodes, so a cap of 2 prunes every cell.
+    empty = t_height_table(3, n_cap=2)
+    assert empty.columns == {}
+    assert empty.entries == {}
+    assert empty.to_csv() == "n\n"
+    assert empty.total() == 0
+    assert empty.value(1, 1) == 0
+    assert empty.max_k(1) == 0
+    assert empty.n_max == 0
+
+
 def test_height_table_cap_keeps_exact_cells():
     full = t_height_table(4)
     capped = t_height_table(4, n_cap=6)
@@ -105,11 +117,12 @@ def test_catalan_values():
 
 
 def test_catalan_column_check_flags_excess(table14):
-    inflated = CountTable(n_max=1, entries={(1, 1): 5})
+    inflated = CountTable({1: (5,)})
     assert not catalan_column_check(inflated)
-    missing = dict(table14.entries)
-    del missing[(9, 2)]
-    assert not catalan_column_check(CountTable(n_max=14, entries=missing))
+    missing = dict(table14.columns)
+    missing[9] = (missing[9][0], 0) + missing[9][2:]
+    assert CountTable(missing).entries == {c: v for c, v in table14.entries.items() if c != (9, 2)}
+    assert not catalan_column_check(CountTable(missing))
 
 
 def test_polyseries_basics():

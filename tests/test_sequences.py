@@ -175,7 +175,7 @@ def test_s_domain_small():
 
 def test_s_domain_matches_height_table_support():
     for h in range(1, 8):
-        assert s_domain(h).cells() == t_height_table(h).support()
+        assert s_domain(h).cells() == set(t_height_table(h).entries)
 
 
 def test_s_domain_cardinality_formula():
