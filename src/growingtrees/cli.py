@@ -19,7 +19,9 @@ from . import enumeration, oracle, profiles, sampler, sequences, tree_core
 
 # Output-size guards for the unbounded-growth commands. The library itself
 # goes further; these only keep terminal use sane.
+MAX_CLI_TABLE_NMAX = 300
 MAX_CLI_HEIGHT_TABLE = 10
+MAX_CLI_SEQ_NMAX = 100_000
 MAX_CLI_CELLS = 10
 MAX_CLI_BOUNDARY = 16
 
@@ -61,6 +63,11 @@ def _emit_table(table: "enumeration.CountTable", header: tuple[str, int], fmt: s
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    if args.nmax > MAX_CLI_TABLE_NMAX:
+        raise ValueError(
+            f"nmax out of range 1..{MAX_CLI_TABLE_NMAX} for the command line; "
+            "use the library for larger tables"
+        )
     _emit_table(enumeration.t_table(args.nmax), ("n_max", args.nmax), args.format)
     return 0
 
@@ -77,6 +84,8 @@ def cmd_height_table(args: argparse.Namespace) -> int:
 
 def cmd_seq(args: argparse.Namespace) -> int:
     n_max = args.nmax
+    if n_max > MAX_CLI_SEQ_NMAX:
+        raise ValueError(f"nmax out of range 1..{MAX_CLI_SEQ_NMAX} for the command line")
     if args.which == "a":
         values = sequences.a_seq(n_max)[1:]
     elif args.which == "b":

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 
 @dataclass(frozen=True)
@@ -100,21 +100,24 @@ def exact_text(x: int | Fraction) -> str:
     return str(Decimal(int(x)))
 
 
-def kraft_sum(p: Profile) -> Fraction:
-    """Exact Kraft sum sum_i l_i / 2^i of a profile."""
-    return sum((Fraction(l, 1 << i) for i, l in enumerate(p.levels)), Fraction(0))
-
-
-def is_valid(p: Profile) -> bool:
-    """True iff the profile is realized by some binary tree (Kraft sum = 1).
-
-    Tested in integers, sum_i l_i * 2^{h-i} == 2^h, accumulated by Horner's
-    rule: one shift-and-add per level and no rational arithmetic.
-    """
+def _kraft_numerator(p: Profile) -> int:
+    """sum_i l_i * 2^{h-i}, the Kraft sum times 2^h, by Horner's rule: one
+    shift-and-add per level and no rational arithmetic."""
     total = 0
     for l in p.levels:
         total = 2 * total + l
-    return total == 1 << p.height
+    return total
+
+
+def kraft_sum(p: Profile) -> Fraction:
+    """Exact Kraft sum sum_i l_i / 2^i of a profile."""
+    return Fraction(_kraft_numerator(p), 1 << p.height)
+
+
+def is_valid(p: Profile) -> bool:
+    """True iff the profile is realized by some binary tree (Kraft sum = 1),
+    tested in integers: sum_i l_i * 2^{h-i} == 2^h."""
+    return _kraft_numerator(p) == 1 << p.height
 
 
 def internal_profile(p: Profile) -> InternalProfile:
@@ -154,20 +157,27 @@ def internal_profile(p: Profile) -> InternalProfile:
     return InternalProfile(tuple(internals))
 
 
-def count_trees(p: Profile) -> int:
-    """Exact number of binary trees with profile p (>= 1 for valid profiles).
+def level_choices(p: Profile) -> list[int]:
+    """binom(2*i_k, l_{k+1}) for k = 0..h-1: the number of ways level k+1's
+    leaves can sit among the 2*i_k child slots of depth k, for a valid p.
 
     The internal-node counts come top-down (i_0 = 1, i_k = 2*i_{k-1} - l_k),
-    which a valid profile forces, so the Kraft test is the only validation.
+    which a valid profile forces; callers check validity first.
     """
-    if not is_valid(p):
-        raise ValueError(f"invalid profile, kraft sum {exact_text(kraft_sum(p))} != 1")
-    result = 1
+    choices = []
     internals = 1
     for l in p.levels[1:]:
-        result *= comb(2 * internals, l)
+        choices.append(comb(2 * internals, l))
         internals = 2 * internals - l
-    return result
+    return choices
+
+
+def count_trees(p: Profile) -> int:
+    """Exact number of binary trees with profile p: the product of its
+    level_choices. The Kraft test is the only validation."""
+    if not is_valid(p):
+        raise ValueError(f"invalid profile, kraft sum {exact_text(kraft_sum(p))} != 1")
+    return prod(level_choices(p))
 
 
 def truncate_profile(p: Profile, k: int) -> Profile:

@@ -3,20 +3,25 @@
 The construction is bottom-up. The deepest level of a valid profile holds
 l_h leaves, which pair into l_h/2 subtrees of two leaves each. Then for each
 level i = h-1 down to 1 the current subtree sequence is interleaved with l_i
-fresh leaves (a uniformly chosen merge pattern, order-preserving on both
-sides) and consecutive elements of the interleaving are paired under new
-internal nodes. After the top level a single root remains. Each level's
-merge has binom(2*i_{i-1}, l_i) patterns and the pattern vector determines
-the tree uniquely, so uniform independent patterns give a uniform tree and
-the product of the pattern counts is the tree count.
+fresh leaves (a merge pattern, order-preserving on both sides) and
+consecutive elements of the interleaving are paired under new internal
+nodes. After the top level a single root remains. Each level's merge has
+binom(2*i_{i-1}, l_i) patterns and the pattern vector determines the tree
+uniquely, so the product of the pattern counts is the tree count N.
 
-Randomness flows through a BitSource, which hands out one fair bit at a time
-and counts every bit drawn. Uniform integers come from draw_below, a
-rejection sampler on the smallest binary range holding N that recycles the
-rejected remainder instead of discarding it, so a draw costs log2(N) + 2
-bits on average and a single-outcome draw costs none. Merge patterns are
-drawn by unranking one such integer through the combinadic order, which
-keeps per-sample bit accounting tight against the log2(count) entropy floor.
+A tree is therefore named by one rank r in [0, N): _build splits r
+mixed-radix, one digit per level with that level's pattern count as the
+base (deepest level least significant), and unranks each digit into a merge
+pattern in combinadic order, keeping the running binomial so that a slot
+costs one small multiply and one exact divide. Distinct ranks give distinct
+trees, so a sample draws one uniform rank and gets a uniform tree.
+
+Randomness flows through a BitSource, which hands out fair bits and counts
+every bit drawn. Uniform integers come from draw_below, a rejection sampler
+on the smallest binary range holding N that recycles the rejected remainder
+instead of discarding it, so a draw costs under log2(N) + 2 bits on average
+and a single-outcome draw costs none. One draw per tree keeps a sample
+within 2 bits of the log2(N) entropy floor at any height.
 """
 
 from __future__ import annotations
@@ -24,9 +29,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
-from .profiles import Profile, count_trees, exact_text, is_valid, kraft_sum
+# is_valid is not called here (count_trees validates), but benchmark/tracing.py
+# wraps it under this module's name.
+from .profiles import Profile, count_trees, exact_text, is_valid, level_choices  # noqa: F401
 from .tree_core import INTERNAL, LEAF, Tree
 
 
@@ -46,22 +53,30 @@ class BitSource:
         self.bits_consumed += 1
         return self._rng.getrandbits(1)
 
+    def next_bits(self, k: int) -> int:
+        """k fair bits at once, as an integer in [0, 2^k)."""
+        self.bits_consumed += k
+        return self._rng.getrandbits(k)
+
 
 def draw_below(src: BitSource, n: int) -> int:
     """A uniform integer in [0, n), consuming expected <= log2(n) + 2 bits.
 
-    Grows a uniform value bit by bit until its range covers n, accepts when
-    it lands under n, and on rejection keeps the excess as the start of the
-    next attempt (the leftover value is still uniform on its range). n = 1
-    consumes no bits.
+    Extends a uniform value c on [0, v) by the fewest fair bits that make
+    its range cover n, accepts when it lands under n, and on rejection keeps
+    the excess as the start of the next attempt (the leftover value is still
+    uniform on its range). n = 1 consumes no bits.
     """
     if n < 1:
         raise ValueError("n must be positive")
     v, c = 1, 0
     while True:
-        while v < n:
-            v <<= 1
-            c = (c << 1) | src.next_bit()
+        if v < n:
+            k = n.bit_length() - v.bit_length()
+            if v << k < n:
+                k += 1
+            v <<= k
+            c = (c << k) | src.next_bits(k)
         if c < n:
             return c
         v -= n
@@ -79,7 +94,7 @@ class MergePattern:
     word: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(bit not in (0, 1) for bit in self.word):
+        if not set(self.word) <= {0, 1}:
             raise ValueError("pattern word must consist of 0s and 1s")
 
     @property
@@ -99,28 +114,31 @@ def unrank_merge(rank: int, p: int, q: int) -> MergePattern:
 
     Patterns are ordered lexicographically by their sorted tuple of
     one-positions; rank runs over [0, binom(p+q, q)). Walking the word left
-    to right, a one at the current slot accounts for binom(slots_left - 1,
-    ones_left - 1) patterns, which tells whether rank falls inside.
+    to right with total = binom(slots_left, ones_left) patterns still open, a
+    one at the current slot accounts for binom(slots_left - 1, ones_left - 1)
+    = total * ones_left / slots_left of them, which tells whether rank falls
+    inside; total then shrinks to the branch taken.
     """
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
     total = comb(p + q, q)
     if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range for binom({p + q},{q}) = {total}")
-    slots = p + q
-    ones_left = q
+        raise ValueError(f"rank {exact_text(rank)} out of range for binom({p + q},{q}) = {exact_text(total)}")
     word = []
-    for i in range(slots):
+    ones_left = q
+    for slots_left in range(p + q, 0, -1):
         if ones_left == 0:
-            word.append(0)
-            continue
-        here = comb(slots - i - 1, ones_left - 1)
+            word += [0] * slots_left
+            break
+        here = total * ones_left // slots_left
         if rank < here:
             word.append(1)
             ones_left -= 1
+            total = here
         else:
-            rank -= here
             word.append(0)
+            rank -= here
+            total -= here
     return MergePattern(word=tuple(word))
 
 
@@ -134,13 +152,39 @@ def sample_merge(src: BitSource, p: int, q: int) -> MergePattern:
 _PAIR = bytes((LEAF, LEAF, INTERNAL))
 
 
-def _build(p: Profile, src: BitSource) -> tuple[Tree, int]:
-    """Construct one tree; returns it with the elementary-step count.
+def _mixed_radix(rank: int, bases: list[int]) -> list[int]:
+    """The digits of rank in the mixed radix `bases`, least significant first.
+
+    Consecutive bases are grouped into blocks of at least 64 bits, so the
+    wide rank is divided once per block rather than once per base.
+    """
+    digits = []
+    i = 0
+    while i < len(bases):
+        j, block = i, 1
+        while j < len(bases) and block.bit_length() < 64:
+            block *= bases[j]
+            j += 1
+        rank, low = divmod(rank, block)
+        for base in bases[i:j]:
+            low, digit = divmod(low, base)
+            digits.append(digit)
+        i = j
+    if rank != 0:
+        raise ValueError(f"rank out of range for {exact_text(prod(bases))} trees")
+    return digits
+
+
+def _build(p: Profile, rank: int) -> tuple[Tree, int]:
+    """The tree of rank `rank` in [0, count_trees(p)) for a valid profile p,
+    with its elementary-step count; distinct ranks give distinct trees.
 
     Steps: 1 per leaf created, 2 per internal node (one pointer hookup per
     child), so a tree with L leaves costs exactly L + 2*(L-1) = 3L - 2.
     Nodes are numbered in creation order, which the DOT output shows.
     """
+    # The deepest level's choice is always binom(l_h, l_h) = 1.
+    digits = _mixed_radix(rank, level_choices(p)[-2::-1])
     kinds = bytearray()
     left: list[int] = []
     right: list[int] = []
@@ -157,8 +201,8 @@ def _build(p: Profile, src: BitSource) -> tuple[Tree, int]:
         right += (-1, -1, k + 1)
         steps += 4
         seq.append(k + 2)
-    for i in range(h - 1, 0, -1):
-        pattern = sample_merge(src, len(seq), levels[i])
+    for i, digit in zip(range(h - 1, 0, -1), digits):
+        pattern = unrank_merge(digit, len(seq), levels[i])
         merged: list[int] = []
         carried = iter(seq)
         for bit in pattern.word:
@@ -203,11 +247,11 @@ class SampleStats:
 
 
 def sample_with_stats(p: Profile, src: BitSource) -> tuple[Tree, SampleStats]:
-    """uniform_tree plus the bookkeeping record for this one sample."""
-    if not is_valid(p):
-        raise ValueError(f"invalid profile, kraft sum {exact_text(kraft_sum(p))} != 1")
+    """uniform_tree plus the bookkeeping record for this one sample: one
+    uniform rank below count_trees(p), which rejects an invalid profile
+    before any bit is drawn, built into its tree."""
     before = src.bits_consumed
-    tree, steps = _build(p, src)
+    tree, steps = _build(p, draw_below(src, count_trees(p)))
     record = SampleStats(
         seed=src.seed,
         profile=p,

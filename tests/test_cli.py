@@ -48,6 +48,13 @@ def test_table_rejects_bad_nmax(capsys):
     assert run(["table", "--nmax", "x"]) == 2
 
 
+def test_table_cli_bound(capsys):
+    assert run(["table", "--nmax", "301"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: nmax out of range 1..300")
+    assert "library" in err
+
+
 def test_height_table_csv(capsys):
     assert run(["height-table", "--h", "2"]) == 0
     assert capsys.readouterr().out == "n,2,3\n2,2,\n4,,1\n"
@@ -81,6 +88,12 @@ def test_seq_outputs(capsys):
 
 def test_seq_rejects_unknown_name(capsys):
     assert run(["seq", "c", "--nmax", "5"]) == 2
+
+
+def test_seq_cli_bound(capsys):
+    for which in ("a", "b", "ahat", "bhat"):
+        assert run(["seq", which, "--nmax", "100001"]) == 1
+        assert capsys.readouterr().err.startswith("error: nmax out of range 1..100000")
 
 
 def test_domain_outputs(capsys):
@@ -236,6 +249,15 @@ def test_bench_bits(capsys):
     assert doc["mean_bits"] >= 0
     assert doc["entropy_bound"] == pytest.approx(2.584963, abs=1e-6)
     assert doc["overhead_bits"] == pytest.approx(doc["mean_bits"] - doc["entropy_bound"], abs=5e-6)
+
+
+def test_bench_bits_deep_profile_stays_near_the_floor(capsys):
+    # One draw per tree: the overhead does not grow with the 200 levels.
+    levels = ",".join(["0", "0"] + ["2"] * 198 + ["4"])
+    assert run(["bench-bits", "--profile", levels, "--samples", "1000", "--seed", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["samples"] == 1000
+    assert 0 <= doc["overhead_bits"] < 2
 
 
 def test_usage_errors_and_help(capsys):

@@ -27,6 +27,22 @@ def test_kraft_sum_examples():
     assert not is_valid(Profile((0, 1, 1)))
 
 
+def _kraft_by_level(p):
+    return sum((Fraction(l, 1 << i) for i, l in enumerate(p.levels)), Fraction(0))
+
+
+def test_kraft_sum_equals_the_sum_by_level():
+    small = [Profile((0,) + tail) for h in range(1, 5) for tail in _level_tuples(h, 6) if tail[-1]]
+    assert any(is_valid(p) for p in small) and not all(is_valid(p) for p in small)
+    tall = [
+        Profile((0,) + (1,) * 2999 + (2,)),  # valid, 3,001 levels
+        Profile((0,) + (1,) * 3000),  # invalid
+        Profile((0, 3) + (0,) * 2997 + (5, 7)),  # invalid, Kraft sum above 1
+    ]
+    for p in [Profile((1,))] + small + tall:
+        assert kraft_sum(p) == _kraft_by_level(p), p
+
+
 def test_structural_constraints():
     with pytest.raises(ValueError, match="empty"):
         Profile(())

@@ -1,16 +1,19 @@
 """Bit source, bounded uniform draws, merge unranking, and tree sampling."""
 
 import math
+import random
+from collections import defaultdict
 from math import comb
 
 import pytest
 
-from growingtrees.oracle import trees_with_profile
+from growingtrees.oracle import all_binary_trees, trees_with_profile
 from growingtrees.profiles import Profile, count_trees
 from growingtrees.sampler import (
     BitSource,
     MergePattern,
     SampleStats,
+    _build,
     draw_below,
     entropy_bound,
     sample_merge,
@@ -65,6 +68,55 @@ def test_draw_below_expected_bits():
     assert src.bits_consumed / draws <= math.log2(5) + 2
 
 
+def _draw_below_bit_by_bit(src, n):
+    """draw_below as first written: one next_bit call per doubling."""
+    v, c = 1, 0
+    while True:
+        while v < n:
+            v <<= 1
+            c = (c << 1) | src.next_bit()
+        if c < n:
+            return c
+        v -= n
+        c -= n
+
+
+class _OneBitAtATime(BitSource):
+    """A source whose k-bit blocks are k single bits, most significant first."""
+
+    def next_bits(self, k):
+        c = 0
+        for _ in range(k):
+            c = (c << 1) | self.next_bit()
+        return c
+
+
+def test_draw_below_takes_each_shortfall_in_one_block():
+    # Same bits in, same values and bit counts out as the bit-by-bit loop.
+    for n in (2, 3, 5, 6, 7, 100, 2**61 - 1, 3**200, 2**300 + 1):
+        blocks, single = _OneBitAtATime(n % 1000), BitSource(n % 1000)
+        for _ in range(50):
+            assert draw_below(blocks, n) == _draw_below_bit_by_bit(single, n)
+            assert blocks.bits_consumed == single.bits_consumed
+
+
+def test_next_bits_counts_exactly():
+    src = BitSource(13)
+    assert src.next_bits(0) == 0 and src.bits_consumed == 0
+    assert 0 <= src.next_bits(10_000) < 1 << 10_000
+    assert src.bits_consumed == 10_000
+
+
+def test_draw_below_long_run_stays_under_fast_dice_roller_bound():
+    n = 3**6500  # 10,303 bits
+    assert n.bit_length() > 10_000
+    src = BitSource(59)
+    draws = 1000
+    for _ in range(draws):
+        assert 0 <= draw_below(src, n) < n
+    assert src.bits_consumed / draws <= math.log2(n) + 2
+
+
 def test_merge_pattern_accessors():
     p = MergePattern((0, 1, 1, 0))
     assert p.zeros == 2
@@ -86,9 +138,42 @@ def test_unrank_merge_is_a_lex_bijection():
             assert keys == sorted(keys)
 
 
+def _unrank_by_comb(rank, p, q):
+    """The merge word by the first formula: a fresh binomial for every slot."""
+    slots, ones_left, word = p + q, q, []
+    for i in range(slots):
+        if ones_left == 0:
+            word.append(0)
+            continue
+        here = comb(slots - i - 1, ones_left - 1)
+        if rank < here:
+            word.append(1)
+            ones_left -= 1
+        else:
+            rank -= here
+            word.append(0)
+    return tuple(word)
+
+
+def test_unrank_merge_matches_the_binomial_per_slot_formula():
+    for p in range(9):
+        for q in range(9):
+            for r in range(comb(p + q, q)):
+                assert unrank_merge(r, p, q).word == _unrank_by_comb(r, p, q)
+    rng = random.Random(61)
+    for _ in range(200):
+        p, q = rng.randint(0, 300), rng.randint(0, 300)
+        total = comb(p + q, q)
+        for r in (0, total - 1, rng.randrange(total)):
+            assert unrank_merge(r, p, q).word == _unrank_by_comb(r, p, q)
+
+
 def test_unrank_merge_guards():
     with pytest.raises(ValueError, match=r"rank 6 out of range for binom\(4,2\) = 6"):
         unrank_merge(6, 2, 2)
+    # Ranks and totals past the 4,300-digit str() limit still print.
+    with pytest.raises(ValueError, match=r"out of range for binom\(30000,15000\) = \d{9000}"):
+        unrank_merge(comb(30000, 15000), 15000, 15000)
     with pytest.raises(ValueError, match="nonnegative"):
         unrank_merge(0, -1, 2)
 
@@ -100,6 +185,31 @@ def test_sample_merge_shapes():
         assert pat.zeros == 3 and pat.ones == 2
     empty = sample_merge(src, 0, 0)
     assert empty.word == ()
+
+
+def test_build_is_a_bijection_from_ranks_to_trees():
+    # The oracle's trees of n leaves grouped by profile: trees_with_profile
+    # for every valid profile with n leaves at once.
+    checked = 0
+    for leaves in range(1, 11):
+        by_profile = defaultdict(set)
+        for tree in all_binary_trees(leaves):
+            by_profile[profile(tree)].add(to_json(tree))
+        for p, support in by_profile.items():
+            count = count_trees(p)
+            built = [to_json(_build(p, r)[0]) for r in range(count)]
+            assert len(set(built)) == count, p
+            assert set(built) == support, p
+            checked += 1
+    assert checked == 116
+
+
+def test_build_rejects_ranks_out_of_range():
+    for levels in ((1,), (0, 2), (0, 0, 2, 4), (0, 1, 0, 2, 4)):
+        p = Profile(levels)
+        for rank in (-1, count_trees(p)):
+            with pytest.raises(ValueError, match="out of range"):
+                _build(p, rank)
 
 
 def test_single_tree_profiles_cost_no_bits():
