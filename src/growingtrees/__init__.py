@@ -25,7 +25,6 @@ from .enumeration import (
     t_table,
 )
 from .profiles import (
-    InternalProfile,
     Profile,
     count_trees,
     internal_profile,
@@ -35,11 +34,9 @@ from .profiles import (
 )
 from .sampler import (
     BitSource,
-    MergePattern,
     SampleStats,
     draw_below,
     entropy_bound,
-    sample_merge,
     sample_with_stats,
     unrank_merge,
     uniform_tree,
@@ -84,8 +81,6 @@ __all__ = [
     "CellSet",
     "CountTable",
     "GrowthChoice",
-    "InternalProfile",
-    "MergePattern",
     "NodeKind",
     "PolySeries",
     "ProbeResult",
@@ -122,7 +117,6 @@ __all__ = [
     "ruler",
     "s_area_formula",
     "s_domain",
-    "sample_merge",
     "sample_with_stats",
     "scaling_limit_deviation",
     "stats",

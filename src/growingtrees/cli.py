@@ -24,6 +24,7 @@ MAX_CLI_HEIGHT_TABLE = 10
 MAX_CLI_SEQ_NMAX = 100_000
 MAX_CLI_CELLS = 10
 MAX_CLI_BOUNDARY = 16
+MAX_CLI_AREA_H = 100_000
 
 
 def _levels_arg(text: str) -> tuple[int, ...]:
@@ -104,7 +105,9 @@ def cmd_seq(args: argparse.Namespace) -> int:
 def cmd_domain(args: argparse.Namespace) -> int:
     h = args.h
     if args.which == "area":
-        print(sequences.s_area_formula(h))
+        if h > MAX_CLI_AREA_H:
+            raise ValueError(f"h out of range 1..{MAX_CLI_AREA_H} for the command line")
+        print(profiles.exact_text(sequences.s_area_formula(h)))
         return 0
     if args.which == "cells":
         if h > MAX_CLI_CELLS:
@@ -128,7 +131,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(profiles.exact_text(profiles.count_trees(p)))
         return 0
     if args.which == "internal":
-        print(profiles.internal_profile(p))
+        print(",".join(map(str, profiles.internal_profile(p))))
         return 0
     if args.level is None:
         print("error: truncate requires --level", file=sys.stderr)

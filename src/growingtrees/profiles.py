@@ -69,25 +69,6 @@ class Profile:
     def total_leaves(self) -> int:
         return sum(self.levels)
 
-    @classmethod
-    def parse(cls, text: str) -> "Profile":
-        """Parse a comma-separated profile such as "0,0,2,4"."""
-        try:
-            levels = tuple(int(tok) for tok in text.split(","))
-        except ValueError:
-            raise ValueError(f"cannot parse profile {text!r}: entries must be integers")
-        return cls(levels)
-
-    def __str__(self) -> str:
-        return ",".join(str(x) for x in self.levels)
-
-
-@dataclass(frozen=True)
-class InternalProfile:
-    """Per-level internal-node counts (i_0, ..., i_{h-1}); i_0 = 1."""
-
-    levels: tuple[int, ...]
-
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.levels)
 
@@ -120,8 +101,9 @@ def is_valid(p: Profile) -> bool:
     return _kraft_numerator(p) == 1 << p.height
 
 
-def internal_profile(p: Profile) -> InternalProfile:
-    """Internal-node counts forced by a valid profile of height >= 1.
+def internal_profile(p: Profile) -> tuple[int, ...]:
+    """Internal-node counts (i_0, ..., i_{h-1}), i_0 = 1, forced by a valid
+    profile of height >= 1.
 
     Computed bottom-up (i_{h-1} = l_h / 2, then i_k = (i_{k+1} + l_{k+1}) / 2)
     and cross-checked top-down (i_0 = 1, i_k = 2*i_{k-1} - l_k). On a valid
@@ -154,7 +136,7 @@ def internal_profile(p: Profile) -> InternalProfile:
         # Unreachable for any profile that passed the bottom-up checks; kept
         # as a guard because both recurrences are part of the contract.
         raise ValueError("kraft violation: top-down and bottom-up internal profiles disagree")
-    return InternalProfile(tuple(internals))
+    return tuple(internals)
 
 
 def level_choices(p: Profile) -> list[int]:
@@ -190,6 +172,6 @@ def truncate_profile(p: Profile, k: int) -> Profile:
     h = p.height
     if not 0 <= k <= h - 1:
         raise ValueError(f"level {k} out of range: need 0 <= k <= {h - 1}")
-    internals = internal_profile(p).levels
+    internals = internal_profile(p)
     below = internals[k + 1] if k + 1 < h else 0
     return Profile(p.levels[: k + 1] + (below + p.levels[k + 1],))

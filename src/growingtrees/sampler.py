@@ -45,13 +45,12 @@ class BitSource:
     """
 
     def __init__(self, seed: int):
+        # random.Random seeds by abs(seed): -5 would replay the bits of 5.
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         self.seed = seed
         self.bits_consumed = 0
         self._rng = random.Random(seed)
-
-    def next_bit(self) -> int:
-        self.bits_consumed += 1
-        return self._rng.getrandbits(1)
 
     def next_bits(self, k: int) -> int:
         """k fair bits at once, as an integer in [0, 2^k)."""
@@ -83,34 +82,11 @@ def draw_below(src: BitSource, n: int) -> int:
         c -= n
 
 
-@dataclass(frozen=True)
-class MergePattern:
-    """An interleaving of two ordered sequences, as a 0/1 word.
-
-    Zeros take the next item of the first sequence (length p), ones the next
-    item of the second (length q).
-    """
-
-    word: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not set(self.word) <= {0, 1}:
-            raise ValueError("pattern word must consist of 0s and 1s")
-
-    @property
-    def zeros(self) -> int:
-        return len(self.word) - sum(self.word)
-
-    @property
-    def ones(self) -> int:
-        return sum(self.word)
-
-    def one_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, bit in enumerate(self.word) if bit)
-
-
-def unrank_merge(rank: int, p: int, q: int) -> MergePattern:
-    """The rank-th merge pattern of p zeros and q ones.
+def unrank_merge(rank: int, p: int, q: int) -> tuple[int, ...]:
+    """The rank-th merge pattern of p zeros and q ones, as a 0/1 word: an
+    interleaving of two ordered sequences in which zeros take the next item
+    of the first sequence (length p) and ones the next item of the second
+    (length q).
 
     Patterns are ordered lexicographically by their sorted tuple of
     one-positions; rank runs over [0, binom(p+q, q)). Walking the word left
@@ -139,14 +115,7 @@ def unrank_merge(rank: int, p: int, q: int) -> MergePattern:
             word.append(0)
             rank -= here
             total -= here
-    return MergePattern(word=tuple(word))
-
-
-def sample_merge(src: BitSource, p: int, q: int) -> MergePattern:
-    """A uniformly random merge pattern of p zeros and q ones."""
-    if p < 0 or q < 0:
-        raise ValueError("p and q must be nonnegative")
-    return unrank_merge(draw_below(src, comb(p + q, q)), p, q)
+    return tuple(word)
 
 
 _PAIR = bytes((LEAF, LEAF, INTERNAL))
@@ -202,10 +171,9 @@ def _build(p: Profile, rank: int) -> tuple[Tree, int]:
         steps += 4
         seq.append(k + 2)
     for i, digit in zip(range(h - 1, 0, -1), digits):
-        pattern = unrank_merge(digit, len(seq), levels[i])
         merged: list[int] = []
         carried = iter(seq)
-        for bit in pattern.word:
+        for bit in unrank_merge(digit, len(seq), levels[i]):
             if bit:
                 kinds.append(LEAF)
                 left.append(-1)

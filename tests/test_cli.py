@@ -1,7 +1,9 @@
 """Command-line behavior: formats, exit codes, determinism, seed echo."""
 
+import hashlib
 import json
 import math
+import random
 from decimal import Decimal
 
 import pytest
@@ -114,6 +116,16 @@ def test_domain_cli_bounds(capsys):
     assert "out of range" in capsys.readouterr().err
     assert run(["domain", "gamma", "--h", "16"]) == 0
     capsys.readouterr()
+    assert run(["domain", "area", "--h", "100001"]) == 1
+    assert capsys.readouterr().err.startswith("error: h out of range 1..100000")
+
+
+def test_domain_area_past_the_str_digit_limit(capsys):
+    # |S_20000| has 12,041 digits, past the default str() limit.
+    assert run(["domain", "area", "--h", "20000"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 12042
+    assert Decimal(out) == (1 << 19998) * ((1 << 19999) - 19998)
 
 
 def test_profile_commands(capsys):
@@ -215,6 +227,15 @@ def test_sample_invalid_profile(capsys):
     assert "invalid profile" in capsys.readouterr().err
 
 
+def test_negative_seeds_are_rejected(capsys):
+    # random.Random seeds by abs(seed), so -5 would print the trees of 5.
+    for argv in (["sample", "--seed", "-5"], ["bench-bits", "--samples", "3", "--seed", "-1"]):
+        assert run(argv + ["--profile", "0,0,2,4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: seed must be nonnegative")
+
+
 def test_oracle_catalan_reports(capsys):
     assert run(["oracle", "catalan", "--nmax", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -269,3 +290,73 @@ def test_usage_errors_and_help(capsys):
     capsys.readouterr()
     assert run(["sample"]) == 2
     capsys.readouterr()
+
+
+def _random_split_profile(seed, leaves):
+    """Leaf depths of a random-split tree, as CLI profile text."""
+    rng = random.Random(seed)
+    counts = {}
+    stack = [(leaves, 0)]
+    while stack:
+        n, depth = stack.pop()
+        if n == 1:
+            counts[depth] = counts.get(depth, 0) + 1
+        else:
+            left = rng.randint(1, n - 1)
+            stack += [(left, depth + 1), (n - left, depth + 1)]
+    return ",".join(str(counts.get(d, 0)) for d in range(max(counts) + 1))
+
+
+def _narrow_profile(seed, height):
+    """A valid profile with 1-2 internal nodes per level, as CLI profile text."""
+    rng = random.Random(seed)
+    levels, internal = [0], 1
+    for _ in range(1, height):
+        leaves = rng.choice([l for l in range(4) if 1 <= 2 * internal - l <= 2])
+        levels.append(leaves)
+        internal = 2 * internal - leaves
+    levels.append(2 * internal)
+    return ",".join(map(str, levels))
+
+
+# SHA-256 of the stdout of each command with --seed 11: seeded output bytes
+# stay fixed within a version. DOT numbers nodes in _build's creation order,
+# so the DOT digests pin that order as well as the trees and bit counts.
+_PINNED_OUTPUTS = {
+    "small": {
+        "sample": "dbf614e91e6831bdb920ce42ae7463337c26619f9594a1a30fc13bc953b219c1",
+        "dot": "4edbea30a6346117131d22df50e3b756624105e3843fc20db2449ac1fc98372a",
+        "bench-bits": "bc15cb863d30c6bd3ee763b411b442a3de8feb0c59ec6d2d0e20517f25ac545b",
+    },
+    "split": {
+        "sample": "db5473d5e124bef8283a72513ff2df35e65a1947e41bb6db009e719b88bc86ea",
+        "dot": "a5c32b68f024846adc651471db15580dff21ae0bd9286e291ab34eff2fd25141",
+        "bench-bits": "e4465bf3084f059fabd7b49640dd0a19f7a349a75f04d09283bf4b3cc270d664",
+    },
+    "narrow": {
+        "sample": "cd4ace9f95f0019a3e1e2572fcc9468fec1ad4108108444277264bc66a0ba86a",
+        "dot": "5f0ea501ef8c6b63df087e69c29e7ac274b77799d37f24f5cc3b225532b110b1",
+        "bench-bits": "5daabc8c775c00bf80ae7d2995c5c8554614fe5e8975a3d7bdf487d8317e9607",
+    },
+}
+
+
+def test_seeded_output_bytes_are_pinned(capsys):
+    texts = {
+        "small": "0,0,2,4",
+        "split": _random_split_profile(3, 300),
+        "narrow": _narrow_profile(5, 500),
+    }
+    shapes = {name: Profile(tuple(map(int, text.split(",")))) for name, text in texts.items()}
+    assert (shapes["split"].total_leaves, shapes["split"].height) == (300, 21)
+    assert (shapes["narrow"].total_leaves, shapes["narrow"].height) == (734, 500)
+    commands = {
+        "sample": ["sample", "--count", "3"],
+        "dot": ["sample", "--count", "3", "--format", "dot"],
+        "bench-bits": ["bench-bits", "--samples", "20"],
+    }
+    for name, text in texts.items():
+        for command, argv in commands.items():
+            assert run(argv + ["--seed", "11", "--profile", text]) == 0
+            digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            assert digest == _PINNED_OUTPUTS[name][command], (name, command)

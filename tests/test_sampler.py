@@ -11,12 +11,10 @@ from growingtrees.oracle import all_binary_trees, trees_with_profile
 from growingtrees.profiles import Profile, count_trees
 from growingtrees.sampler import (
     BitSource,
-    MergePattern,
     SampleStats,
     _build,
     draw_below,
     entropy_bound,
-    sample_merge,
     sample_with_stats,
     uniform_tree,
     unrank_merge,
@@ -28,12 +26,15 @@ from uniformity import chi_square
 def test_bit_source_is_seeded_and_counts():
     a = BitSource(42)
     b = BitSource(42)
-    bits_a = [a.next_bit() for _ in range(64)]
-    bits_b = [b.next_bit() for _ in range(64)]
+    bits_a = [a.next_bits(1) for _ in range(64)]
+    bits_b = [b.next_bits(1) for _ in range(64)]
     assert bits_a == bits_b
     assert a.bits_consumed == b.bits_consumed == 64
     assert set(bits_a) <= {0, 1}
-    assert BitSource(43).next_bit() in (0, 1)
+    assert BitSource(43).next_bits(1) in (0, 1)
+    # random.Random would seed -1 as 1 and replay its bits.
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        BitSource(-1)
 
 
 def test_draw_below_one_is_free():
@@ -69,12 +70,12 @@ def test_draw_below_expected_bits():
 
 
 def _draw_below_bit_by_bit(src, n):
-    """draw_below as first written: one next_bit call per doubling."""
+    """draw_below as first written: one single-bit draw per doubling."""
     v, c = 1, 0
     while True:
         while v < n:
             v <<= 1
-            c = (c << 1) | src.next_bit()
+            c = (c << 1) | src.next_bits(1)
         if c < n:
             return c
         v -= n
@@ -87,7 +88,7 @@ class _OneBitAtATime(BitSource):
     def next_bits(self, k):
         c = 0
         for _ in range(k):
-            c = (c << 1) | self.next_bit()
+            c = (c << 1) | BitSource.next_bits(self, 1)
         return c
 
 
@@ -117,25 +118,18 @@ def test_draw_below_long_run_stays_under_fast_dice_roller_bound():
     assert src.bits_consumed / draws <= math.log2(n) + 2
 
 
-def test_merge_pattern_accessors():
-    p = MergePattern((0, 1, 1, 0))
-    assert p.zeros == 2
-    assert p.ones == 2
-    assert p.one_positions() == (1, 2)
-    with pytest.raises(ValueError, match="0s and 1s"):
-        MergePattern((0, 2))
-
-
 def test_unrank_merge_is_a_lex_bijection():
     for p in range(7):
         for q in range(7):
             total = comb(p + q, q)
             patterns = [unrank_merge(r, p, q) for r in range(total)]
             assert len(set(patterns)) == total
-            for pat in patterns:
-                assert pat.zeros == p and pat.ones == q
-            keys = [pat.one_positions() for pat in patterns]
+            for word in patterns:
+                assert len(word) == p + q
+                assert word.count(0) == p and word.count(1) == q
+            keys = [tuple(i for i, bit in enumerate(word) if bit) for word in patterns]
             assert keys == sorted(keys)
+    assert unrank_merge(0, 0, 0) == ()
 
 
 def _unrank_by_comb(rank, p, q):
@@ -159,13 +153,13 @@ def test_unrank_merge_matches_the_binomial_per_slot_formula():
     for p in range(9):
         for q in range(9):
             for r in range(comb(p + q, q)):
-                assert unrank_merge(r, p, q).word == _unrank_by_comb(r, p, q)
+                assert unrank_merge(r, p, q) == _unrank_by_comb(r, p, q)
     rng = random.Random(61)
     for _ in range(200):
         p, q = rng.randint(0, 300), rng.randint(0, 300)
         total = comb(p + q, q)
         for r in (0, total - 1, rng.randrange(total)):
-            assert unrank_merge(r, p, q).word == _unrank_by_comb(r, p, q)
+            assert unrank_merge(r, p, q) == _unrank_by_comb(r, p, q)
 
 
 def test_unrank_merge_guards():
@@ -176,15 +170,6 @@ def test_unrank_merge_guards():
         unrank_merge(comb(30000, 15000), 15000, 15000)
     with pytest.raises(ValueError, match="nonnegative"):
         unrank_merge(0, -1, 2)
-
-
-def test_sample_merge_shapes():
-    src = BitSource(3)
-    for _ in range(50):
-        pat = sample_merge(src, 3, 2)
-        assert pat.zeros == 3 and pat.ones == 2
-    empty = sample_merge(src, 0, 0)
-    assert empty.word == ()
 
 
 def test_build_is_a_bijection_from_ranks_to_trees():
