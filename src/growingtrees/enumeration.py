@@ -14,7 +14,18 @@ anchors, in binom(2m, k) ways. Hence
 
 and the height-indexed recurrence is identical with h stepping to h+1 from
 the base t_{1,2,1} = 1. Tables are built by propagating that transfer
-forward, which visits exactly the nonzero cells.
+forward, one source column at a time, which visits exactly the nonzero cells.
+
+The transfer of one column is a Taylor shift: with P(x) = sum_k v_k x^{2k},
+the mass that column n sends to cell (n + j, j) is the coefficient of y^j in
+P(1 + y). It runs as one Kronecker-packed Horner pass (von zur Gathen and
+Gerhard, ISSAC 1997): P(1 + y) is evaluated at y = 2^s by shifts and adds
+alone, and the cells are read off as s-bit digits. The digit width s is the
+fewest whole bytes with 2^s > sum_k v_k * 4^k, which is at most
+bitlen(sum_k v_k) + 2*top + 8 bits: no digit exceeds that sum, so digits
+never carry into one another. Under a column cap the packed value is masked
+to the digits kept after every step, which is exact since a low digit never
+depends on a higher one. No binomial coefficient is formed.
 
 Column sums over k recover the Catalan numbers: freezing gives a bijection
 between active trees at step h and binary trees of height h (in an active
@@ -41,7 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from math import comb
 
 
 # ---------------------------------------------------------------------------
@@ -109,21 +119,43 @@ HeightTable = CountTable
 
 
 def _spread(n: int, column: list[int], target: dict[int, list[int]], n_cap: int | None) -> None:
-    """Add the one-step transfer of column n into target, up to column n_cap.
+    """Write the one-step transfer of column n into target, up to column n_cap.
 
     Cell (n, k) with value v sends binom(2k, j) * v to cell (n + j, j) for
-    1 <= j <= 2k.
+    1 <= j <= 2k: that mass is digit j of P(1 + y) at y = 2^s, where
+    P(x) = sum_k v_k x^{2k} (see the module docstring). The Horner step
+    acc -> (acc + v) * (1 + y)^2 is two shifts and three adds. s is the
+    fewest whole bytes with 2^s > sum_k v_k * 4^k (that bound has its own
+    Horner pass), since no digit of any partial result exceeds the sum.
+    Under a cap acc keeps only digits 0..n_cap - n, masked after each step;
+    low digits never depend on high ones, so the kept digits stay exact.
+
+    Cell (m, j) gets mass from column m - j alone, so each target cell is
+    written once. Columns must be spread in increasing n, each with a
+    nonzero last value: the first write into a target column then has its
+    largest j and sets the column's length.
     """
-    for k, v in enumerate(column, start=1):
-        if not v:
-            continue
-        for j in range(1, 2 * k + 1):
-            if n_cap is not None and n + j > n_cap:
-                break
-            cell = target.setdefault(n + j, [])
-            if len(cell) < j:
-                cell.extend([0] * (j - len(cell)))
-            cell[j - 1] += comb(2 * k, j) * v
+    top = len(column)
+    digits = 2 * top if n_cap is None else min(2 * top, n_cap - n)
+    if digits < 1:
+        return
+    bound = 0
+    for v in reversed(column):
+        bound = (bound + v) << 2
+    width = (bound.bit_length() + 7) // 8
+    s = 8 * width
+    mask = (1 << s * (digits + 1)) - 1
+    acc = 0
+    for v in reversed(column):
+        acc += v
+        acc += (acc << s + 1) + (acc << 2 * s)
+        acc &= mask
+    packed = acc.to_bytes(width * (digits + 1), "little")
+    for j in range(1, digits + 1):
+        cell = target.get(n + j)
+        if cell is None:
+            cell = target[n + j] = [0] * j
+        cell[j - 1] = int.from_bytes(packed[j * width:(j + 1) * width], "little")
 
 
 def t_table(n_max: int) -> CountTable:
@@ -151,6 +183,8 @@ def t_height_table(h: int, n_cap: int | None = None) -> CountTable:
     current: dict[int, list[int]] = {1: [1]}
     for _ in range(h - 1):
         nxt: dict[int, list[int]] = {}
+        # Keys come in increasing n: a spread adds only columns above every
+        # column already present, so each step keeps the order _spread needs.
         for n, column in current.items():
             _spread(n, column, nxt, n_cap)
         current = nxt

@@ -82,8 +82,8 @@ def exact_text(x: int | Fraction) -> str:
 
 
 def _kraft_numerator(p: Profile) -> int:
-    """sum_i l_i * 2^{h-i}, the Kraft sum times 2^h, by Horner's rule: one
-    shift-and-add per level and no rational arithmetic."""
+    """sum_i l_i * 2^{h-i}, the Kraft sum times 2^h, by Horner's rule. Its
+    integer grows to h bits, so it serves messages only, not is_valid."""
     total = 0
     for l in p.levels:
         total = 2 * total + l
@@ -96,9 +96,20 @@ def kraft_sum(p: Profile) -> Fraction:
 
 
 def is_valid(p: Profile) -> bool:
-    """True iff the profile is realized by some binary tree (Kraft sum = 1),
-    tested in integers: sum_i l_i * 2^{h-i} == 2^h."""
-    return _kraft_numerator(p) == 1 << p.height
+    """True iff the profile is realized by some binary tree (Kraft sum = 1).
+
+    Bottom-up carry test in O(h) with small integers: carry starts at l_h
+    and, level by level going up, must be even before it halves and takes
+    in l_k; the profile is valid iff the carry ends at 1. The carry at depth
+    k is the node count i_k + l_k of the forced internal profile.
+    """
+    levels = p.levels
+    carry = levels[-1]
+    for l in reversed(levels[:-1]):
+        if carry & 1:
+            return False
+        carry = (carry >> 1) + l
+    return carry == 1
 
 
 def internal_profile(p: Profile) -> tuple[int, ...]:

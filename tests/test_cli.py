@@ -70,6 +70,18 @@ def test_height_table_json_matches_reference(capsys):
     assert cells == ref.STEP4_COUNTS
 
 
+def test_large_table_bytes_are_pinned(capsys):
+    # SHA-256 of stdout, recorded with the per-cell binomial transfer.
+    pinned = {
+        ("height-table", "--h", "9"): "fb16154411fcb6fa2e0f30e686cb884d51476e562a4d34ae401ea9ce534adb9f",
+        ("table", "--nmax", "300", "--format", "json"):
+            "6c12a4f26655996d386fd2fb56922527eb8fdd6a73af51fc1481582653f85cb0",
+    }
+    for argv, digest in pinned.items():
+        assert run(list(argv)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
+
+
 def test_height_table_cli_bound(capsys):
     assert run(["height-table", "--h", "11"]) == 1
     err = capsys.readouterr().err

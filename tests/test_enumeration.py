@@ -5,12 +5,16 @@ from collections import defaultdict
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import reference_data as ref
+from growingtrees import enumeration
 from growingtrees.enumeration import (
     CountTable,
     PolySeries,
     ProbeResult,
+    _spread,
     catalan,
     catalan_column_check,
     cumulative_anchor_series,
@@ -71,9 +75,14 @@ def test_height_table_base_cases():
 
 
 def test_height_table_totals_count_trees_by_height():
-    for h in range(1, 6):
-        expected = ref.TREES_BY_MAX_HEIGHT[h] - ref.TREES_BY_MAX_HEIGHT[h - 1]
-        assert t_height_table(h).total() == expected
+    # B_h, the number of binary trees of height at most h, is the quadratic
+    # map's iterate at z = 1: B_0 = 1, B_h = B_{h-1}^2 + 1.
+    by_max_height = [1]
+    for h in range(1, 10):
+        by_max_height.append(by_max_height[-1] ** 2 + 1)
+    assert tuple(by_max_height[:6]) == ref.TREES_BY_MAX_HEIGHT
+    for h in range(1, 10):
+        assert t_height_table(h).total() == by_max_height[h] - by_max_height[h - 1]
 
 
 def test_height_table_csv_layout():
@@ -107,6 +116,56 @@ def test_height_marginals_sum_to_count_table():
         for cell, v in t_height_table(h, n_cap=n_cap).entries.items():
             summed[cell] += v
     assert dict(summed) == t_table(n_cap).entries
+
+
+def _spread_by_comb(n, column, target, n_cap):
+    # The transfer by its defining formula: one binom(2k, j) * v per (cell, j).
+    for k, v in enumerate(column, start=1):
+        if not v:
+            continue
+        for j in range(1, 2 * k + 1):
+            if n_cap is not None and n + j > n_cap:
+                break
+            cell = target.setdefault(n + j, [])
+            if len(cell) < j:
+                cell.extend([0] * (j - len(cell)))
+            cell[j - 1] += comb(2 * k, j) * v
+
+
+# Columns as the builders make them: zeros inside, a nonzero last value, and
+# values from one bit to thousands of bits.
+_values = st.one_of(st.just(0), st.integers(1, 1 << 64), st.integers(1 << 3000, 1 << 5000))
+_columns = st.lists(_values, min_size=1, max_size=8).map(lambda c: c[:-1] + [c[-1] or 1])
+
+
+@given(st.lists(_columns, min_size=1, max_size=4), st.one_of(st.none(), st.integers(0, 20)))
+def test_packed_transfer_matches_the_binomial_formula(columns, n_cap):
+    packed, by_comb = {}, {}
+    for n, column in enumerate(columns, start=1):
+        _spread(n, column, packed, n_cap)
+        _spread_by_comb(n, column, by_comb, n_cap)
+    assert packed == by_comb
+
+
+def test_packed_transfer_at_every_cap_edge():
+    n = 7
+    for column in ([1], [0, 3], [5, 0, 0, 2], list(t_table(60).columns[60]), [1 << 4000, 0, 1 << 4000 | 1]):
+        top = len(column)
+        for edge in (0, 1, 2 * top - 1, 2 * top, 2 * top + 1):
+            packed, by_comb = {}, {}
+            _spread(n, column, packed, n + edge)
+            _spread_by_comb(n, column, by_comb, n + edge)
+            assert packed == by_comb, (column, edge)
+            assert max(packed, default=n) == n + min(edge, 2 * top)
+
+
+def test_tables_match_the_binomial_formula(monkeypatch):
+    def builds():
+        return ([t_table(n) for n in range(1, 81)]
+                + [t_height_table(h, n_cap) for h in range(1, 9) for n_cap in (None, 3, 12, 40)])
+    packed = builds()
+    monkeypatch.setattr(enumeration, "_spread", _spread_by_comb)
+    assert builds() == packed
 
 
 def test_catalan_values():

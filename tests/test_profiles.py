@@ -40,6 +40,30 @@ def test_kraft_sum_equals_the_sum_by_level():
     ]
     for p in [Profile((1,))] + small + tall:
         assert kraft_sum(p) == _kraft_by_level(p), p
+        assert is_valid(p) == (_kraft_by_level(p) == 1), p
+
+
+def _random_split(rng, height):
+    # A valid profile: each level keeps at least one of its slots internal.
+    levels, slots = [0], 2
+    for depth in range(1, height + 1):
+        leaves = slots if depth == height else rng.randrange(slots)
+        levels.append(leaves)
+        slots = 2 * (slots - leaves)
+    return levels
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 60), st.integers(0, 3))
+def test_is_valid_is_the_kraft_test(rng, height, nudge):
+    # Valid profiles from random splits, then one level moved off by nudge,
+    # which leaves the profile valid only when nudge is 0.
+    levels = _random_split(rng, height)
+    level = rng.randrange(1, height + 1)
+    levels[level] += nudge
+    p = Profile(tuple(levels))
+    assert is_valid(p) == (kraft_sum(p) == 1) == (nudge == 0)
+    narrow = Profile((0,) + (1,) * (height - 1) + (2 + nudge,))
+    assert is_valid(narrow) == (nudge == 0)
 
 
 def test_structural_constraints():
