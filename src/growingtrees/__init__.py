@@ -38,6 +38,7 @@ from .sampler import (
     draw_below,
     entropy_bound,
     sample_with_stats,
+    samples,
     unrank_merge,
     uniform_tree,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "s_area_formula",
     "s_domain",
     "sample_with_stats",
+    "samples",
     "scaling_limit_deviation",
     "stats",
     "t_height_table",

@@ -11,6 +11,7 @@ then one row per anchor count 2k with blank cells for zeros.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import secrets
 import sys
@@ -30,7 +31,7 @@ MAX_CLI_AREA_H = 100_000
 def _levels_arg(text: str) -> tuple[int, ...]:
     """Comma-separated integers; structural profile checks happen later."""
     try:
-        return tuple(int(part.strip()) for part in text.split(","))
+        return tuple(map(int, text.split(",")))  # int() skips surrounding spaces
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
@@ -144,9 +145,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     p = profiles.Profile(args.profile)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
-    src = sampler.BitSource(seed)
-    for index in range(args.count):
-        tree, stats = sampler.sample_with_stats(p, src)
+    draws = sampler.samples(p, sampler.BitSource(seed))
+    for index, (tree, stats) in zip(range(args.count), draws):
         if args.format == "dot":
             print(f"// seed={seed} index={index} "
                   f"bits_consumed={stats.bits_consumed} node_count={stats.node_count}")
@@ -221,13 +221,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_bench_bits(args: argparse.Namespace) -> int:
     p = profiles.Profile(args.profile)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
-    src = sampler.BitSource(seed)
+    # One count serves both the draws and the entropy bound.
+    count = profiles.count_trees(p)
+    draws = sampler._samples(p, sampler.BitSource(seed), count)
     total_bits = 0
-    for _ in range(args.samples):
-        _, stats = sampler.sample_with_stats(p, src)
+    for _, stats in itertools.islice(draws, args.samples):
         total_bits += stats.bits_consumed
     mean_bits = total_bits / args.samples
-    bound = sampler.entropy_bound(p)
+    bound = sampler._log2(count)
     print(json.dumps({
         "profile": str(p),
         "samples": args.samples,

@@ -27,9 +27,9 @@ sum as a fractions.Fraction for messages. Counts are exact big integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,8 @@ class Profile:
     def __post_init__(self) -> None:
         if not self.levels:
             raise ValueError("empty profile")
-        if any((not isinstance(x, int)) or x < 0 for x in self.levels):
+        # bool is an int subclass, but True is not a leaf count.
+        if set(map(type, self.levels)) != {int} or min(self.levels) < 0:
             raise ValueError("profile entries must be nonnegative integers")
         if self.levels[-1] == 0:
             raise ValueError("trailing zero: the last profile entry l_h must be positive")
@@ -78,7 +79,39 @@ def exact_text(x: int | Fraction) -> str:
     has no limit on the number of digits (str() stops at 4,300 by default)."""
     if isinstance(x, Fraction) and x.denominator != 1:
         return f"{exact_text(x.numerator)}/{exact_text(x.denominator)}"
-    return str(Decimal(int(x)))
+    n = int(x)
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.traps[Inexact] = MAX_PREC, MAX_EMAX, True
+        return "-" * (n < 0) + str(_decimal(abs(n), n.bit_length(), {}))
+
+
+# Decimal(n) takes time quadratic in the digits (37 ms at 140,000 bits, 1.9 s
+# at 1,000,000), so _decimal converts pieces of at most this many bits only.
+_DECIMAL_LEAF_BITS = 4096
+
+
+def _decimal(n: int, bits: int, powers: dict[int, Decimal]) -> Decimal:
+    """Decimal(n) for 0 <= n < 2^bits, as lo + hi * 2^half with both halves
+    converted the same way, so the work lands in Decimal's fast big multiply
+    (8 ms at 140,000 bits). Needs an exact, unbounded context; `powers`
+    keeps the 2^w it builds, also by halving w. The depth is log2 of
+    bits / 4096."""
+    if bits <= _DECIMAL_LEAF_BITS:
+        return Decimal(n)
+    half = bits >> 1
+    hi = n >> half
+    lo = _decimal(n - (hi << half), half, powers)
+    return lo + _decimal(hi, bits - half, powers) * _power_of_two(half, powers)
+
+
+def _power_of_two(w: int, powers: dict[int, Decimal]) -> Decimal:
+    """Decimal 2^w, kept in `powers`; under the same context as _decimal."""
+    if w not in powers:
+        if w <= _DECIMAL_LEAF_BITS:
+            powers[w] = Decimal(2) ** w
+        else:
+            powers[w] = _power_of_two(w >> 1, powers) * _power_of_two(w - (w >> 1), powers)
+    return powers[w]
 
 
 def _kraft_numerator(p: Profile) -> int:
@@ -165,12 +198,24 @@ def level_choices(p: Profile) -> list[int]:
     return choices
 
 
+def _product(factors: list[int]) -> int:
+    """The product of factors, multiplied pairwise in rounds (a balanced
+    product tree), so that big factors meet big factors: at 100,000 small
+    factors this is over ten times faster than multiplying one by one."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) & 1:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1
+
+
 def count_trees(p: Profile) -> int:
     """Exact number of binary trees with profile p: the product of its
     level_choices. The Kraft test is the only validation."""
     if not is_valid(p):
         raise ValueError(f"invalid profile, kraft sum {exact_text(kraft_sum(p))} != 1")
-    return prod(level_choices(p))
+    return _product(level_choices(p))
 
 
 def truncate_profile(p: Profile, k: int) -> Profile:

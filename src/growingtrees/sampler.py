@@ -16,6 +16,13 @@ pattern in combinadic order, keeping the running binomial so that a slot
 costs one small multiply and one exact divide. Distinct ranks give distinct
 trees, so a sample draws one uniform rank and gets a uniform tree.
 
+The setup belongs to the profile, not to the sample: samples(p, src)
+validates and counts p once and computes the level bases once, then yields
+samples for as long as the caller asks, so a command that draws k trees of
+one profile pays for the profile once. Narrow levels keep asking for the
+same few words, so words of at most 8 slots (510 in all) are memoized;
+wider words are unranked afresh. Either way the word is the same.
+
 Randomness flows through a BitSource, which hands out fair bits and counts
 every bit drawn. Uniform integers come from draw_below, a rejection sampler
 on the smallest binary range holding N that recycles the rejected remainder
@@ -28,7 +35,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 
 # is_valid is not called here (count_trees validates), but benchmark/tracing.py
@@ -118,6 +127,20 @@ def unrank_merge(rank: int, p: int, q: int) -> tuple[int, ...]:
     return tuple(word)
 
 
+# Every word of at most this many slots is memoized: 2 + 4 + ... + 2^8 = 510.
+_MEMO_SLOTS = 8
+
+
+@lru_cache(maxsize=1 << (_MEMO_SLOTS + 1))
+def _small_merge(rank: int, p: int, q: int) -> tuple[int, ...]:
+    """unrank_merge for words of at most _MEMO_SLOTS slots, memoized.
+
+    A miss calls unrank_merge, so the order and the errors are its own; an
+    error is raised, never cached.
+    """
+    return unrank_merge(rank, p, q)
+
+
 _PAIR = bytes((LEAF, LEAF, INTERNAL))
 
 
@@ -144,16 +167,17 @@ def _mixed_radix(rank: int, bases: list[int]) -> list[int]:
     return digits
 
 
-def _build(p: Profile, rank: int) -> tuple[Tree, int]:
+def _build(p: Profile, rank: int, bases: list[int]) -> tuple[Tree, int]:
     """The tree of rank `rank` in [0, count_trees(p)) for a valid profile p,
     with its elementary-step count; distinct ranks give distinct trees.
+    `bases` is level_choices(p)[-2::-1], the pattern counts deepest level
+    first (the deepest level's own choice, binom(l_h, l_h) = 1, is left out).
 
     Steps: 1 per leaf created, 2 per internal node (one pointer hookup per
     child), so a tree with L leaves costs exactly L + 2*(L-1) = 3L - 2.
     Nodes are numbered in creation order, which the DOT output shows.
     """
-    # The deepest level's choice is always binom(l_h, l_h) = 1.
-    digits = _mixed_radix(rank, level_choices(p)[-2::-1])
+    digits = _mixed_radix(rank, bases)
     kinds = bytearray()
     left: list[int] = []
     right: list[int] = []
@@ -173,7 +197,8 @@ def _build(p: Profile, rank: int) -> tuple[Tree, int]:
     for i, digit in zip(range(h - 1, 0, -1), digits):
         merged: list[int] = []
         carried = iter(seq)
-        for bit in unrank_merge(digit, len(seq), levels[i]):
+        merge = _small_merge if len(seq) + levels[i] <= _MEMO_SLOTS else unrank_merge
+        for bit in merge(digit, len(seq), levels[i]):
             if bit:
                 kinds.append(LEAF)
                 left.append(-1)
@@ -214,29 +239,49 @@ class SampleStats:
     steps: int
 
 
+def samples(p: Profile, src: BitSource) -> Iterator[tuple[Tree, SampleStats]]:
+    """Uniform trees with profile p drawn from src, each with its record,
+    for as long as the caller asks.
+
+    count_trees(p) rejects an invalid profile here, at the call, before any
+    bit is drawn; the count and the level bases then serve every sample.
+    """
+    return _samples(p, src, count_trees(p))
+
+
+def _samples(p: Profile, src: BitSource, n: int) -> Iterator[tuple[Tree, SampleStats]]:
+    """samples(p, src) for a valid p whose count n = count_trees(p) the
+    caller already holds."""
+    bases = level_choices(p)[-2::-1]
+    while True:
+        before = src.bits_consumed
+        tree, steps = _build(p, draw_below(src, n), bases)
+        yield tree, SampleStats(
+            seed=src.seed,
+            profile=p,
+            bits_consumed=src.bits_consumed - before,
+            node_count=len(tree.nodes),
+            steps=steps,
+        )
+
+
 def sample_with_stats(p: Profile, src: BitSource) -> tuple[Tree, SampleStats]:
-    """uniform_tree plus the bookkeeping record for this one sample: one
-    uniform rank below count_trees(p), which rejects an invalid profile
-    before any bit is drawn, built into its tree."""
-    before = src.bits_consumed
-    tree, steps = _build(p, draw_below(src, count_trees(p)))
-    record = SampleStats(
-        seed=src.seed,
-        profile=p,
-        bits_consumed=src.bits_consumed - before,
-        node_count=len(tree.nodes),
-        steps=steps,
-    )
-    return tree, record
+    """uniform_tree plus the bookkeeping record for this one sample. Each
+    call pays the profile's setup; draw several trees through samples()."""
+    return next(samples(p, src))
 
 
 def entropy_bound(p: Profile) -> float:
-    """log2 of the number of trees with profile p: the random-bit floor.
+    """log2 of the number of trees with profile p: the random-bit floor."""
+    return _log2(count_trees(p))
+
+
+def _log2(n: int) -> float:
+    """log2 of a positive integer of any size.
 
     Exact to well under 1e-9 relative error even for astronomically large
     counts (the count is split into a float-safe mantissa and a shift).
     """
-    n = count_trees(p)
     if n.bit_length() <= 900:
         return math.log2(n)
     shift = n.bit_length() - 900

@@ -1,6 +1,9 @@
 """Leaf-profile validity, internal profiles, counting, and truncation."""
 
 import json
+import math
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,9 +14,11 @@ from growingtrees.oracle import all_binary_trees
 from growingtrees.profiles import (
     Profile,
     count_trees,
+    exact_text,
     internal_profile,
     is_valid,
     kraft_sum,
+    level_choices,
     truncate_profile,
 )
 
@@ -100,6 +105,34 @@ def test_internal_profile_errors():
         internal_profile(Profile((0, 4)))
     with pytest.raises(ValueError, match="no internal levels"):
         internal_profile(Profile((1,)))
+
+
+def test_exact_text_is_the_decimal_text():
+    # Around the 4,096-bit pieces that exact_text converts directly, and far past them.
+    rng = random.Random(73)
+    for bits in (0, 1, 64, 4095, 4096, 4097, 8191, 8192, 8193, 50_001):
+        for n in (2**bits - 1, 2**bits, rng.getrandbits(bits) | 2**bits):
+            assert exact_text(n) == str(Decimal(n))
+            assert exact_text(-n) == str(Decimal(-n))
+    assert exact_text(Fraction(-3, 2**5000)) == f"-3/{Decimal(2**5000)}"
+
+
+def test_bool_entries_are_rejected():
+    # True == 1, so such a profile would compare equal to (0, 1, 2) yet print "0,True,2".
+    for levels in ((0, True, 2), (True,), (0, 0, 2, True * 4, False)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            Profile(levels)
+
+
+def test_count_is_the_product_of_level_choices():
+    # Odd and even numbers of factors, so the pairwise rounds carry a last one.
+    rng = random.Random(71)
+    for height in (1, 2, 3, 5, 8, 13):
+        p = Profile(tuple(_random_split(rng, height)))
+        assert count_trees(p) == math.prod(level_choices(p))
+    for height in (64, 65, 1001):
+        # A caterpillar: each of its h - 1 single leaves picks one of two slots.
+        assert count_trees(Profile((0,) + (1,) * (height - 1) + (2,))) == 2 ** (height - 1)
 
 
 def test_count_examples():

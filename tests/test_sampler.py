@@ -8,14 +8,17 @@ from math import comb
 import pytest
 
 from growingtrees.oracle import all_binary_trees, trees_with_profile
-from growingtrees.profiles import Profile, count_trees
+from growingtrees.profiles import Profile, count_trees, level_choices
 from growingtrees.sampler import (
+    _MEMO_SLOTS,
     BitSource,
     SampleStats,
     _build,
+    _small_merge,
     draw_below,
     entropy_bound,
     sample_with_stats,
+    samples,
     uniform_tree,
     unrank_merge,
 )
@@ -182,7 +185,8 @@ def test_build_is_a_bijection_from_ranks_to_trees():
             by_profile[profile(tree)].add(to_json(tree))
         for p, support in by_profile.items():
             count = count_trees(p)
-            built = [to_json(_build(p, r)[0]) for r in range(count)]
+            bases = level_choices(p)[-2::-1]
+            built = [to_json(_build(p, r, bases)[0]) for r in range(count)]
             assert len(set(built)) == count, p
             assert set(built) == support, p
             checked += 1
@@ -192,9 +196,66 @@ def test_build_is_a_bijection_from_ranks_to_trees():
 def test_build_rejects_ranks_out_of_range():
     for levels in ((1,), (0, 2), (0, 0, 2, 4), (0, 1, 0, 2, 4)):
         p = Profile(levels)
+        bases = level_choices(p)[-2::-1]
         for rank in (-1, count_trees(p)):
             with pytest.raises(ValueError, match="out of range"):
-                _build(p, rank)
+                _build(p, rank, bases)
+
+
+def test_memoized_words_are_unrank_merge():
+    words = 0
+    for slots in range(1, _MEMO_SLOTS + 1):
+        for q in range(slots + 1):
+            for rank in range(comb(slots, q)):
+                assert _small_merge(rank, slots - q, q) == unrank_merge(rank, slots - q, q)
+                words += 1
+    assert words == 510
+    # Errors pass through unchanged and are not remembered as results.
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"rank 6 out of range for binom\(4,2\) = 6"):
+            _small_merge(6, 2, 2)
+
+
+def _narrow_profile(rng, height):
+    levels, internal = [0], 1
+    for _ in range(1, height):
+        leaves = rng.choice([l for l in range(4) if 1 <= 2 * internal - l <= 2])
+        levels.append(leaves)
+        internal = 2 * internal - leaves
+    return Profile(tuple(levels) + (2 * internal,))
+
+
+def _random_split_profile(rng, leaves):
+    depths, stack = defaultdict(int), [(leaves, 0)]
+    while stack:
+        n, depth = stack.pop()
+        if n == 1:
+            depths[depth] += 1
+        else:
+            left = rng.randint(1, n - 1)
+            stack += [(left, depth + 1), (n - left, depth + 1)]
+    return Profile(tuple(depths[d] for d in range(max(depths) + 1)))
+
+
+def test_samples_match_repeated_sample_with_stats():
+    rng = random.Random(61)
+    narrow = _narrow_profile(rng, 120)
+    wide = _random_split_profile(rng, 60)
+    # The random-split profile has levels on both sides of the memo cutoff.
+    internals, widths = 1, []
+    for l in wide.levels[1:]:
+        widths.append(2 * internals)
+        internals = 2 * internals - l
+    assert min(widths) <= _MEMO_SLOTS < max(widths)
+    for p in (narrow, wide):
+        draws = samples(p, BitSource(67))
+        one_by_one = BitSource(67)
+        for _ in range(8):
+            tree, stats = next(draws)
+            again, again_stats = sample_with_stats(p, one_by_one)
+            assert to_json(tree) == to_json(again)
+            assert stats == again_stats
+            assert profile(tree) == p
 
 
 def test_single_tree_profiles_cost_no_bits():
@@ -234,6 +295,8 @@ def test_invalid_profile_rejected_before_bits_flow():
         uniform_tree(Profile((0, 1, 1)), src)
     with pytest.raises(ValueError, match="invalid profile"):
         sample_with_stats(Profile((0, 1, 1)), src)
+    with pytest.raises(ValueError, match="invalid profile"):
+        samples(Profile((0, 1, 1)), src)
     assert src.bits_consumed == 0
 
 
