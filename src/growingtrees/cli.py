@@ -221,9 +221,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_bench_bits(args: argparse.Namespace) -> int:
     p = profiles.Profile(args.profile)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
-    # One count serves both the draws and the entropy bound.
-    count = profiles.count_trees(p)
-    draws = sampler._samples(p, sampler.BitSource(seed), count)
+    # One set of level choices gives the count, which serves both the draws
+    # and the entropy bound, and the level bases.
+    choices = profiles._valid_level_choices(p)
+    count = profiles._product(choices)
+    draws = sampler._samples(p, sampler.BitSource(seed), count, choices)
     total_bits = 0
     for _, stats in itertools.islice(draws, args.samples):
         total_bits += stats.bits_consumed

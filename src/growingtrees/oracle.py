@@ -53,25 +53,22 @@ def _shapes(n_leaves: int) -> list:
 
 
 def _tree_of_shape(shape) -> Tree:
+    """The flat tree of a nested-pair shape, numbered in level order."""
+    queue = [shape]
     kinds = bytearray()
     left: list[int] = []
     right: list[int] = []
-
-    def build(s) -> int:
+    for s in queue:
         if s is None:
             kinds.append(LEAF)
             left.append(-1)
             right.append(-1)
         else:
-            left_root = build(s[0])
-            right_root = build(s[1])
             kinds.append(INTERNAL)
-            left.append(left_root)
-            right.append(right_root)
-        return len(kinds) - 1
-
-    root = build(shape)
-    return Tree(bytes(kinds), tuple(left), tuple(right), root)
+            left.append(len(queue))
+            right.append(len(queue) + 1)
+            queue.extend(s)
+    return Tree(bytes(kinds), tuple(left), tuple(right), 0)
 
 
 def all_binary_trees(n_leaves: int) -> list[Tree]:

@@ -210,12 +210,18 @@ def _product(factors: list[int]) -> int:
     return factors[0] if factors else 1
 
 
+def _valid_level_choices(p: Profile) -> list[int]:
+    """level_choices(p), after the Kraft test has passed; an invalid p raises
+    ValueError naming its Kraft sum."""
+    if not is_valid(p):
+        raise ValueError(f"invalid profile, kraft sum {exact_text(kraft_sum(p))} != 1")
+    return level_choices(p)
+
+
 def count_trees(p: Profile) -> int:
     """Exact number of binary trees with profile p: the product of its
     level_choices. The Kraft test is the only validation."""
-    if not is_valid(p):
-        raise ValueError(f"invalid profile, kraft sum {exact_text(kraft_sum(p))} != 1")
-    return _product(level_choices(p))
+    return _product(_valid_level_choices(p))
 
 
 def truncate_profile(p: Profile, k: int) -> Profile:

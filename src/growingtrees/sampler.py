@@ -17,11 +17,12 @@ costs one small multiply and one exact divide. Distinct ranks give distinct
 trees, so a sample draws one uniform rank and gets a uniform tree.
 
 The setup belongs to the profile, not to the sample: samples(p, src)
-validates and counts p once and computes the level bases once, then yields
-samples for as long as the caller asks, so a command that draws k trees of
-one profile pays for the profile once. Narrow levels keep asking for the
-same few words, so words of at most 8 slots (510 in all) are memoized;
-wider words are unranked afresh. Either way the word is the same.
+validates p once and computes its level choices once, which give both the
+count and the level bases, then yields samples for as long as the caller
+asks, so a command that draws k trees of one profile pays for the profile
+once. Narrow levels keep asking for the same few words, so words of at most
+8 slots (510 in all) are memoized; wider words are unranked afresh. Either
+way the word is the same.
 
 Randomness flows through a BitSource, which hands out fair bits and counts
 every bit drawn. Uniform integers come from draw_below, a rejection sampler
@@ -38,11 +39,11 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 
-# is_valid is not called here (count_trees validates), but benchmark/tracing.py
-# wraps it under this module's name.
-from .profiles import Profile, count_trees, exact_text, is_valid, level_choices  # noqa: F401
+# is_valid is not called here (_valid_level_choices validates), but
+# benchmark/tracing.py wraps it under this module's name.
+from .profiles import Profile, _product, _valid_level_choices, count_trees, exact_text, is_valid  # noqa: F401
 from .tree_core import INTERNAL, LEAF, Tree
 
 
@@ -147,23 +148,45 @@ _PAIR = bytes((LEAF, LEAF, INTERNAL))
 def _mixed_radix(rank: int, bases: list[int]) -> list[int]:
     """The digits of rank in the mixed radix `bases`, least significant first.
 
-    Consecutive bases are grouped into blocks of at least 64 bits, so the
-    wide rank is divided once per block rather than once per base.
+    Consecutive bases are grouped into blocks of at least 64 bits. The rank
+    is split top-down by a product tree of the blocks: a node's value is
+    divided by the product of its lower half, the remainder going to that
+    half and the quotient to the upper one, so every division is between
+    numbers of comparable size and none divides the whole rank by a small
+    block. Each block's value is then split into its digits one base at a
+    time.
     """
-    digits = []
+    blocks = []  # (first base, end, product)
     i = 0
     while i < len(bases):
         j, block = i, 1
         while j < len(bases) and block.bit_length() < 64:
             block *= bases[j]
             j += 1
-        rank, low = divmod(rank, block)
+        blocks.append((i, j, block))
+        i = j
+    # tree[0] holds the block products; tree[k + 1][c] = tree[k][2c] * tree[k][2c + 1].
+    tree = [[block for _, _, block in blocks] or [1]]
+    while len(tree[-1]) > 1:
+        below = tree[-1]
+        tree.append([a * b for a, b in zip(below[::2], below[1::2])] + below[len(below) & ~1:])
+    if not 0 <= rank < tree[-1][0]:
+        raise ValueError(f"rank out of range for {exact_text(tree[-1][0])} trees")
+    values = [rank]
+    for below in reversed(tree[:-1]):
+        split = []
+        for c, value in enumerate(values):
+            if 2 * c + 1 < len(below):
+                high, low = divmod(value, below[2 * c])
+                split += (low, high)
+            else:
+                split.append(value)
+        values = split
+    digits = []
+    for (i, j, _), low in zip(blocks, values):
         for base in bases[i:j]:
             low, digit = divmod(low, base)
             digits.append(digit)
-        i = j
-    if rank != 0:
-        raise ValueError(f"rank out of range for {exact_text(prod(bases))} trees")
     return digits
 
 
@@ -243,16 +266,18 @@ def samples(p: Profile, src: BitSource) -> Iterator[tuple[Tree, SampleStats]]:
     """Uniform trees with profile p drawn from src, each with its record,
     for as long as the caller asks.
 
-    count_trees(p) rejects an invalid profile here, at the call, before any
-    bit is drawn; the count and the level bases then serve every sample.
+    An invalid profile is rejected here, at the call, before any bit is
+    drawn, with count_trees's error; the level choices are computed once and
+    give both the count and the level bases for every sample.
     """
-    return _samples(p, src, count_trees(p))
+    choices = _valid_level_choices(p)
+    return _samples(p, src, _product(choices), choices)
 
 
-def _samples(p: Profile, src: BitSource, n: int) -> Iterator[tuple[Tree, SampleStats]]:
-    """samples(p, src) for a valid p whose count n = count_trees(p) the
-    caller already holds."""
-    bases = level_choices(p)[-2::-1]
+def _samples(p: Profile, src: BitSource, n: int, choices: list[int]) -> Iterator[tuple[Tree, SampleStats]]:
+    """samples(p, src) for a valid p whose level_choices(p) and count n, their
+    product, the caller already holds."""
+    bases = choices[-2::-1]
     while True:
         before = src.bits_consumed
         tree, steps = _build(p, draw_below(src, n), bases)

@@ -19,9 +19,11 @@ leaf and forgets the step counter; the result is a classical plane binary
 tree in which every internal node has exactly two children. Growing and
 frozen trees share one flat layout, `Tree`: a kind code per node and two
 child-index arrays, with the (left, right) order significant. Trees built
-here number their nodes in postorder (children before parents, left before
-right), so equal shapes with equal kinds compare equal. Every traversal uses
-an explicit stack, so depth is limited only by memory.
+here number their nodes in level order: the root is node 0, then each depth
+from left to right. For a grown tree this is the order in which the process
+created its nodes, so the anchors are the last nodes and a growth step
+appends. Equal shapes with equal kinds compare equal. Every traversal is
+iterative, so depth is limited only by memory.
 
 Serialization formats:
   JSON  leaf = {"leaf": true}; internal = {"l": ..., "r": ...}. Growing-tree
@@ -37,8 +39,10 @@ Serialization formats:
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from itertools import compress
 
 from .profiles import Profile
 
@@ -106,34 +110,63 @@ def new_seed() -> Tree:
     return Tree(bytes((ANCHOR,)), (-1,), (-1,), 0, 0)
 
 
-def _preorder(root: int, first: tuple[int, ...], second: tuple[int, ...]) -> list[int]:
-    """Node indices, each node before its subtrees and first[i]'s before second[i]'s.
-
-    Called with (left, right) this is the document order of the writers;
-    with (right, left), reversed, it is postorder.
-    """
+def _preorder(t: Tree) -> list[int]:
+    """Node indices in document order: each node before its subtrees, the
+    left subtree before the right."""
+    left, right = t.left, t.right
     order = []
-    stack = [root]
+    stack = [t.root]
     while stack:
         i = stack.pop()
         order.append(i)
-        if first[i] >= 0:
-            stack.append(second[i])
-            stack.append(first[i])
+        if left[i] >= 0:
+            stack.append(right[i])
+            stack.append(left[i])
     return order
 
 
-def _depths(t: Tree) -> list[int]:
-    """Each node's depth below the root, -1 for nodes the root does not reach."""
-    depth = [-1] * len(t.nodes)
-    depth[t.root] = 0
-    for i in _preorder(t.root, t.left, t.right):
-        if t.left[i] >= 0:
-            depth[t.left[i]] = depth[t.right[i]] = depth[i] + 1
-    return depth
+def _levels(t: Tree) -> list[list[int]]:
+    """The node ids of each depth, left to right, from the root down."""
+    left, right = t.left, t.right
+    levels = [[t.root]]
+    while True:
+        below = [c for i in levels[-1] if left[i] >= 0 for c in (left[i], right[i])]
+        if not below:
+            return levels
+        levels.append(below)
 
 
-_BRANCHED = bytes((ANCHOR, ANCHOR, INTERNAL))
+# Translation table: INTERNAL -> 1, every other kind -> 0.
+_IS_INTERNAL = bytes.maketrans(bytes((INTERNAL, ANCHOR, DEAD_LEAF, LEAF)), bytes((1, 0, 0, 0)))
+
+
+def _in_level_order(t: Tree) -> bool:
+    """True iff t is numbered in level order: the root is 0 and the children
+    of the internal nodes, read in index order, are 1, 2, ..., n - 1."""
+    n = len(t.nodes)
+    internal = t.nodes.translate(_IS_INTERNAL)
+    return (
+        t.root == 0
+        and list(compress(t.left, internal)) == list(range(1, n, 2))
+        and list(compress(t.right, internal)) == list(range(2, n, 2))
+    )
+
+
+def _relabel(t: Tree) -> Tree:
+    """The same tree renumbered in level order."""
+    order = [i for level in _levels(t) for i in level]
+    new = [-1] * len(t.nodes)
+    for k, i in enumerate(order):
+        new[i] = k
+    new.append(-1)  # new[-1]: a missing child stays missing
+    left, right = t.left, t.right
+    return Tree(
+        bytes([t.nodes[i] for i in order]),
+        tuple([new[left[i]] for i in order]),
+        tuple([new[right[i]] for i in order]),
+        0,
+        t.step,
+    )
 
 
 def grow_step(t: Tree, choices: list[GrowthChoice] | tuple[GrowthChoice, ...]) -> Tree:
@@ -142,37 +175,47 @@ def grow_step(t: Tree, choices: list[GrowthChoice] | tuple[GrowthChoice, ...]) -
     Die turns the anchor into a dead leaf; Branch turns it into an internal
     node with two fresh anchors. The choice list length must equal the
     anchor count and the tree must be active.
+
+    In level order the anchors of a growing tree, which all sit on the
+    deepest level, are its last m nodes, left to right, so the step keeps
+    the other nodes as they are and appends the fresh anchors. A tree
+    numbered otherwise is relabelled first. Anchors that are not the last
+    nodes in level order raise ValueError; the anchor depths are not
+    checked further (validate_growing does that).
     """
     m = t.nodes.count(ANCHOR)
     if m == 0:
         raise ValueError("no anchors: the tree is inactive and cannot grow")
     if len(choices) != m:
         raise ValueError(f"choice arity: tree has {m} anchors, got {len(choices)} choices")
-    branches = iter([c is GrowthChoice.BRANCH for c in choices])
-    nodes, old_left, old_right = t.nodes, t.left, t.right
+    if not _in_level_order(t):
+        t = _relabel(t)
+    n = len(t.nodes)
+    kept = n - m
+    if t.nodes.find(ANCHOR) != kept:
+        raise ValueError("anchors are not the last nodes in level order: not a growing tree")
     kinds = bytearray()
     left: list[int] = []
     right: list[int] = []
-    new = [0] * len(nodes)
-    order = _preorder(t.root, old_right, old_left)
-    order.reverse()
-    for i in order:
-        kind = nodes[i]
-        if kind == INTERNAL:
+    fresh = n
+    branch, die = GrowthChoice.BRANCH, GrowthChoice.DIE  # enum attribute lookups are slow
+    for position, choice in enumerate(choices):
+        if choice is branch:
             kinds.append(INTERNAL)
-            left.append(new[old_left[i]])
-            right.append(new[old_right[i]])
-        elif kind == ANCHOR and next(branches):
-            k = len(kinds)
-            kinds += _BRANCHED
-            left += (-1, -1, k)
-            right += (-1, -1, k + 1)
-        else:
+            left.append(fresh)
+            right.append(fresh + 1)
+            fresh += 2
+        elif choice is die:
             kinds.append(DEAD_LEAF)
             left.append(-1)
             right.append(-1)
-        new[i] = len(kinds) - 1
-    return Tree(bytes(kinds), tuple(left), tuple(right), len(kinds) - 1, t.step + 1)
+        else:
+            raise ValueError(f"choice {position}: {choice!r} is not a GrowthChoice")
+    born = fresh - n
+    kinds += bytes((ANCHOR,)) * born
+    left += (-1,) * born
+    right += (-1,) * born
+    return Tree(t.nodes[:kept] + kinds, t.left[:kept] + tuple(left), t.right[:kept] + tuple(right), 0, t.step + 1)
 
 
 def grow_history(choices_per_step: list[list[GrowthChoice]]) -> Tree:
@@ -190,7 +233,7 @@ def stats(t: Tree) -> TreeStats:
     """
     n = t.nodes.count(INTERNAL)
     m = t.nodes.count(ANCHOR)
-    return TreeStats(n=n, m=m, ell=len(t.nodes) - n - m, h=max(_depths(t)))
+    return TreeStats(n=n, m=m, ell=len(t.nodes) - n - m, h=len(_levels(t)) - 1)
 
 
 def validate_growing(t: Tree) -> None:
@@ -245,6 +288,7 @@ def validate_growing(t: Tree) -> None:
 
 
 _FREEZE = bytes.maketrans(bytes((ANCHOR, DEAD_LEAF)), bytes((LEAF, LEAF)))
+_UNFREEZE = bytes.maketrans(bytes((ANCHOR, LEAF)), bytes((DEAD_LEAF, DEAD_LEAF)))
 
 
 def freeze(t: Tree) -> Tree:
@@ -260,23 +304,21 @@ def unfreeze(bt: Tree) -> Tree:
     leaves become anchors, shallower leaves dead ones, and the step counter
     is the height. Inverse of freeze on active trees.
     """
-    depth = _depths(bt)
-    height = max(depth)
-    nodes = bytes(
-        INTERNAL if kind == INTERNAL else ANCHOR if depth[i] == height else DEAD_LEAF
-        for i, kind in enumerate(bt.nodes)
-    )
-    return Tree(nodes, bt.left, bt.right, bt.root, height)
+    levels = _levels(bt)
+    nodes = bytearray(bt.nodes.translate(_UNFREEZE))
+    for i in levels[-1]:
+        nodes[i] = ANCHOR
+    return Tree(bytes(nodes), bt.left, bt.right, bt.root, len(levels) - 1)
 
 
 def profile(bt: Tree) -> Profile:
-    """Leaf counts per depth; the deepest level of any binary tree holds leaves."""
-    depth = _depths(bt)
-    counts = [0] * (max(depth) + 1)
-    for kind, d in zip(bt.nodes, depth):
-        if kind != INTERNAL and d >= 0:
-            counts[d] += 1
-    return Profile(tuple(counts))
+    """Leaf counts per depth; the deepest level of any binary tree holds leaves.
+
+    Every internal node has two children, so the leaves at depth d number
+    len(level d) - len(level d + 1) / 2.
+    """
+    sizes = [len(level) for level in _levels(bt)] + [0]
+    return Profile(tuple(size - below // 2 for size, below in zip(sizes, sizes[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +355,10 @@ def from_json(text: str) -> Tree:
 
     Binary trees are bare node objects; growing trees are wrapped as
     {"step": s, "tree": node}. Node indices in error messages count nodes in
-    document order. Documents nested deeper than the json parser's limit
-    (about 1,000 levels) raise ValueError, although to_json writes them.
+    level order (the root, then each depth from left to right), which is
+    also each node's index in the returned Tree. Documents nested deeper
+    than the json parser's limit (about 1,000 levels) raise ValueError,
+    although to_json writes them.
     """
     try:
         doc = json.loads(text)
@@ -361,36 +405,28 @@ def _growing_kind(obj: dict, index: int) -> int:
     return kind
 
 
-_JOIN = object()  # stack marker: both subtrees of an internal node are built
-
-
 def _tree_from_obj(top: object, kind_of, step: int | None) -> Tree:
-    """Number parsed nodes in postorder, checking each in document order."""
+    """Number parsed nodes in level order, checking each as it is numbered."""
+    queue = deque([top])  # parsed, not yet numbered; they take the next ids in order
     kinds = bytearray()
     left: list[int] = []
     right: list[int] = []
-    built: list[int] = []  # indices of finished subtrees, innermost last
-    stack = [top]
-    index = 0
-    while stack:
-        obj = stack.pop()
-        if obj is _JOIN:
-            right.append(built.pop())
-            left.append(built.pop())
-            kinds.append(INTERNAL)
+    while queue:
+        obj = queue.popleft()
+        index = len(kinds)
+        if not isinstance(obj, dict):
+            raise ValueError(f"node {index}: expected an object")
+        kind = kind_of(obj, index)
+        kinds.append(kind)
+        if kind == INTERNAL:
+            child = index + 1 + len(queue)
+            left.append(child)
+            right.append(child + 1)
+            queue += (obj["l"], obj["r"])
         else:
-            if not isinstance(obj, dict):
-                raise ValueError(f"node {index}: expected an object")
-            kind = kind_of(obj, index)
-            index += 1
-            if kind == INTERNAL:
-                stack += (_JOIN, obj["r"], obj["l"])
-                continue
-            kinds.append(kind)
             left.append(-1)
             right.append(-1)
-        built.append(len(kinds) - 1)
-    return Tree(bytes(kinds), tuple(left), tuple(right), len(kinds) - 1, step)
+    return Tree(bytes(kinds), tuple(left), tuple(right), 0, step)
 
 
 _SQUARE = 'shape=square, style=filled, fillcolor=black, label="", width=0.18'
@@ -404,7 +440,7 @@ _DOT_STYLES = (  # indexed by kind code
 
 def to_dot(tree: Tree) -> str:
     """Graphviz digraph; node shapes encode the kinds (see module docstring)."""
-    order = _preorder(tree.root, tree.left, tree.right)
+    order = _preorder(tree)
     lines = ["digraph tree {", "  ordering=out;"]
     lines += [f"  n{i} [{_DOT_STYLES[tree.nodes[i]]}];" for i in order]
     for i in order:

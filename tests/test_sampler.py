@@ -3,10 +3,12 @@
 import math
 import random
 from collections import defaultdict
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import given, strategies as st
 
+from growingtrees import cli, profiles, sampler
 from growingtrees.oracle import all_binary_trees, trees_with_profile
 from growingtrees.profiles import Profile, count_trees, level_choices
 from growingtrees.sampler import (
@@ -14,6 +16,7 @@ from growingtrees.sampler import (
     BitSource,
     SampleStats,
     _build,
+    _mixed_radix,
     _small_merge,
     draw_below,
     entropy_bound,
@@ -202,6 +205,40 @@ def test_build_rejects_ranks_out_of_range():
                 _build(p, rank, bases)
 
 
+def _digits_one_by_one(rank, bases):
+    digits = []
+    for base in bases:
+        rank, digit = divmod(rank, base)
+        digits.append(digit)
+    assert rank == 0
+    return digits
+
+
+@given(st.data())
+def test_mixed_radix_matches_digit_by_digit_division(data):
+    # Small bases, which share blocks, and bases of up to 300 bits, which
+    # fill a block alone; lengths on both sides of the product tree's odd
+    # and even splits.
+    base = st.one_of(st.integers(1, 6), st.integers(1, 1 << 300))
+    bases = data.draw(st.lists(base, max_size=70))
+    n = prod(bases)
+    for rank in (0, n - 1, data.draw(st.integers(0, n - 1))):
+        assert _mixed_radix(rank, bases) == _digits_one_by_one(rank, bases)
+    for rank in (-1, n):
+        with pytest.raises(ValueError, match="rank out of range"):
+            _mixed_radix(rank, bases)
+
+
+def test_mixed_radix_on_long_random_ranks():
+    rng = random.Random(71)
+    for height in (300, 3000):
+        bases = level_choices(_narrow_profile(rng, height))[-2::-1]
+        n = prod(bases)
+        for _ in range(3):
+            rank = rng.randrange(n)
+            assert _mixed_radix(rank, bases) == _digits_one_by_one(rank, bases)
+
+
 def test_memoized_words_are_unrank_merge():
     words = 0
     for slots in range(1, _MEMO_SLOTS + 1):
@@ -287,6 +324,24 @@ def test_uniformity_small_profile():
         tally[key] = tally.get(key, 0) + 1
     assert set(tally) == support
     assert chi_square(list(tally.values())).passed
+
+
+def test_one_level_choices_call_per_sampling_command(monkeypatch, capsys):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return level_choices(p)
+
+    monkeypatch.setattr(profiles, "level_choices", counted)
+    monkeypatch.setattr(sampler, "level_choices", counted, raising=False)
+    for argv in (["sample", "--profile", "0,1,2", "--count", "3", "--seed", "1"],
+                 ["sample", "--profile", "0,1,2", "--count", "3", "--seed", "1", "--format", "dot"],
+                 ["bench-bits", "--profile", "0,1,2", "--samples", "3", "--seed", "1"]):
+        calls.clear()
+        assert cli.run(argv) == 0
+        assert calls == [Profile((0, 1, 2))]
+    capsys.readouterr()
 
 
 def test_invalid_profile_rejected_before_bits_flow():

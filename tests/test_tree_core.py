@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, strategies as st
 import reference_data as ref
 from growingtrees.oracle import all_binary_trees, all_growth_histories
 from growingtrees.profiles import Profile
+from growingtrees.sampler import BitSource, sample_with_stats
 from growingtrees.tree_core import (
     GrowthChoice,
     NodeKind,
@@ -70,6 +73,21 @@ def test_grow_step_errors():
         grow_step(dead, [])
     with pytest.raises(ValueError, match="tree has 1 anchors, got 2 choices"):
         grow_step(new_seed(), _choices("BB"))
+    # Anchors at depths 1 and 2 with a deeper one last in level order: not a
+    # growing tree, numbered in level order and in postorder.
+    uneven = Tree(bytes((I, A, I, A, A)), (1, -1, 3, -1, -1), (2, -1, 4, -1, -1), root=0, step=2)
+    for t in (uneven, Tree(bytes((A, A, A, I, I)), (-1, -1, -1, 1, 0), (-1, -1, -1, 2, 3), root=4, step=2)):
+        with pytest.raises(ValueError, match="not the last nodes in level order"):
+            grow_step(t, _choices("BBB"))
+
+
+def test_grow_step_rejects_unknown_choices():
+    for bad in ("branch", True, None, "B"):
+        with pytest.raises(ValueError, match="choice 0: .* is not a GrowthChoice"):
+            grow_step(new_seed(), [bad])
+    two = grow_step(new_seed(), _choices("B"))
+    with pytest.raises(ValueError, match="choice 1: 'die' is not a GrowthChoice"):
+        grow_step(two, [GrowthChoice.DIE, "die"])
 
 
 def test_validate_rejects_anchor_off_step():
@@ -298,3 +316,131 @@ def test_from_json_rejects_documents_nested_too_deeply():
     deep = '{"l":' * 5000 + '{"leaf":true},"r":{"leaf":true}}' + ',"r":{"leaf":true}}' * 4999
     with pytest.raises(ValueError, match="nested too deeply"):
         from_json(deep)
+
+
+# ---------------------------------------------------------------------------
+# Level order: the numbering of every tree tree_core and the oracle build
+# ---------------------------------------------------------------------------
+
+
+def _bfs(t):
+    """Node ids breadth-first from the root, left child before right."""
+    order, queue = [], deque([t.root])
+    while queue:
+        i = queue.popleft()
+        order.append(i)
+        if t.left[i] >= 0:
+            queue += (t.left[i], t.right[i])
+    return order
+
+
+def _is_level_ordered(t):
+    return _bfs(t) == list(range(len(t.nodes)))
+
+
+def _renumbered(t, order):
+    """t with node order[k] renamed k."""
+    new = {old: k for k, old in enumerate(order)}
+    new[-1] = -1
+    return Tree(
+        bytes(t.nodes[i] for i in order),
+        tuple(new[t.left[i]] for i in order),
+        tuple(new[t.right[i]] for i in order),
+        new[t.root],
+        t.step,
+    )
+
+
+def _right_to_left(t):
+    """t renumbered level by level, but each level right to left."""
+    levels, level = [], [t.root]
+    while level:
+        levels.append(level)
+        level = [c for i in level if t.left[i] >= 0 for c in (t.left[i], t.right[i])]
+    return _renumbered(t, [i for level in levels for i in reversed(level)])
+
+
+def _replayed_json(t, choices):
+    """to_json of grow_step(t, choices), replayed on nested lists: the tree
+    becomes [kind, left, right] lists, the anchors are found left to right
+    by a left-first walk and take the choices in that order."""
+    names = {NodeKind.INTERNAL: "internal", NodeKind.ANCHOR: "anchor", NodeKind.DEAD_LEAF: "dead_leaf"}
+    nested = {i: [names[NodeKind(k)]] for i, k in enumerate(t.nodes)}
+    for i, node in nested.items():
+        if t.left[i] >= 0:
+            node += (nested[t.left[i]], nested[t.right[i]])
+    anchors, stack = [], [nested[t.root]]
+    while stack:
+        node = stack.pop()
+        if node[0] == "anchor":
+            anchors.append(node)
+        stack += node[:0:-1]
+    assert len(anchors) == len(choices)
+    for node, choice in zip(anchors, choices):
+        node[:] = ["internal", ["anchor"], ["anchor"]] if choice is GrowthChoice.BRANCH else ["dead_leaf"]
+    parts, stack = [], [nested[t.root]]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif node[0] == "internal":
+            parts.append('{"kind":"internal","l":')
+            stack += ["}", node[2], ',"r":', node[1]]
+        else:
+            parts.append(f'{{"kind":"{node[0]}"}}')
+    return f'{{"step":{t.step + 1},"tree":{"".join(parts)}}}'
+
+
+def test_every_built_tree_is_level_ordered():
+    assert _is_level_ordered(new_seed())
+    for t, _ in all_growth_histories(4):
+        assert _is_level_ordered(t)
+        assert _is_level_ordered(from_json(to_json(t)))
+        assert _is_level_ordered(from_json(to_json(freeze(t))))
+    for leaves in range(1, 9):
+        for bt in all_binary_trees(leaves):
+            assert _is_level_ordered(bt)
+            assert _is_level_ordered(from_json(to_json(bt)))
+    rng = random.Random(3)
+    t = new_seed()
+    for _ in range(12):
+        t = grow_step(t, [rng.choice(list(GrowthChoice)) for _ in range(t.anchor_count - 1)] + [GrowthChoice.BRANCH])
+        assert _is_level_ordered(t)
+
+
+def test_grow_step_relabels_other_numberings():
+    # A sampled tree is numbered in creation order (root last); unfreeze
+    # keeps that numbering. A right-to-left level numbering is a second
+    # layout that is not level order. Each grows like its level-ordered
+    # copy, and both take the choices left to right.
+    rng = random.Random(5)
+    grown = grow_history([_choices(s) for s in ("B", "BB", "BDDB", "DBBB")])
+    sampled = [unfreeze(sample_with_stats(Profile(levels), BitSource(seed))[0])
+               for seed, levels in enumerate([(0, 1, 1, 2), (0, 0, 3, 2), (0, 0, 2, 2, 4), (0, 1, 0, 3, 2)])]
+    for t in sampled + [_right_to_left(grown), _right_to_left(sampled[2])]:
+        assert not _is_level_ordered(t)
+        relabelled = _renumbered(t, _bfs(t))
+        assert _is_level_ordered(relabelled)
+        for _ in range(4):
+            choices = [rng.choice(list(GrowthChoice)) for _ in range(t.anchor_count)]
+            after = grow_step(t, choices)
+            assert after == grow_step(relabelled, choices)
+            assert _is_level_ordered(after)
+            assert to_json(after) == _replayed_json(t, choices)
+            validate_growing(after)
+    # On a level-ordered tree the replay agrees too.
+    for _ in range(4):
+        choices = [rng.choice(list(GrowthChoice)) for _ in range(grown.anchor_count)]
+        assert to_json(grow_step(grown, choices)) == _replayed_json(grown, choices)
+
+
+def test_from_json_error_indices_count_in_level_order():
+    # The bad node is fifth in document order and third in level order.
+    with pytest.raises(ValueError, match="node 2: need either leaf=true"):
+        from_json('{"l":{"l":{"leaf":true},"r":{"leaf":true}},"r":{"leaf":false}}')
+    with pytest.raises(ValueError, match="node 2: unknown kind 'seed'"):
+        from_json('{"step":2,"tree":{"kind":"internal","l":{"kind":"internal",'
+                  '"l":{"kind":"anchor"},"r":{"kind":"anchor"}},"r":{"kind":"seed"}}}')
+    # Third in document order, fourth in level order.
+    with pytest.raises(ValueError, match="node 3: expected an object"):
+        from_json('{"l":{"l":[],"r":{"leaf":true}},"r":{"leaf":true}}')
