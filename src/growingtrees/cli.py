@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import secrets
 import sys
 
@@ -221,16 +222,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_bench_bits(args: argparse.Namespace) -> int:
     p = profiles.Profile(args.profile)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
-    # One set of level choices gives the count, which serves both the draws
-    # and the entropy bound, and the level bases.
-    choices = profiles._valid_level_choices(p)
-    count = profiles._product(choices)
-    draws = sampler._samples(p, sampler.BitSource(seed), count, choices)
+    # One product tree of the level bases serves the draws, the rank splits
+    # and, through its root (the count), the entropy bound.
+    tree = profiles.base_tree(p)
+    draws = sampler._samples(p, sampler.BitSource(seed), tree)
     total_bits = 0
     for _, stats in itertools.islice(draws, args.samples):
         total_bits += stats.bits_consumed
     mean_bits = total_bits / args.samples
-    bound = sampler._log2(count)
+    bound = sampler._log2(tree[-1][0])
     print(json.dumps({
         "profile": str(p),
         "samples": args.samples,
@@ -371,7 +371,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe shows here, inside the try
+    except BrokenPipeError:
+        # The reader left early (`| head`): point stdout at devnull so that
+        # Python's own flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output pipe closed", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

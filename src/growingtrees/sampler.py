@@ -9,17 +9,17 @@ nodes. After the top level a single root remains. Each level's merge has
 binom(2*i_{i-1}, l_i) patterns and the pattern vector determines the tree
 uniquely, so the product of the pattern counts is the tree count N.
 
-A tree is therefore named by one rank r in [0, N): _build splits r
-mixed-radix, one digit per level with that level's pattern count as the
-base (deepest level least significant), and unranks each digit into a merge
-pattern in combinadic order, keeping the running binomial so that a slot
-costs one small multiply and one exact divide. Distinct ranks give distinct
-trees, so a sample draws one uniform rank and gets a uniform tree.
+A tree is therefore named by one rank r in [0, N). A sample draws r, splits
+it mixed-radix into one digit per level with that level's pattern count as
+the base (deepest level least significant), and builds the tree, unranking
+each digit into a merge pattern in combinadic order with a running binomial,
+so a slot costs one small multiply and one exact divide. Distinct ranks give
+distinct trees, so a uniform rank gives a uniform tree.
 
 The setup belongs to the profile, not to the sample: samples(p, src)
-validates p once and computes its level choices once, which give both the
-count and the level bases, then yields samples for as long as the caller
-asks, so a command that draws k trees of one profile pays for the profile
+validates p and builds the product tree of its level bases once
+(profiles.base_tree). Its root is N, and every rank is split down the same
+tree, so a command that draws k trees of one profile pays for the profile
 once. Narrow levels keep asking for the same few words, so words of at most
 8 slots (510 in all) are memoized; wider words are unranked afresh. Either
 way the word is the same.
@@ -41,9 +41,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-# is_valid is not called here (_valid_level_choices validates), but
+# is_valid is not called here (base_tree validates), but
 # benchmark/tracing.py wraps it under this module's name.
-from .profiles import Profile, _product, _valid_level_choices, count_trees, exact_text, is_valid  # noqa: F401
+from .profiles import Profile, base_tree, count_trees, exact_text, is_valid  # noqa: F401
 from .tree_core import INTERNAL, LEAF, Tree
 
 
@@ -145,31 +145,15 @@ def _small_merge(rank: int, p: int, q: int) -> tuple[int, ...]:
 _PAIR = bytes((LEAF, LEAF, INTERNAL))
 
 
-def _mixed_radix(rank: int, bases: list[int]) -> list[int]:
-    """The digits of rank in the mixed radix `bases`, least significant first.
+def _mixed_radix(rank: int, tree: list[list[int]]) -> list[int]:
+    """The digits of rank, least significant first, in the mixed radix of the
+    bases at the leaves of their product tree `tree` (profiles._product_tree).
 
-    Consecutive bases are grouped into blocks of at least 64 bits. The rank
-    is split top-down by a product tree of the blocks: a node's value is
-    divided by the product of its lower half, the remainder going to that
-    half and the quotient to the upper one, so every division is between
-    numbers of comparable size and none divides the whole rank by a small
-    block. Each block's value is then split into its digits one base at a
-    time.
+    The rank is split top-down: a node's value is divided by the product of
+    its lower half, the remainder going to that half and the quotient to the
+    upper one, so every division is between numbers of comparable size and
+    none divides the whole rank by a small base.
     """
-    blocks = []  # (first base, end, product)
-    i = 0
-    while i < len(bases):
-        j, block = i, 1
-        while j < len(bases) and block.bit_length() < 64:
-            block *= bases[j]
-            j += 1
-        blocks.append((i, j, block))
-        i = j
-    # tree[0] holds the block products; tree[k + 1][c] = tree[k][2c] * tree[k][2c + 1].
-    tree = [[block for _, _, block in blocks] or [1]]
-    while len(tree[-1]) > 1:
-        below = tree[-1]
-        tree.append([a * b for a, b in zip(below[::2], below[1::2])] + below[len(below) & ~1:])
     if not 0 <= rank < tree[-1][0]:
         raise ValueError(f"rank out of range for {exact_text(tree[-1][0])} trees")
     values = [rank]
@@ -182,25 +166,20 @@ def _mixed_radix(rank: int, bases: list[int]) -> list[int]:
             else:
                 split.append(value)
         values = split
-    digits = []
-    for (i, j, _), low in zip(blocks, values):
-        for base in bases[i:j]:
-            low, digit = divmod(low, base)
-            digits.append(digit)
-    return digits
+    # No bases: the root 1 stands above an empty level and yields no digit.
+    return values[:len(tree[0])]
 
 
-def _build(p: Profile, rank: int, bases: list[int]) -> tuple[Tree, int]:
-    """The tree of rank `rank` in [0, count_trees(p)) for a valid profile p,
-    with its elementary-step count; distinct ranks give distinct trees.
-    `bases` is level_choices(p)[-2::-1], the pattern counts deepest level
-    first (the deepest level's own choice, binom(l_h, l_h) = 1, is left out).
+def _build(p: Profile, digits: list[int]) -> tuple[Tree, int]:
+    """The tree of a valid profile p with its elementary-step count. `digits`
+    are its merge ranks, deepest level first: a rank's digits in the bases
+    level_choices(p)[-2::-1] (the deepest level's choice, binom(l_h, l_h) = 1,
+    has none). Distinct digits give distinct trees.
 
     Steps: 1 per leaf created, 2 per internal node (one pointer hookup per
     child), so a tree with L leaves costs exactly L + 2*(L-1) = 3L - 2.
-    Nodes are numbered in creation order, which the DOT output shows.
+    Nodes are numbered in creation order, root last; DOT shows this order.
     """
-    digits = _mixed_radix(rank, bases)
     kinds = bytearray()
     left: list[int] = []
     right: list[int] = []
@@ -267,25 +246,26 @@ def samples(p: Profile, src: BitSource) -> Iterator[tuple[Tree, SampleStats]]:
     for as long as the caller asks.
 
     An invalid profile is rejected here, at the call, before any bit is
-    drawn, with count_trees's error; the level choices are computed once and
-    give both the count and the level bases for every sample.
+    drawn, with count_trees's error; the product tree of the level bases is
+    built once and serves every sample: its root is the count to draw below,
+    and it splits each rank into the level digits.
     """
-    choices = _valid_level_choices(p)
-    return _samples(p, src, _product(choices), choices)
+    return _samples(p, src, base_tree(p))
 
 
-def _samples(p: Profile, src: BitSource, n: int, choices: list[int]) -> Iterator[tuple[Tree, SampleStats]]:
-    """samples(p, src) for a valid p whose level_choices(p) and count n, their
-    product, the caller already holds."""
-    bases = choices[-2::-1]
+def _samples(p: Profile, src: BitSource, tree: list[list[int]]) -> Iterator[tuple[Tree, SampleStats]]:
+    """samples(p, src) for a valid p whose base_tree(p) the caller already
+    holds."""
+    count = tree[-1][0]
     while True:
         before = src.bits_consumed
-        tree, steps = _build(p, draw_below(src, n), bases)
-        yield tree, SampleStats(
+        rank = draw_below(src, count)
+        sample, steps = _build(p, _mixed_radix(rank, tree))
+        yield sample, SampleStats(
             seed=src.seed,
             profile=p,
             bits_consumed=src.bits_consumed - before,
-            node_count=len(tree.nodes),
+            node_count=len(sample.nodes),
             steps=steps,
         )
 

@@ -375,6 +375,8 @@ def from_json(text: str) -> Tree:
         raise ValueError("growing tree: step must be a nonnegative integer")
     if "tree" not in doc:
         raise ValueError("growing tree: missing tree field")
+    if len(doc) != 2:
+        raise ValueError("growing tree: extra keys besides step and tree")
     tree = _tree_from_obj(doc["tree"], _growing_kind, step)
     validate_growing(tree)
     return tree
@@ -402,6 +404,8 @@ def _growing_kind(obj: dict, index: int) -> int:
             raise ValueError(f"node {index}: internal node needs l and r")
     elif "l" in obj or "r" in obj:
         raise ValueError(f"node {index}: {name} node cannot have children")
+    if len(obj) != (3 if kind == INTERNAL else 1):
+        raise ValueError(f"node {index}: {name} node with extra keys")
     return kind
 
 

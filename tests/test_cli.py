@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import growingtrees
 import reference_data as ref
 from growingtrees.cli import run
 from growingtrees.tree_core import from_json, profile, to_json
@@ -291,6 +296,22 @@ def test_bench_bits_deep_profile_stays_near_the_floor(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["samples"] == 1000
     assert 0 <= doc["overhead_bits"] < 2
+
+
+def test_closed_output_pipe_is_one_error_line():
+    # The reader takes one line and leaves, as `| head -n 1` does.
+    env = dict(os.environ, PYTHONPATH=str(Path(growingtrees.__file__).parents[1]))
+    for argv in (["sample", "--profile", "0,0,2,4", "--count", "20000", "--seed", "1"],
+                 ["sample", "--profile", "0,0,2,4", "--count", "20000", "--seed", "1", "--format", "dot"]):
+        proc = subprocess.Popen([sys.executable, "-m", "growingtrees.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert err == "error: output pipe closed\n"
 
 
 def test_usage_errors_and_help(capsys):

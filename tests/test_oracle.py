@@ -1,6 +1,7 @@
 """Exhaustive enumerations, the chi-square helper, and report records."""
 
 import json
+import math
 
 import pytest
 
@@ -14,7 +15,7 @@ from growingtrees.oracle import (
 )
 from growingtrees.profiles import Profile
 from growingtrees.tree_core import profile, stats, validate_growing
-from uniformity import ChiSquareResult, chi_square
+from uniformity import ChiSquareResult, chi2_upper_quantile, chi2_upper_tail, chi_square
 
 
 def test_binary_tree_counts_are_catalan():
@@ -119,6 +120,37 @@ def test_chi_square_rejects_skewed_counts():
     result = chi_square([1000, 0])
     assert not result.passed
     assert result.statistic > result.threshold
+
+
+# scipy.stats.chi2.ppf(1 - 1e-6, dof), recorded with scipy 1.17.1, for every
+# dof the suite's uniformity tests use.
+SCIPY_CHI2_THRESHOLDS = {
+    1: 23.92812697687947,
+    2: 27.631021115871036,
+    3: 30.66484970615427,
+    4: 33.37684158165888,
+    5: 35.88818687961042,
+    7: 40.52183123411472,
+    11: 48.86564276313385,
+    15: 56.49344249969959,
+    23: 70.54955713680532,
+    31: 83.64251584691797,
+    35: 89.94674092368464,
+    47: 108.17712869700104,
+}
+
+
+def test_chi_square_thresholds_match_scipy():
+    for dof, threshold in SCIPY_CHI2_THRESHOLDS.items():
+        assert chi2_upper_quantile(1e-6, dof) == pytest.approx(threshold, rel=1e-10)
+        assert chi_square([100] * (dof + 1)).threshold == pytest.approx(threshold, rel=1e-10)
+
+
+def test_chi_square_tail_closed_forms():
+    for x in (0.5, 3.0, 40.0):
+        assert chi2_upper_tail(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-14)
+        assert chi2_upper_tail(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-14)
+        assert chi2_upper_tail(x, 4) == pytest.approx(math.exp(-x / 2) * (1 + x / 2), rel=1e-14)
 
 
 def test_chi_square_guards():

@@ -6,11 +6,11 @@ from collections import defaultdict
 from math import comb, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from growingtrees import cli, profiles, sampler
 from growingtrees.oracle import all_binary_trees, trees_with_profile
-from growingtrees.profiles import Profile, count_trees, level_choices
+from growingtrees.profiles import Profile, _product_tree, base_tree, count_trees, level_choices
 from growingtrees.sampler import (
     _MEMO_SLOTS,
     BitSource,
@@ -187,22 +187,23 @@ def test_build_is_a_bijection_from_ranks_to_trees():
         for tree in all_binary_trees(leaves):
             by_profile[profile(tree)].add(to_json(tree))
         for p, support in by_profile.items():
-            count = count_trees(p)
-            bases = level_choices(p)[-2::-1]
-            built = [to_json(_build(p, r, bases)[0]) for r in range(count)]
+            radix = base_tree(p)
+            count = radix[-1][0]
+            assert count == count_trees(p)
+            built = [to_json(_build(p, _mixed_radix(r, radix))[0]) for r in range(count)]
             assert len(set(built)) == count, p
             assert set(built) == support, p
             checked += 1
     assert checked == 116
 
 
-def test_build_rejects_ranks_out_of_range():
+def test_mixed_radix_rejects_ranks_out_of_range():
     for levels in ((1,), (0, 2), (0, 0, 2, 4), (0, 1, 0, 2, 4)):
         p = Profile(levels)
-        bases = level_choices(p)[-2::-1]
+        radix = base_tree(p)
         for rank in (-1, count_trees(p)):
-            with pytest.raises(ValueError, match="out of range"):
-                _build(p, rank, bases)
+            with pytest.raises(ValueError, match="rank out of range"):
+                _mixed_radix(rank, radix)
 
 
 def _digits_one_by_one(rank, bases):
@@ -214,29 +215,43 @@ def _digits_one_by_one(rank, bases):
     return digits
 
 
+@given(st.lists(st.integers(1, 1 << 70), max_size=40))
+@example([]).via("no factors: an empty level 0 under the root 1")
+@example([2, 3, 5]).via("an odd last entry carried up")
+def test_product_tree_pairs_adjacent_entries(factors):
+    tree = _product_tree(factors)
+    assert tree[0] == factors
+    assert tree[-1] == [math.prod(factors)]
+    for below, above in zip(tree, tree[1:]):
+        # Adjacent pairs multiply; an odd last entry is carried up as it is.
+        assert above == ([math.prod(below[c:c + 2]) for c in range(0, len(below), 2)] or [1])
+
+
 @given(st.data())
 def test_mixed_radix_matches_digit_by_digit_division(data):
-    # Small bases, which share blocks, and bases of up to 300 bits, which
-    # fill a block alone; lengths on both sides of the product tree's odd
-    # and even splits.
+    # Small bases and bases of up to 300 bits, including none at all; lengths
+    # on both sides of the product tree's odd and even splits.
     base = st.one_of(st.integers(1, 6), st.integers(1, 1 << 300))
     bases = data.draw(st.lists(base, max_size=70))
+    tree = _product_tree(bases)
     n = prod(bases)
     for rank in (0, n - 1, data.draw(st.integers(0, n - 1))):
-        assert _mixed_radix(rank, bases) == _digits_one_by_one(rank, bases)
+        assert _mixed_radix(rank, tree) == _digits_one_by_one(rank, bases)
     for rank in (-1, n):
         with pytest.raises(ValueError, match="rank out of range"):
-            _mixed_radix(rank, bases)
+            _mixed_radix(rank, tree)
 
 
 def test_mixed_radix_on_long_random_ranks():
     rng = random.Random(71)
     for height in (300, 3000):
-        bases = level_choices(_narrow_profile(rng, height))[-2::-1]
+        p = _narrow_profile(rng, height)
+        tree = base_tree(p)
+        bases = level_choices(p)[-2::-1]
         n = prod(bases)
         for _ in range(3):
             rank = rng.randrange(n)
-            assert _mixed_radix(rank, bases) == _digits_one_by_one(rank, bases)
+            assert _mixed_radix(rank, tree) == _digits_one_by_one(rank, bases)
 
 
 def test_memoized_words_are_unrank_merge():
@@ -341,6 +356,23 @@ def test_one_level_choices_call_per_sampling_command(monkeypatch, capsys):
         calls.clear()
         assert cli.run(argv) == 0
         assert calls == [Profile((0, 1, 2))]
+    capsys.readouterr()
+
+
+def test_one_product_tree_per_sampling_command(monkeypatch, capsys):
+    built = []
+
+    def counted(factors):
+        built.append(list(factors))
+        return _product_tree(factors)
+
+    monkeypatch.setattr(profiles, "_product_tree", counted)
+    for argv in (["sample", "--profile", "0,0,2,4", "--count", "3", "--seed", "1"],
+                 ["sample", "--profile", "0,0,2,4", "--count", "3", "--seed", "1", "--format", "dot"],
+                 ["bench-bits", "--profile", "0,0,2,4", "--samples", "3", "--seed", "1"]):
+        built.clear()
+        assert cli.run(argv) == 0
+        assert built == [level_choices(Profile((0, 0, 2, 4)))[-2::-1]]
     capsys.readouterr()
 
 

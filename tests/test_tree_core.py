@@ -163,6 +163,15 @@ def test_json_document_errors():
         from_json('{"step":true,"tree":{"kind":"internal","l":{"kind":"anchor"},"r":{"kind":"anchor"}}}')
     with pytest.raises(ValueError, match="missing tree field"):
         from_json('{"step":1}')
+    # Growing documents carry no extra keys either, at any node or around it.
+    with pytest.raises(ValueError, match="node 0: anchor node with extra keys"):
+        from_json('{"step":0,"tree":{"kind":"anchor","foo":1}}')
+    with pytest.raises(ValueError, match="node 2: dead_leaf node with extra keys"):
+        from_json('{"step":1,"tree":{"kind":"internal","l":{"kind":"anchor"},"r":{"kind":"dead_leaf","x":0}}}')
+    with pytest.raises(ValueError, match="node 0: internal node with extra keys"):
+        from_json('{"step":1,"tree":{"kind":"internal","leaf":true,"l":{"kind":"anchor"},"r":{"kind":"anchor"}}}')
+    with pytest.raises(ValueError, match="growing tree: extra keys besides step and tree"):
+        from_json('{"step":0,"tree":{"kind":"anchor"},"extra":5}')
     # Structurally well-formed documents still go through the growth
     # invariants: an anchor at depth 0 contradicts a positive step counter.
     with pytest.raises(ValueError, match="anchors at depths"):
