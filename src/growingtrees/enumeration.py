@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from math import comb
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +196,11 @@ def t_height_table(h: int, n_cap: int | None = None) -> CountTable:
 # Catalan numbers
 # ---------------------------------------------------------------------------
 
-_catalan_cache = [1]
-
-
 def catalan(n: int) -> int:
-    """Catalan number C_n by the convolution recurrence, exact."""
+    """Catalan number C_n = binom(2n, n) / (n + 1), exact."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    while len(_catalan_cache) <= n:
-        m = len(_catalan_cache) - 1
-        _catalan_cache.append(sum(_catalan_cache[i] * _catalan_cache[m - i] for i in range(m + 1)))
-    return _catalan_cache[n]
+    return comb(2 * n, n) // (n + 1)
 
 
 def catalan_column_check(table: CountTable) -> bool:
@@ -278,7 +273,11 @@ class PolySeries:
         return PolySeries(tuple(factor * c for c in self.coeffs), self.trunc)
 
     def shifted(self, k: int) -> "PolySeries":
-        """Multiply by z^k, dropping coefficients past the truncation order."""
+        """Multiply by z^k, k >= 0, dropping coefficients past the truncation
+        order; a shift past it gives the zero series."""
+        if k < 0:
+            raise ValueError(f"shift must be nonnegative, got {k}")
+        k = min(k, self.trunc + 1)
         return PolySeries((0,) * k + self.coeffs[: self.trunc + 1 - k], self.trunc)
 
 

@@ -50,6 +50,8 @@ class Profile:
     levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # A list of levels is the same profile as the tuple: equal and hashable.
+        object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("empty profile")
         # bool is an int subclass, but True is not a leaf count.

@@ -1,18 +1,20 @@
 """Uniform random sampling of binary trees with a prescribed leaf profile.
 
-The construction is bottom-up. The deepest level of a valid profile holds
-l_h leaves, which pair into l_h/2 subtrees of two leaves each. Then for each
-level i = h-1 down to 1 the current subtree sequence is interleaved with l_i
-fresh leaves (a merge pattern, order-preserving on both sides) and
-consecutive elements of the interleaving are paired under new internal
-nodes. After the top level a single root remains. Each level's merge has
-binom(2*i_{i-1}, l_i) patterns and the pattern vector determines the tree
-uniquely, so the product of the pattern counts is the tree count N.
+The construction is top-down, in level order. A valid profile fixes how
+many nodes each depth holds: the root is internal, depth i (0 < i < h) holds
+2*i_{i-1} nodes, l_i of them leaves and i_i internal, and depth h holds its
+l_h leaves. What a tree adds to its profile is the order of each depth's
+row, a word of i_i zeros (internal nodes) and l_i ones (leaves) read left to
+right: a merge pattern of the row's internal nodes with its leaves. Giving
+the k-th internal node of the rows, read in order, the children 2k+1 and
+2k+2 turns any choice of one word per depth into exactly one tree, numbered
+in level order, and every tree arises so. Depth i has binom(2*i_{i-1}, l_i)
+words, so the product of the word counts is the tree count N.
 
 A tree is therefore named by one rank r in [0, N). A sample draws r, splits
-it mixed-radix into one digit per level with that level's pattern count as
-the base (deepest level least significant), and builds the tree, unranking
-each digit into a merge pattern in combinadic order with a running binomial,
+it mixed-radix into one digit per level with that level's word count as the
+base (deepest level least significant), and builds the tree, unranking each
+digit into its level's word in combinadic order with a running binomial,
 so a slot costs one small multiply and one exact divide. Distinct ranks give
 distinct trees, so a uniform rank gives a uniform tree.
 
@@ -142,7 +144,8 @@ def _small_merge(rank: int, p: int, q: int) -> tuple[int, ...]:
     return unrank_merge(rank, p, q)
 
 
-_PAIR = bytes((LEAF, LEAF, INTERNAL))
+# Word letters to kind codes: 0 -> INTERNAL, 1 -> LEAF.
+_KIND_OF_LETTER = bytes.maketrans(bytes((0, 1)), bytes((INTERNAL, LEAF)))
 
 
 def _mixed_radix(rank: int, tree: list[list[int]]) -> list[int]:
@@ -174,51 +177,32 @@ def _build(p: Profile, digits: list[int]) -> tuple[Tree, int]:
     """The tree of a valid profile p with its elementary-step count. `digits`
     are its merge ranks, deepest level first: a rank's digits in the bases
     level_choices(p)[-2::-1] (the deepest level's choice, binom(l_h, l_h) = 1,
-    has none). Distinct digits give distinct trees.
+    has none). Distinct digits give distinct trees; a digit list of another
+    length raises ValueError.
 
-    Steps: 1 per leaf created, 2 per internal node (one pointer hookup per
-    child), so a tree with L leaves costs exactly L + 2*(L-1) = 3L - 2.
-    Nodes are numbered in creation order, root last; DOT shows this order.
+    The tree is written top-down in level order: the root, then the word of
+    each depth 1..h-1, then the l_h deepest leaves; the k-th internal node
+    gets the children 2k+1 and 2k+2. Steps: 1 per leaf, 2 per internal node
+    (one pointer hookup per child), counted off the arrays as nodes plus
+    internal nodes, so a tree with L leaves costs exactly 3L - 2.
     """
-    kinds = bytearray()
-    left: list[int] = []
-    right: list[int] = []
-    steps = 0
     levels = p.levels
-    h = p.height
-    if h == 0:
-        return Tree(bytes((LEAF,)), (-1,), (-1,), 0), 1
-    seq: list[int] = []
-    for _ in range(levels[h] // 2):
-        k = len(kinds)
-        kinds += _PAIR
-        left += (-1, -1, k)
-        right += (-1, -1, k + 1)
-        steps += 4
-        seq.append(k + 2)
-    for i, digit in zip(range(h - 1, 0, -1), digits):
-        merged: list[int] = []
-        carried = iter(seq)
-        merge = _small_merge if len(seq) + levels[i] <= _MEMO_SLOTS else unrank_merge
-        for bit in merge(digit, len(seq), levels[i]):
-            if bit:
-                kinds.append(LEAF)
-                left.append(-1)
-                right.append(-1)
-                steps += 1
-                merged.append(len(kinds) - 1)
-            else:
-                merged.append(next(carried))
-        seq = []
-        for j in range(0, len(merged), 2):
-            kinds.append(INTERNAL)
-            left.append(merged[j])
-            right.append(merged[j + 1])
-            steps += 2
-            seq.append(len(kinds) - 1)
-    # A valid profile always reduces to the single root: i_0 = 1.
-    assert len(seq) == 1
-    return Tree(bytes(kinds), tuple(left), tuple(right), seq[0]), steps
+    words = [bytes((0,))] if p.height else []
+    internal = 1
+    for leaves, digit in zip(levels[1:-1], reversed(digits), strict=True):
+        merge = _small_merge if 2 * internal <= _MEMO_SLOTS else unrank_merge
+        internal = 2 * internal - leaves
+        words.append(bytes(merge(digit, internal, leaves)))
+    words.append(bytes((1,)) * levels[-1])
+    letters = b"".join(words)
+    n, inner = len(letters), letters.count(0)
+    # A valid profile closes: the deepest row holds exactly the children of
+    # the last internal nodes, so every child index 2k+2 is a node.
+    assert n == 2 * inner + 1
+    odd, even = iter(range(1, n, 2)), iter(range(2, n, 2))
+    left = tuple([-1 if letter else next(odd) for letter in letters])
+    right = tuple([-1 if letter else next(even) for letter in letters])
+    return Tree(letters.translate(_KIND_OF_LETTER), left, right, 0), n + inner
 
 
 def uniform_tree(p: Profile, src: BitSource) -> Tree:

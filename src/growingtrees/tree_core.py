@@ -18,11 +18,12 @@ Freezing a growing tree turns every anchor and dead leaf into an ordinary
 leaf and forgets the step counter; the result is a classical plane binary
 tree in which every internal node has exactly two children. Growing and
 frozen trees share one flat layout, `Tree`: a kind code per node and two
-child-index arrays, with the (left, right) order significant. Trees built
-here number their nodes in level order: the root is node 0, then each depth
-from left to right. For a grown tree this is the order in which the process
-created its nodes, so the anchors are the last nodes and a growth step
-appends. Equal shapes with equal kinds compare equal. Every traversal is
+child-index arrays, with the (left, right) order significant. Every tree
+the package builds, whether grown, parsed, sampled or enumerated by the
+oracle, numbers its nodes in level order: the root is node 0, then each
+depth from left to right. For a grown tree this is the order in which the
+process created its nodes, so the anchors are the last nodes and a growth
+step appends. Equal shapes with equal kinds compare equal. Every traversal is
 iterative, so depth is limited only by memory.
 
 Serialization formats:

@@ -353,22 +353,23 @@ def _narrow_profile(seed, height):
 
 
 # SHA-256 of the stdout of each command with --seed 11: seeded output bytes
-# stay fixed within a version. DOT numbers nodes in _build's creation order,
-# so the DOT digests pin that order as well as the trees and bit counts.
+# stay fixed within a version. DOT names each node by its index, and sampled
+# trees are numbered in level order, so the DOT digests pin that numbering
+# as well as the trees and bit counts.
 _PINNED_OUTPUTS = {
     "small": {
         "sample": "dbf614e91e6831bdb920ce42ae7463337c26619f9594a1a30fc13bc953b219c1",
-        "dot": "4edbea30a6346117131d22df50e3b756624105e3843fc20db2449ac1fc98372a",
+        "dot": "9f5b2e2085d2a6d093ba29ce1c82ab2c7cfc1f2bad14766151fd1431cb0d848e",
         "bench-bits": "bc15cb863d30c6bd3ee763b411b442a3de8feb0c59ec6d2d0e20517f25ac545b",
     },
     "split": {
         "sample": "db5473d5e124bef8283a72513ff2df35e65a1947e41bb6db009e719b88bc86ea",
-        "dot": "a5c32b68f024846adc651471db15580dff21ae0bd9286e291ab34eff2fd25141",
+        "dot": "7198bb4152d3e2a95c7de04b5cbc97b627654f268882c7f5c3e22a426600c7e3",
         "bench-bits": "e4465bf3084f059fabd7b49640dd0a19f7a349a75f04d09283bf4b3cc270d664",
     },
     "narrow": {
         "sample": "cd4ace9f95f0019a3e1e2572fcc9468fec1ad4108108444277264bc66a0ba86a",
-        "dot": "5f0ea501ef8c6b63df087e69c29e7ac274b77799d37f24f5cc3b225532b110b1",
+        "dot": "5058681b57f354aa7be128f8f9577f6ee47c20b5b0faae2f96e02b5d7b8ffce2",
         "bench-bits": "5daabc8c775c00bf80ae7d2995c5c8554614fe5e8975a3d7bdf487d8317e9607",
     },
 }

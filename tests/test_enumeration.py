@@ -195,6 +195,12 @@ def test_polyseries_basics():
     assert (a * b).coeffs == (0, 1, 2, 3, 0)
     assert a.scaled(2).coeffs == (2, 4, 6, 0, 0)
     assert a.shifted(2).coeffs == (0, 0, 1, 2, 3)
+    assert a.shifted(0) == a
+    # Shifts at or past the truncation order leave z^trunc or nothing.
+    assert a.shifted(4).coeffs == (0, 0, 0, 0, 1)
+    assert PolySeries.of([1, 2, 3], 3).shifted(5) == PolySeries.of([], 3)
+    with pytest.raises(ValueError, match="shift must be nonnegative"):
+        a.shifted(-1)
     assert not a.is_zero()
     assert PolySeries.of([], 2).is_zero()
 

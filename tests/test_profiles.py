@@ -92,6 +92,17 @@ def test_parse_and_str():
     assert p.total_leaves == 6
 
 
+def test_levels_given_as_a_list_are_the_same_profile():
+    p = Profile([0, 2])
+    assert p.levels == (0, 2)
+    assert p == Profile((0, 2))
+    assert hash(p) == hash(Profile((0, 2)))
+    cherry = tree_core.Tree(bytes((tree_core.INTERNAL, tree_core.LEAF, tree_core.LEAF)), (1, -1, -1), (2, -1, -1), 0)
+    assert tree_core.profile(cherry) == Profile([0, 2])
+    with pytest.raises(ValueError, match="empty"):
+        Profile([])
+
+
 def test_internal_profile_examples():
     assert internal_profile(Profile((0, 1, 2))) == (1, 1)
     assert internal_profile(Profile((0, 0, 4))) == (1, 2)

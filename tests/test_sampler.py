@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from growingtrees import cli, profiles, sampler
 from growingtrees.oracle import all_binary_trees, trees_with_profile
-from growingtrees.profiles import Profile, _product_tree, base_tree, count_trees, level_choices
+from growingtrees.profiles import Profile, _product_tree, base_tree, count_trees, internal_profile, level_choices
 from growingtrees.sampler import (
     _MEMO_SLOTS,
     BitSource,
@@ -25,7 +25,7 @@ from growingtrees.sampler import (
     uniform_tree,
     unrank_merge,
 )
-from growingtrees.tree_core import profile, to_json
+from growingtrees.tree_core import INTERNAL, _in_level_order, profile, to_json
 from uniformity import chi_square
 
 
@@ -178,6 +178,33 @@ def test_unrank_merge_guards():
         unrank_merge(0, -1, 2)
 
 
+def _rank_word(word):
+    """The lex rank of a 0/1 word among the words of its length and ones:
+    the inverse of unrank_merge."""
+    rank, ones_left = 0, word.count(1)
+    for slot, letter in enumerate(word):
+        if ones_left == 0:
+            break
+        if letter:
+            ones_left -= 1
+        else:
+            rank += comb(len(word) - slot - 1, ones_left - 1)
+    return rank
+
+
+def _rank_tree(p, tree):
+    """The rank whose build is `tree`: each depth's word read off tree.nodes
+    (0 = internal, 1 = leaf), ranked, and the digits recombined, depth 1
+    most significant."""
+    assert _in_level_order(tree)
+    rank, start, width = 0, 1, 2
+    for base in level_choices(p)[:-1]:
+        word = [0 if kind == INTERNAL else 1 for kind in tree.nodes[start:start + width]]
+        rank = rank * base + _rank_word(word)
+        start, width = start + width, 2 * word.count(0)
+    return rank
+
+
 def test_build_is_a_bijection_from_ranks_to_trees():
     # The oracle's trees of n leaves grouped by profile: trees_with_profile
     # for every valid profile with n leaves at once.
@@ -185,16 +212,41 @@ def test_build_is_a_bijection_from_ranks_to_trees():
     for leaves in range(1, 11):
         by_profile = defaultdict(set)
         for tree in all_binary_trees(leaves):
-            by_profile[profile(tree)].add(to_json(tree))
+            by_profile[profile(tree)].add(tree)
         for p, support in by_profile.items():
             radix = base_tree(p)
             count = radix[-1][0]
             assert count == count_trees(p)
-            built = [to_json(_build(p, _mixed_radix(r, radix))[0]) for r in range(count)]
+            built = [_build(p, _mixed_radix(r, radix))[0] for r in range(count)]
             assert len(set(built)) == count, p
             assert set(built) == support, p
+            assert [_rank_tree(p, tree) for tree in built] == list(range(count)), p
             checked += 1
     assert checked == 116
+
+
+def test_words_read_off_built_trees_give_back_the_rank():
+    rng = random.Random(73)
+    both_sides = 0
+    for _ in range(100):
+        p = _random_split_profile(rng, rng.randint(2, 400))
+        radix = base_tree(p)
+        count = radix[-1][0]
+        for rank in (0, count - 1, rng.randrange(count)):
+            assert _rank_tree(p, _build(p, _mixed_radix(rank, radix))[0]) == rank
+        # Depth d's word has 2 * i_{d-1} slots.
+        widths = [2 * i for i in internal_profile(p)[:-1]]
+        both_sides += bool(widths) and min(widths) <= _MEMO_SLOTS < max(widths)
+    assert both_sides >= 50, both_sides
+
+
+def test_build_rejects_a_digit_list_of_another_length():
+    p = Profile((0, 1, 0, 2, 4))
+    digits = _mixed_radix(0, base_tree(p))
+    assert len(digits) == p.height - 1
+    for wrong in (digits[:-1], digits + [0]):
+        with pytest.raises(ValueError, match="zip"):
+            _build(p, wrong)
 
 
 def test_mixed_radix_rejects_ranks_out_of_range():

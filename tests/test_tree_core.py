@@ -328,7 +328,7 @@ def test_from_json_rejects_documents_nested_too_deeply():
 
 
 # ---------------------------------------------------------------------------
-# Level order: the numbering of every tree tree_core and the oracle build
+# Level order: the numbering of every tree the package builds
 # ---------------------------------------------------------------------------
 
 
@@ -360,13 +360,24 @@ def _renumbered(t, order):
     )
 
 
-def _right_to_left(t):
-    """t renumbered level by level, but each level right to left."""
+def _depths(t):
+    """The node ids of each depth, left to right, from the root down."""
     levels, level = [], [t.root]
     while level:
         levels.append(level)
         level = [c for i in level if t.left[i] >= 0 for c in (t.left[i], t.right[i])]
-    return _renumbered(t, [i for level in levels for i in reversed(level)])
+    return levels
+
+
+def _right_to_left(t):
+    """t renumbered level by level, but each level right to left."""
+    return _renumbered(t, [i for level in _depths(t) for i in reversed(level)])
+
+
+def _root_last(t):
+    """t renumbered bottom-up: the deepest level first, each level left to
+    right, the root last."""
+    return _renumbered(t, [i for level in reversed(_depths(t)) for i in level])
 
 
 def _replayed_json(t, choices):
@@ -415,16 +426,22 @@ def test_every_built_tree_is_level_ordered():
     for _ in range(12):
         t = grow_step(t, [rng.choice(list(GrowthChoice)) for _ in range(t.anchor_count - 1)] + [GrowthChoice.BRANCH])
         assert _is_level_ordered(t)
+    for seed, levels in enumerate([(1,), (0, 2), (0, 1, 1, 2), (0, 0, 3, 2), (0, 0, 2, 2, 4), (0, 1, 0, 3, 2)]):
+        src = BitSource(seed)
+        for _ in range(5):
+            sampled = sample_with_stats(Profile(levels), src)[0]
+            assert _is_level_ordered(sampled)
+            assert _is_level_ordered(unfreeze(sampled))
 
 
 def test_grow_step_relabels_other_numberings():
-    # A sampled tree is numbered in creation order (root last); unfreeze
-    # keeps that numbering. A right-to-left level numbering is a second
-    # layout that is not level order. Each grows like its level-ordered
-    # copy, and both take the choices left to right.
+    # Unfrozen samples numbered bottom-up with the root last, and a
+    # right-to-left level numbering, are two layouts that are not level
+    # order. Each grows like its level-ordered copy, and both take the
+    # choices left to right.
     rng = random.Random(5)
     grown = grow_history([_choices(s) for s in ("B", "BB", "BDDB", "DBBB")])
-    sampled = [unfreeze(sample_with_stats(Profile(levels), BitSource(seed))[0])
+    sampled = [_root_last(unfreeze(sample_with_stats(Profile(levels), BitSource(seed))[0]))
                for seed, levels in enumerate([(0, 1, 1, 2), (0, 0, 3, 2), (0, 0, 2, 2, 4), (0, 1, 0, 3, 2)])]
     for t in sampled + [_right_to_left(grown), _right_to_left(sampled[2])]:
         assert not _is_level_ordered(t)
