@@ -361,16 +361,22 @@ _PINNED_OUTPUTS = {
         "sample": "dbf614e91e6831bdb920ce42ae7463337c26619f9594a1a30fc13bc953b219c1",
         "dot": "9f5b2e2085d2a6d093ba29ce1c82ab2c7cfc1f2bad14766151fd1431cb0d848e",
         "bench-bits": "bc15cb863d30c6bd3ee763b411b442a3de8feb0c59ec6d2d0e20517f25ac545b",
+        "sample-1": "e3f888a0e6043f750a5680d96680a83758a9a20315930a28f4bd8d39ccfca068",
+        "dot-1": "a0bfc4d7914d6a395297b297531ed7fae3544ed9199485b0e669b49a5b5409f4",
     },
     "split": {
         "sample": "db5473d5e124bef8283a72513ff2df35e65a1947e41bb6db009e719b88bc86ea",
         "dot": "7198bb4152d3e2a95c7de04b5cbc97b627654f268882c7f5c3e22a426600c7e3",
         "bench-bits": "e4465bf3084f059fabd7b49640dd0a19f7a349a75f04d09283bf4b3cc270d664",
+        "sample-1": "6651e2a79f8a98a5002955753dfd4a19942d874ec3bc3872b6fbe9a60507b5de",
+        "dot-1": "e88cae2b1ba93bd02b1d9bc8b2c2dbbb486b20d7627144a691bd52b8c15f979a",
     },
     "narrow": {
         "sample": "cd4ace9f95f0019a3e1e2572fcc9468fec1ad4108108444277264bc66a0ba86a",
         "dot": "5058681b57f354aa7be128f8f9577f6ee47c20b5b0faae2f96e02b5d7b8ffce2",
         "bench-bits": "5daabc8c775c00bf80ae7d2995c5c8554614fe5e8975a3d7bdf487d8317e9607",
+        "sample-1": "6b15e3411b4673b3a2326b56aa891a271545dc0765d01acbfc829e28fd3d859d",
+        "dot-1": "344913adf818532929a5bf9dd23faa9e5a3619078c877dd519325c1f5383eaf8",
     },
 }
 
@@ -388,6 +394,8 @@ def test_seeded_output_bytes_are_pinned(capsys):
         "sample": ["sample", "--count", "3"],
         "dot": ["sample", "--count", "3", "--format", "dot"],
         "bench-bits": ["bench-bits", "--samples", "20"],
+        "sample-1": ["sample", "--count", "1"],
+        "dot-1": ["sample", "--count", "1", "--format", "dot"],
     }
     for name, text in texts.items():
         for command, argv in commands.items():
