@@ -11,7 +11,6 @@ then one row per anchor count 2k with blank cells for zeros.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import secrets
@@ -146,8 +145,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     p = profiles.Profile(args.profile)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
-    draws = sampler.samples(p, sampler.BitSource(seed))
-    for index, (tree, stats) in zip(range(args.count), draws):
+    draws = sampler.samples(p, sampler.BitSource(seed), args.count)
+    for index, (tree, stats) in enumerate(draws):
         if args.format == "dot":
             print(f"// seed={seed} index={index} "
                   f"bits_consumed={stats.bits_consumed} node_count={stats.node_count}")
@@ -225,11 +224,8 @@ def cmd_bench_bits(args: argparse.Namespace) -> int:
     # One product tree of the level bases serves the draws, the rank splits
     # and, through its root (the count), the entropy bound.
     tree = profiles.base_tree(p)
-    draws = sampler._samples(p, sampler.BitSource(seed), tree)
-    total_bits = 0
-    for _, stats in itertools.islice(draws, args.samples):
-        total_bits += stats.bits_consumed
-    mean_bits = total_bits / args.samples
+    draws = sampler.samples(p, sampler.BitSource(seed), args.samples, tree)
+    mean_bits = sum(stats.bits_consumed for _, stats in draws) / args.samples
     bound = sampler._log2(tree[-1][0])
     print(json.dumps({
         "profile": str(p),

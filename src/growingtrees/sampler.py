@@ -29,13 +29,17 @@ way the word is the same.
 Randomness flows through a BitSource, which hands out fair bits and counts
 every bit drawn. Uniform integers come from draw_below, a rejection sampler
 on the smallest binary range holding N that recycles the rejected remainder
-instead of discarding it, so a draw costs under log2(N) + 2 bits on average
-and a single-outcome draw costs none. One draw per tree keeps a sample
-within 2 bits of the log2(N) entropy floor at any height.
+instead of discarding it, so a draw costs under log2(N) + 2 bits on average,
+never less than log2(N), and a single-outcome draw costs none. A command
+that names its count of trees draws them in batches: g trees share one rank
+below N^g, split mixed-radix into g sample ranks, so a tree costs under
+log2(N) + 2/g bits. g grows until the batch rank reaches about 2^15 bits,
+which keeps its split cheap; one tree on its own is one draw below N.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections.abc import Iterator
@@ -45,7 +49,7 @@ from math import comb
 
 # is_valid is not called here (base_tree validates), but
 # benchmark/tracing.py wraps it under this module's name.
-from .profiles import Profile, base_tree, count_trees, exact_text, is_valid  # noqa: F401
+from .profiles import Profile, _product_tree, base_tree, count_trees, exact_text, is_valid  # noqa: F401
 from .tree_core import INTERNAL, LEAF, Tree
 
 
@@ -206,17 +210,19 @@ def _build(p: Profile, digits: list[int]) -> tuple[Tree, int]:
 
 
 def uniform_tree(p: Profile, src: BitSource) -> Tree:
-    """A uniformly random binary tree with profile p.
-
-    The profile is validated before any bits are drawn; the single-leaf
-    profile (1,) returns the one-node tree for free.
-    """
-    return sample_with_stats(p, src)[0]
+    """A uniformly random binary tree with profile p: the one tree of
+    samples(p, src, 1)."""
+    return next(samples(p, src, 1))[0]
 
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Per-sample accounting: source seed, profile, bits, sizes."""
+    """Per-sample accounting: source seed, profile, bits, sizes.
+
+    bits_consumed counts the bits drawn while producing this record: the
+    first record of a batch carries the batch's one draw and the others read
+    0, so the records of a stream sum to the bits its source gave out.
+    """
 
     seed: int
     profile: Profile
@@ -225,39 +231,68 @@ class SampleStats:
     steps: int
 
 
-def samples(p: Profile, src: BitSource) -> Iterator[tuple[Tree, SampleStats]]:
-    """Uniform trees with profile p drawn from src, each with its record,
-    for as long as the caller asks.
+# A batch of g > 1 trees draws one rank below N^g of at most this many bits.
+# Splitting it into g sample ranks takes time quadratic in its size under
+# schoolbook long division, so the cap bounds that cost per batch.
+_BATCH_BITS = 1 << 15
+
+
+def samples(p: Profile, src: BitSource, count: int | None = None,
+            tree: list[list[int]] | None = None) -> Iterator[tuple[Tree, SampleStats]]:
+    """Uniform, independent trees with profile p drawn from src, each with
+    its record: count of them, or as many as the caller asks for when count
+    is None.
 
     An invalid profile is rejected here, at the call, before any bit is
-    drawn, with count_trees's error; the product tree of the level bases is
-    built once and serves every sample: its root is the count to draw below,
-    and it splits each rank into the level digits.
+    drawn, with count_trees's error. The product tree of the level bases,
+    base_tree(p), is built once (a caller that already holds it passes it as
+    `tree`) and serves every sample: its root N is the count, and it splits
+    each sample rank into the level digits.
+
+    Without a count every tree draws its own rank below N. With one, the
+    trees are drawn in batches of g = min(trees left, _BATCH_BITS //
+    bit_length(N)) (at least 1): one rank below N^g, split by the product
+    tree of g copies of N into g sample ranks. One draw costs under
+    log2(N^g) + 2 bits on average, so a batch pays the draw's overhead once
+    for g trees; a batch of one is the same stream as no count.
     """
-    return _samples(p, src, base_tree(p))
+    if tree is None:
+        tree = base_tree(p)
+    n = tree[-1][0]
+    if count is None:
+        sizes = itertools.repeat(1)
+    else:
+        batch = max(1, _BATCH_BITS // n.bit_length())
+        sizes = (min(batch, count - done) for done in range(0, count, batch))
 
+    def stream() -> Iterator[tuple[Tree, SampleStats]]:
+        # Rebuilt when the batch size changes: at most twice, for the full
+        # batches and the short last one.
+        batch_tree = [[]]
+        for g in sizes:
+            if len(batch_tree[0]) != g:
+                batch_tree = _product_tree([n] * g)
+            before = src.bits_consumed
+            ranks = _mixed_radix(draw_below(src, batch_tree[-1][0]), batch_tree)
+            drawn = src.bits_consumed - before
+            for rank in ranks:
+                sample, steps = _build(p, _mixed_radix(rank, tree))
+                yield sample, SampleStats(
+                    seed=src.seed,
+                    profile=p,
+                    bits_consumed=drawn,
+                    node_count=len(sample.nodes),
+                    steps=steps,
+                )
+                drawn = 0
 
-def _samples(p: Profile, src: BitSource, tree: list[list[int]]) -> Iterator[tuple[Tree, SampleStats]]:
-    """samples(p, src) for a valid p whose base_tree(p) the caller already
-    holds."""
-    count = tree[-1][0]
-    while True:
-        before = src.bits_consumed
-        rank = draw_below(src, count)
-        sample, steps = _build(p, _mixed_radix(rank, tree))
-        yield sample, SampleStats(
-            seed=src.seed,
-            profile=p,
-            bits_consumed=src.bits_consumed - before,
-            node_count=len(sample.nodes),
-            steps=steps,
-        )
+    return stream()
 
 
 def sample_with_stats(p: Profile, src: BitSource) -> tuple[Tree, SampleStats]:
     """uniform_tree plus the bookkeeping record for this one sample. Each
     call pays the profile's setup; draw several trees through samples()."""
-    return next(samples(p, src))
+    return next(samples(p, src, 1))
 
 
 def entropy_bound(p: Profile) -> float:

@@ -419,13 +419,64 @@ def test_one_product_tree_per_sampling_command(monkeypatch, capsys):
         return _product_tree(factors)
 
     monkeypatch.setattr(profiles, "_product_tree", counted)
+    monkeypatch.setattr(sampler, "_product_tree", counted)
+    bases = level_choices(Profile((0, 0, 2, 4)))[-2::-1]
     for argv in (["sample", "--profile", "0,0,2,4", "--count", "3", "--seed", "1"],
                  ["sample", "--profile", "0,0,2,4", "--count", "3", "--seed", "1", "--format", "dot"],
                  ["bench-bits", "--profile", "0,0,2,4", "--samples", "3", "--seed", "1"]):
         built.clear()
         assert cli.run(argv) == 0
-        assert built == [level_choices(Profile((0, 0, 2, 4)))[-2::-1]]
+        # The level bases once; the other trees are batch trees over copies
+        # of the count.
+        assert built.count(bases) == 1
+        assert all(factors == [6] * len(factors) for factors in built if factors != bases)
     capsys.readouterr()
+
+
+def test_batch_ranks_split_one_to_one_into_sample_ranks():
+    split = _product_tree([6] * 3)
+    assert split[-1] == [216]
+    ranks = [tuple(_mixed_radix(r, split)) for r in range(216)]
+    assert sorted(ranks) == [(a, b, c) for a in range(6) for b in range(6) for c in range(6)]
+
+
+def test_batched_streams_stay_above_the_floor_and_account_every_bit(monkeypatch):
+    # Small caps make batches of a few trees, so counts cross the cap and end
+    # on a short last batch; the cap the package ships is in the mix too.
+    rng = random.Random(79)
+    cases = 0
+    for cap in (1 << 4, 1 << 6, 1 << 8, sampler._BATCH_BITS):
+        monkeypatch.setattr(sampler, "_BATCH_BITS", cap)
+        for _ in range(60):
+            p = _random_split_profile(rng, rng.randint(1, 60))
+            n = count_trees(p)
+            count = rng.randint(1, 40)
+            batch = max(1, cap // n.bit_length())
+            src = BitSource(rng.randrange(1 << 32))
+            records = [stats for _, stats in samples(p, src, count)]
+            assert len(records) == count
+            assert all(stats.profile == p for stats in records)
+            bits = [stats.bits_consumed for stats in records]
+            assert sum(bits) == src.bits_consumed
+            # Each batch's first record carries its one draw, of at least
+            # log2(N^g) bits: 2^bits >= N^count exactly, for every seed.
+            assert all(b == 0 for i, b in enumerate(bits) if i % batch)
+            assert 1 << src.bits_consumed >= n ** count
+            cases += 1
+    assert cases >= 200
+
+
+def test_uniformity_of_consecutive_pairs_within_a_batch():
+    p = Profile((0, 0, 2, 4))
+    support = sorted(to_json(t) for t in trees_with_profile(p))
+    index = {key: i for i, key in enumerate(support)}
+    pairs = 4000
+    # One batch of 2 * pairs trees: 6^8000 has 20,680 bits, under the cap.
+    trees = [index[to_json(tree)] for tree, _ in samples(p, BitSource(83), 2 * pairs)]
+    tally = [0] * 36
+    for first, second in zip(trees[::2], trees[1::2]):
+        tally[6 * first + second] += 1
+    assert chi_square(tally).passed
 
 
 def test_invalid_profile_rejected_before_bits_flow():
@@ -436,6 +487,8 @@ def test_invalid_profile_rejected_before_bits_flow():
         sample_with_stats(Profile((0, 1, 1)), src)
     with pytest.raises(ValueError, match="invalid profile"):
         samples(Profile((0, 1, 1)), src)
+    with pytest.raises(ValueError, match="invalid profile"):
+        samples(Profile((0, 1, 1)), src, 5)
     assert src.bits_consumed == 0
 
 
