@@ -177,10 +177,13 @@ def t_height_table(h: int, n_cap: int | None = None) -> CountTable:
     n_cap, when given, prunes cells with n > n_cap during the iteration; the
     transfer only ever increases n, so retained cells keep their exact
     values. Useful for marginal checks at heights whose full tables are
-    astronomically large.
+    astronomically large. Every table has its n = 1 cell, so n_cap is at
+    least 1.
     """
     if h < 1:
         raise ValueError("h must be at least 1")
+    if n_cap is not None and n_cap < 1:
+        raise ValueError(f"n_cap must be at least 1, got {n_cap}")
     current: dict[int, list[int]] = {1: [1]}
     for _ in range(h - 1):
         nxt: dict[int, list[int]] = {}
@@ -223,15 +226,17 @@ def catalan_column_check(table: CountTable) -> bool:
 class PolySeries:
     """Dense truncated power series with exact integer coefficients.
 
-    coeffs[i] is the coefficient of z^i; len(coeffs) == trunc + 1 always.
-    Arithmetic is exact modulo z^{trunc+1}; operands must share the same
-    truncation order.
+    coeffs[i] is the coefficient of z^i; len(coeffs) == trunc + 1 always,
+    and trunc >= 0. Arithmetic is exact modulo z^{trunc+1}; operands must
+    share the same truncation order.
     """
 
     coeffs: tuple[int, ...]
     trunc: int
 
     def __post_init__(self) -> None:
+        if self.trunc < 0:
+            raise ValueError(f"trunc must be nonnegative, got {self.trunc}")
         if len(self.coeffs) != self.trunc + 1:
             raise ValueError("coefficient list must have length trunc + 1")
 

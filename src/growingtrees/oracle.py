@@ -55,20 +55,10 @@ def _shapes(n_leaves: int) -> list:
 def _tree_of_shape(shape) -> Tree:
     """The flat tree of a nested-pair shape, numbered in level order."""
     queue = [shape]
-    kinds = bytearray()
-    left: list[int] = []
-    right: list[int] = []
     for s in queue:
-        if s is None:
-            kinds.append(LEAF)
-            left.append(-1)
-            right.append(-1)
-        else:
-            kinds.append(INTERNAL)
-            left.append(len(queue))
-            right.append(len(queue) + 1)
+        if s is not None:
             queue.extend(s)
-    return Tree(bytes(kinds), tuple(left), tuple(right), 0)
+    return Tree(bytes([LEAF if s is None else INTERNAL for s in queue]))
 
 
 def all_binary_trees(n_leaves: int) -> list[Tree]:

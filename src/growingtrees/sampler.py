@@ -177,18 +177,15 @@ def _mixed_radix(rank: int, tree: list[list[int]]) -> list[int]:
     return values[:len(tree[0])]
 
 
-def _build(p: Profile, digits: list[int]) -> tuple[Tree, int]:
-    """The tree of a valid profile p with its elementary-step count. `digits`
-    are its merge ranks, deepest level first: a rank's digits in the bases
-    level_choices(p)[-2::-1] (the deepest level's choice, binom(l_h, l_h) = 1,
-    has none). Distinct digits give distinct trees; a digit list of another
-    length raises ValueError.
+def _build(p: Profile, digits: list[int]) -> Tree:
+    """The tree of a valid profile p. `digits` are its merge ranks, deepest
+    level first: a rank's digits in the bases level_choices(p)[-2::-1] (the
+    deepest level's choice, binom(l_h, l_h) = 1, has none). Distinct digits
+    give distinct trees; a digit list of another length raises ValueError.
 
     The tree is written top-down in level order: the root, then the word of
-    each depth 1..h-1, then the l_h deepest leaves; the k-th internal node
-    gets the children 2k+1 and 2k+2. Steps: 1 per leaf, 2 per internal node
-    (one pointer hookup per child), counted off the arrays as nodes plus
-    internal nodes, so a tree with L leaves costs exactly 3L - 2.
+    each depth 1..h-1, then the l_h deepest leaves. That is its kind string,
+    the whole of a tree_core.Tree.
     """
     levels = p.levels
     words = [bytes((0,))] if p.height else []
@@ -203,10 +200,7 @@ def _build(p: Profile, digits: list[int]) -> tuple[Tree, int]:
     # A valid profile closes: the deepest row holds exactly the children of
     # the last internal nodes, so every child index 2k+2 is a node.
     assert n == 2 * inner + 1
-    odd, even = iter(range(1, n, 2)), iter(range(2, n, 2))
-    left = tuple([-1 if letter else next(odd) for letter in letters])
-    right = tuple([-1 if letter else next(even) for letter in letters])
-    return Tree(letters.translate(_KIND_OF_LETTER), left, right, 0), n + inner
+    return Tree(letters.translate(_KIND_OF_LETTER))
 
 
 def uniform_tree(p: Profile, src: BitSource) -> Tree:
@@ -222,6 +216,9 @@ class SampleStats:
     bits_consumed counts the bits drawn while producing this record: the
     first record of a batch carries the batch's one draw and the others read
     0, so the records of a stream sum to the bits its source gave out.
+    Every tree with L leaves has node_count = 2L - 1 nodes, and its build
+    costs steps = 3L - 2 elementary steps: 1 per leaf and 2 per internal
+    node (one hookup per child).
     """
 
     seed: int
@@ -259,6 +256,7 @@ def samples(p: Profile, src: BitSource, count: int | None = None,
     if tree is None:
         tree = base_tree(p)
     n = tree[-1][0]
+    node_count, steps = 2 * p.total_leaves - 1, 3 * p.total_leaves - 2
     if count is None:
         sizes = itertools.repeat(1)
     else:
@@ -276,12 +274,11 @@ def samples(p: Profile, src: BitSource, count: int | None = None,
             ranks = _mixed_radix(draw_below(src, batch_tree[-1][0]), batch_tree)
             drawn = src.bits_consumed - before
             for rank in ranks:
-                sample, steps = _build(p, _mixed_radix(rank, tree))
-                yield sample, SampleStats(
+                yield _build(p, _mixed_radix(rank, tree)), SampleStats(
                     seed=src.seed,
                     profile=p,
                     bits_consumed=drawn,
-                    node_count=len(sample.nodes),
+                    node_count=node_count,
                     steps=steps,
                 )
                 drawn = 0

@@ -17,14 +17,16 @@ m anchors and l dead leaves:
 Freezing a growing tree turns every anchor and dead leaf into an ordinary
 leaf and forgets the step counter; the result is a classical plane binary
 tree in which every internal node has exactly two children. Growing and
-frozen trees share one flat layout, `Tree`: a kind code per node and two
-child-index arrays, with the (left, right) order significant. Every tree
-the package builds, whether grown, parsed, sampled or enumerated by the
-oracle, numbers its nodes in level order: the root is node 0, then each
-depth from left to right. For a grown tree this is the order in which the
-process created its nodes, so the anchors are the last nodes and a growth
-step appends. Equal shapes with equal kinds compare equal. Every traversal is
-iterative, so depth is limited only by memory.
+frozen trees share one flat layout, `Tree`: the kind code of each node, in
+level order (the root is node 0, then each depth from left to right). That
+string is the whole shape: the k-th internal node (k from 0) has the left
+child 2k+1 and the right child 2k+2, so depth d + 1 holds two nodes per
+internal node of depth d, and a string is a tree exactly when it closes,
+its last node filling the last open child slot. For a grown tree level
+order is the order in which the process created its nodes, so the anchors
+are the last nodes and a growth step appends. Equal shapes with equal kinds
+compare equal. Every traversal is iterative, so depth is limited only by
+memory.
 
 Serialization formats:
   JSON  leaf = {"leaf": true}; internal = {"l": ..., "r": ...}. Growing-tree
@@ -43,7 +45,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import compress
+from itertools import accumulate
 
 from .profiles import Profile
 
@@ -66,17 +68,16 @@ INTERNAL, ANCHOR, DEAD_LEAF, LEAF = (int(k) for k in NodeKind)
 
 @dataclass(frozen=True, slots=True)
 class Tree:
-    """Immutable binary tree in flat form, growing or frozen.
+    """Immutable binary tree as its kind string, growing or frozen.
 
-    nodes[i] is the NodeKind code of node i; left[i] and right[i] are its
-    children, -1 for none. step is the growth-step counter of a growing tree
-    and None for a frozen tree, whose leaves are all LEAF.
+    nodes[i] is the NodeKind code of node i, in level order: the root is
+    node 0, then each depth from left to right. The k-th internal node, in
+    that order, has the children 2k+1 (left) and 2k+2 (right), so the kind
+    string alone fixes the shape. step is the growth-step counter of a
+    growing tree and None for a frozen tree, whose leaves are all LEAF.
     """
 
     nodes: bytes
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    root: int
     step: int | None = None
 
     @property
@@ -108,66 +109,51 @@ class TreeStats:
 
 def new_seed() -> Tree:
     """The starting state: a single anchor, zero steps applied."""
-    return Tree(bytes((ANCHOR,)), (-1,), (-1,), 0, 0)
+    return Tree(bytes((ANCHOR,)), 0)
 
 
-def _preorder(t: Tree) -> list[int]:
+# Translation table: INTERNAL -> 2, every other kind -> 0.
+_TWO_IF_INTERNAL = bytes.maketrans(bytes((INTERNAL, ANCHOR, DEAD_LEAF, LEAF)), bytes((2, 0, 0, 0)))
+
+
+def _right_children(nodes: bytes) -> list[int]:
+    """Entry i is the right child of node i when it is internal; the left
+    child is the node before that. The k-th internal node (k counted from 1)
+    has the children 2k - 1 and 2k, and 2k is the running sum of 2 per
+    internal node up to node i. Entries of leaves mean nothing."""
+    return list(accumulate(nodes.translate(_TWO_IF_INTERNAL)))
+
+
+def _depth_bounds(nodes: bytes) -> list[int]:
+    """Where each depth starts, from the root down, then where the tree ends.
+
+    Depth d + 1 holds the two children of each internal node of depth d, so
+    its size is twice the internal count of depth d's slice. The walk stops
+    at a depth with no internal node, or once the bounds pass the end of
+    nodes; so the kind string closes exactly when the last bound is
+    len(nodes).
+    """
+    bounds = [0, 1]
+    while bounds[-1] <= len(nodes):
+        below = 2 * nodes.count(INTERNAL, bounds[-2], bounds[-1])
+        if not below:
+            break
+        bounds.append(bounds[-1] + below)
+    return bounds
+
+
+def _preorder(nodes: bytes, right: list[int]) -> list[int]:
     """Node indices in document order: each node before its subtrees, the
     left subtree before the right."""
-    left, right = t.left, t.right
     order = []
-    stack = [t.root]
+    stack = [0]
     while stack:
         i = stack.pop()
         order.append(i)
-        if left[i] >= 0:
+        if nodes[i] == INTERNAL:
             stack.append(right[i])
-            stack.append(left[i])
+            stack.append(right[i] - 1)
     return order
-
-
-def _levels(t: Tree) -> list[list[int]]:
-    """The node ids of each depth, left to right, from the root down."""
-    left, right = t.left, t.right
-    levels = [[t.root]]
-    while True:
-        below = [c for i in levels[-1] if left[i] >= 0 for c in (left[i], right[i])]
-        if not below:
-            return levels
-        levels.append(below)
-
-
-# Translation table: INTERNAL -> 1, every other kind -> 0.
-_IS_INTERNAL = bytes.maketrans(bytes((INTERNAL, ANCHOR, DEAD_LEAF, LEAF)), bytes((1, 0, 0, 0)))
-
-
-def _in_level_order(t: Tree) -> bool:
-    """True iff t is numbered in level order: the root is 0 and the children
-    of the internal nodes, read in index order, are 1, 2, ..., n - 1."""
-    n = len(t.nodes)
-    internal = t.nodes.translate(_IS_INTERNAL)
-    return (
-        t.root == 0
-        and list(compress(t.left, internal)) == list(range(1, n, 2))
-        and list(compress(t.right, internal)) == list(range(2, n, 2))
-    )
-
-
-def _relabel(t: Tree) -> Tree:
-    """The same tree renumbered in level order."""
-    order = [i for level in _levels(t) for i in level]
-    new = [-1] * len(t.nodes)
-    for k, i in enumerate(order):
-        new[i] = k
-    new.append(-1)  # new[-1]: a missing child stays missing
-    left, right = t.left, t.right
-    return Tree(
-        bytes([t.nodes[i] for i in order]),
-        tuple([new[left[i]] for i in order]),
-        tuple([new[right[i]] for i in order]),
-        0,
-        t.step,
-    )
 
 
 def grow_step(t: Tree, choices: list[GrowthChoice] | tuple[GrowthChoice, ...]) -> Tree:
@@ -179,9 +165,8 @@ def grow_step(t: Tree, choices: list[GrowthChoice] | tuple[GrowthChoice, ...]) -
 
     In level order the anchors of a growing tree, which all sit on the
     deepest level, are its last m nodes, left to right, so the step keeps
-    the other nodes as they are and appends the fresh anchors. A tree
-    numbered otherwise is relabelled first. Anchors that are not the last
-    nodes in level order raise ValueError; the anchor depths are not
+    the other nodes as they are and appends the fresh anchors. Anchors that
+    are not the last nodes raise ValueError; the anchor depths are not
     checked further (validate_growing does that).
     """
     m = t.nodes.count(ANCHOR)
@@ -189,34 +174,20 @@ def grow_step(t: Tree, choices: list[GrowthChoice] | tuple[GrowthChoice, ...]) -
         raise ValueError("no anchors: the tree is inactive and cannot grow")
     if len(choices) != m:
         raise ValueError(f"choice arity: tree has {m} anchors, got {len(choices)} choices")
-    if not _in_level_order(t):
-        t = _relabel(t)
-    n = len(t.nodes)
-    kept = n - m
+    kept = len(t.nodes) - m
     if t.nodes.find(ANCHOR) != kept:
         raise ValueError("anchors are not the last nodes in level order: not a growing tree")
     kinds = bytearray()
-    left: list[int] = []
-    right: list[int] = []
-    fresh = n
     branch, die = GrowthChoice.BRANCH, GrowthChoice.DIE  # enum attribute lookups are slow
     for position, choice in enumerate(choices):
         if choice is branch:
             kinds.append(INTERNAL)
-            left.append(fresh)
-            right.append(fresh + 1)
-            fresh += 2
         elif choice is die:
             kinds.append(DEAD_LEAF)
-            left.append(-1)
-            right.append(-1)
         else:
             raise ValueError(f"choice {position}: {choice!r} is not a GrowthChoice")
-    born = fresh - n
-    kinds += bytes((ANCHOR,)) * born
-    left += (-1,) * born
-    right += (-1,) * born
-    return Tree(t.nodes[:kept] + kinds, t.left[:kept] + tuple(left), t.right[:kept] + tuple(right), 0, t.step + 1)
+    kinds += bytes((ANCHOR,)) * (2 * kinds.count(INTERNAL))
+    return Tree(t.nodes[:kept] + kinds, t.step + 1)
 
 
 def grow_history(choices_per_step: list[list[GrowthChoice]]) -> Tree:
@@ -234,58 +205,50 @@ def stats(t: Tree) -> TreeStats:
     """
     n = t.nodes.count(INTERNAL)
     m = t.nodes.count(ANCHOR)
-    return TreeStats(n=n, m=m, ell=len(t.nodes) - n - m, h=len(_levels(t)) - 1)
+    return TreeStats(n=n, m=m, ell=len(t.nodes) - n - m, h=len(_depth_bounds(t.nodes)) - 2)
 
 
 def validate_growing(t: Tree) -> None:
-    """Check the structural invariants, raising ValueError with a node index.
+    """Check that t is a state the growth process reaches, raising
+    ValueError with a node index or the depths at fault.
 
-    Verified: a growing tree (step set), child indices in range, internal
-    nodes have both children and leaves none, only growing-tree kinds, every
-    node reachable from the root exactly once, anchors all at depth equal to
-    the step counter, and an even anchor count for active trees past step 0.
+    Verified: a growing tree (step set) with a nonnegative step, only
+    growing-tree kinds, a kind string that closes (each node fills the next
+    open child slot, and the last node fills the last one), and the state
+    of the anchors. In an active tree the anchors are all at depth step,
+    there is an even number of them past step 0, and they are the whole of
+    that depth, its deepest. An inactive tree lost its last anchors at the
+    step after its height, so its step is its height plus one.
     """
-    size = len(t.nodes)
-    if t.step is None:
+    nodes, step = t.nodes, t.step
+    if step is None:
         raise ValueError("frozen tree: no growth state to validate")
-    if len(t.left) != size or len(t.right) != size:
-        raise ValueError("node, left and right arrays differ in length")
-    if not 0 <= t.root < size:
-        raise ValueError(f"root index {t.root} out of range")
-    if t.step < 0:
-        raise ValueError(f"negative step counter {t.step}")
-    seen = [False] * size
-    anchor_depths = set()
-    m = 0
-    stack = [(t.root, 0)]
-    while stack:
-        i, depth = stack.pop()
-        if not 0 <= i < size:
-            raise ValueError(f"node index {i} out of range")
-        if seen[i]:
-            raise ValueError(f"node {i}: visited twice, not a tree")
-        seen[i] = True
-        kind, left, right = t.nodes[i], t.left[i], t.right[i]
-        if kind == INTERNAL:
-            if left < 0 or right < 0:
-                raise ValueError(f"node {i}: internal node missing a child")
-            stack.append((left, depth + 1))
-            stack.append((right, depth + 1))
-        elif kind == ANCHOR or kind == DEAD_LEAF:
-            if left != -1 or right != -1:
-                raise ValueError(f"node {i}: leaf node with children")
-            if kind == ANCHOR:
-                m += 1
-                anchor_depths.add(depth)
-        else:
-            raise ValueError(f"node {i}: kind code {kind} is not a growing-tree kind")
-    if not all(seen):
-        unreachable = seen.index(False)
-        raise ValueError(f"node {unreachable}: unreachable from root")
-    if anchor_depths and anchor_depths != {t.step}:
-        raise ValueError(f"anchors at depths {sorted(anchor_depths)}, expected all at step {t.step}")
-    if t.step >= 1 and m % 2 != 0:
-        raise ValueError(f"odd anchor count {m} at step {t.step}")
+    if step < 0:
+        raise ValueError(f"negative step counter {step}")
+    if max(nodes, default=INTERNAL) > DEAD_LEAF:
+        i = next(i for i, kind in enumerate(nodes) if kind > DEAD_LEAF)
+        raise ValueError(f"node {i}: kind code {nodes[i]} is not a growing-tree kind")
+    bounds = _depth_bounds(nodes)
+    size, end = len(nodes), bounds[-1]
+    if end < size:
+        raise ValueError(f"node {end}: past the end of the tree, which closes at node {end - 1}")
+    if end > size:
+        raise ValueError(f"node {size}: missing, the kind string ends with child slots open")
+    m = nodes.count(ANCHOR)
+    height = len(bounds) - 2
+    if not m:
+        if step != height + 1:
+            raise ValueError(f"inactive tree of height {height} at step {step}: "
+                             f"its last anchors died at step {height + 1}")
+        return
+    depths = [d for d in range(height + 1) if nodes.find(ANCHOR, bounds[d], bounds[d + 1]) >= 0]
+    if depths != [step]:
+        raise ValueError(f"anchors at depths {depths}, expected all at step {step}")
+    if step >= 1 and m % 2 != 0:
+        raise ValueError(f"odd anchor count {m} at step {step}")
+    if m != bounds[step + 1] - bounds[step]:
+        i = next(i for i in range(bounds[step], bounds[step + 1]) if nodes[i] != ANCHOR)
+        raise ValueError(f"node {i}: {NodeKind(nodes[i]).name.lower()} at depth {step} beside the anchors")
 
 
 _FREEZE = bytes.maketrans(bytes((ANCHOR, DEAD_LEAF)), bytes((LEAF, LEAF)))
@@ -294,7 +257,7 @@ _UNFREEZE = bytes.maketrans(bytes((ANCHOR, LEAF)), bytes((DEAD_LEAF, DEAD_LEAF))
 
 def freeze(t: Tree) -> Tree:
     """Forget the growth state: anchors and dead leaves both become leaves."""
-    return Tree(t.nodes.translate(_FREEZE), t.left, t.right, t.root, None)
+    return Tree(t.nodes.translate(_FREEZE))
 
 
 def unfreeze(bt: Tree) -> Tree:
@@ -305,20 +268,20 @@ def unfreeze(bt: Tree) -> Tree:
     leaves become anchors, shallower leaves dead ones, and the step counter
     is the height. Inverse of freeze on active trees.
     """
-    levels = _levels(bt)
-    nodes = bytearray(bt.nodes.translate(_UNFREEZE))
-    for i in levels[-1]:
-        nodes[i] = ANCHOR
-    return Tree(bytes(nodes), bt.left, bt.right, bt.root, len(levels) - 1)
+    bounds = _depth_bounds(bt.nodes)
+    deepest = bounds[-2]
+    nodes = bt.nodes[:deepest].translate(_UNFREEZE) + bytes((ANCHOR,)) * (bounds[-1] - deepest)
+    return Tree(nodes, len(bounds) - 2)
 
 
 def profile(bt: Tree) -> Profile:
     """Leaf counts per depth; the deepest level of any binary tree holds leaves.
 
     Every internal node has two children, so the leaves at depth d number
-    len(level d) - len(level d + 1) / 2.
+    size_d - size_{d+1} / 2.
     """
-    sizes = [len(level) for level in _levels(bt)] + [0]
+    bounds = _depth_bounds(bt.nodes)
+    sizes = [b - a for a, b in zip(bounds, bounds[1:])] + [0]
     return Profile(tuple(size - below // 2 for size, below in zip(sizes, sizes[1:])))
 
 
@@ -336,9 +299,10 @@ _KIND_OF_NAME = {"internal": INTERNAL, "anchor": ANCHOR, "dead_leaf": DEAD_LEAF}
 def to_json(tree: Tree) -> str:
     """Compact JSON text of any depth; see the module docstring for the schema."""
     text = _JSON_FROZEN if tree.step is None else _JSON_GROWING
-    nodes, left, right = tree.nodes, tree.left, tree.right
+    nodes = tree.nodes
+    right = _right_children(nodes)
     out = []
-    stack: list[int | str] = [tree.root]
+    stack: list[int | str] = [0]
     while stack:
         i = stack.pop()
         if isinstance(i, str):
@@ -346,7 +310,7 @@ def to_json(tree: Tree) -> str:
             continue
         out.append(text[nodes[i]])
         if nodes[i] == INTERNAL:
-            stack += ("}", right[i], ',"r":', left[i])
+            stack += ("}", right[i], ',"r":', right[i] - 1)
     body = "".join(out)
     return body if tree.step is None else f'{{"step":{tree.step},"tree":{body}}}'
 
@@ -414,8 +378,6 @@ def _tree_from_obj(top: object, kind_of, step: int | None) -> Tree:
     """Number parsed nodes in level order, checking each as it is numbered."""
     queue = deque([top])  # parsed, not yet numbered; they take the next ids in order
     kinds = bytearray()
-    left: list[int] = []
-    right: list[int] = []
     while queue:
         obj = queue.popleft()
         index = len(kinds)
@@ -424,14 +386,8 @@ def _tree_from_obj(top: object, kind_of, step: int | None) -> Tree:
         kind = kind_of(obj, index)
         kinds.append(kind)
         if kind == INTERNAL:
-            child = index + 1 + len(queue)
-            left.append(child)
-            right.append(child + 1)
             queue += (obj["l"], obj["r"])
-        else:
-            left.append(-1)
-            right.append(-1)
-    return Tree(bytes(kinds), tuple(left), tuple(right), 0, step)
+    return Tree(bytes(kinds), step)
 
 
 _SQUARE = 'shape=square, style=filled, fillcolor=black, label="", width=0.18'
@@ -445,12 +401,14 @@ _DOT_STYLES = (  # indexed by kind code
 
 def to_dot(tree: Tree) -> str:
     """Graphviz digraph; node shapes encode the kinds (see module docstring)."""
-    order = _preorder(tree)
+    nodes = tree.nodes
+    right = _right_children(nodes)
+    order = _preorder(nodes, right)
     lines = ["digraph tree {", "  ordering=out;"]
-    lines += [f"  n{i} [{_DOT_STYLES[tree.nodes[i]]}];" for i in order]
+    lines += [f"  n{i} [{_DOT_STYLES[nodes[i]]}];" for i in order]
     for i in order:
-        if tree.left[i] >= 0:
-            lines.append(f"  n{i} -> n{tree.left[i]};")
-            lines.append(f"  n{i} -> n{tree.right[i]};")
+        if nodes[i] == INTERNAL:
+            lines.append(f"  n{i} -> n{right[i] - 1};")
+            lines.append(f"  n{i} -> n{right[i]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -38,19 +38,18 @@ def test_count_table_reproduction(criterion):
 
 def _replay_choices(bt):
     # The branching history of a shape is forced: at step j every depth
-    # j-1 node is replaced, internal nodes branch, leaves die.
+    # j-1 node is replaced, internal nodes branch, leaves die. bt.nodes
+    # lists the depths in turn, and depth j holds two nodes per internal
+    # node of depth j-1.
     levels = []
-    frontier = [bt.root]
-    while frontier:
-        levels.append(frontier)
-        nxt = []
-        for i in frontier:
-            if bt.nodes[i] == NodeKind.INTERNAL:
-                nxt.append(bt.left[i])
-                nxt.append(bt.right[i])
-        frontier = nxt
+    start, width = 0, 1
+    while width:
+        level = bt.nodes[start:start + width]
+        levels.append(level)
+        start, width = start + width, 2 * level.count(NodeKind.INTERNAL)
+    assert start == len(bt.nodes)
     return [
-        [GrowthChoice.BRANCH if bt.nodes[i] == NodeKind.INTERNAL else GrowthChoice.DIE for i in level]
+        [GrowthChoice.BRANCH if kind == NodeKind.INTERNAL else GrowthChoice.DIE for kind in level]
         for level in levels[:-1]
     ]
 

@@ -107,6 +107,16 @@ def test_height_table_cap_keeps_exact_cells():
     assert capped.entries == {c: v for c, v in full.entries.items() if c[0] <= 6}
 
 
+def test_height_table_rejects_caps_below_one():
+    # Every table holds an n >= 1 cell, so a cap below 1 would prune
+    # nothing at h = 1 and everything above it.
+    assert t_height_table(1, n_cap=1).entries == {(1, 1): 1}
+    for h in (1, 2):
+        for n_cap in (0, -3):
+            with pytest.raises(ValueError, match=f"n_cap must be at least 1, got {n_cap}"):
+                t_height_table(h, n_cap=n_cap)
+
+
 def test_height_marginals_sum_to_count_table():
     # Summing the fixed-height tables over all heights recovers the
     # all-heights table, column by column.
@@ -214,6 +224,17 @@ def test_polyseries_truncation_discipline():
         PolySeries.of([1], 2) + PolySeries.of([1], 3)
     with pytest.raises(ValueError, match="length trunc"):
         PolySeries((1, 2), 3)
+
+
+def test_polyseries_rejects_negative_truncation():
+    assert PolySeries.of([1, 5], 0).coeffs == (1,)
+    assert iterate_p(2, 0).coeffs == (1,)
+    with pytest.raises(ValueError, match="trunc must be nonnegative, got -1"):
+        PolySeries.of([1], -1)
+    with pytest.raises(ValueError, match="trunc must be nonnegative, got -1"):
+        iterate_p(2, -1)
+    with pytest.raises(ValueError, match="trunc must be nonnegative, got -2"):
+        PolySeries((), -2)
 
 
 def test_height_iterate_examples():

@@ -97,7 +97,7 @@ def test_levels_given_as_a_list_are_the_same_profile():
     assert p.levels == (0, 2)
     assert p == Profile((0, 2))
     assert hash(p) == hash(Profile((0, 2)))
-    cherry = tree_core.Tree(bytes((tree_core.INTERNAL, tree_core.LEAF, tree_core.LEAF)), (1, -1, -1), (2, -1, -1), 0)
+    cherry = tree_core.Tree(bytes((tree_core.INTERNAL, tree_core.LEAF, tree_core.LEAF)))
     assert tree_core.profile(cherry) == Profile([0, 2])
     with pytest.raises(ValueError, match="empty"):
         Profile([])

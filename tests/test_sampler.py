@@ -25,7 +25,7 @@ from growingtrees.sampler import (
     uniform_tree,
     unrank_merge,
 )
-from growingtrees.tree_core import INTERNAL, _in_level_order, profile, to_json
+from growingtrees.tree_core import INTERNAL, profile, to_json
 from uniformity import chi_square
 
 
@@ -196,7 +196,6 @@ def _rank_tree(p, tree):
     """The rank whose build is `tree`: each depth's word read off tree.nodes
     (0 = internal, 1 = leaf), ranked, and the digits recombined, depth 1
     most significant."""
-    assert _in_level_order(tree)
     rank, start, width = 0, 1, 2
     for base in level_choices(p)[:-1]:
         word = [0 if kind == INTERNAL else 1 for kind in tree.nodes[start:start + width]]
@@ -217,7 +216,7 @@ def test_build_is_a_bijection_from_ranks_to_trees():
             radix = base_tree(p)
             count = radix[-1][0]
             assert count == count_trees(p)
-            built = [_build(p, _mixed_radix(r, radix))[0] for r in range(count)]
+            built = [_build(p, _mixed_radix(r, radix)) for r in range(count)]
             assert len(set(built)) == count, p
             assert set(built) == support, p
             assert [_rank_tree(p, tree) for tree in built] == list(range(count)), p
@@ -233,7 +232,7 @@ def test_words_read_off_built_trees_give_back_the_rank():
         radix = base_tree(p)
         count = radix[-1][0]
         for rank in (0, count - 1, rng.randrange(count)):
-            assert _rank_tree(p, _build(p, _mixed_radix(rank, radix))[0]) == rank
+            assert _rank_tree(p, _build(p, _mixed_radix(rank, radix))) == rank
         # Depth d's word has 2 * i_{d-1} slots.
         widths = [2 * i for i in internal_profile(p)[:-1]]
         both_sides += bool(widths) and min(widths) <= _MEMO_SLOTS < max(widths)

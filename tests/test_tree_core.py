@@ -1,8 +1,10 @@
 """Growth process, invariants, freezing, and serialization of growing trees."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
+import re
 from collections import deque
 
 import pytest
@@ -74,11 +76,9 @@ def test_grow_step_errors():
     with pytest.raises(ValueError, match="tree has 1 anchors, got 2 choices"):
         grow_step(new_seed(), _choices("BB"))
     # Anchors at depths 1 and 2 with a deeper one last in level order: not a
-    # growing tree, numbered in level order and in postorder.
-    uneven = Tree(bytes((I, A, I, A, A)), (1, -1, 3, -1, -1), (2, -1, 4, -1, -1), root=0, step=2)
-    for t in (uneven, Tree(bytes((A, A, A, I, I)), (-1, -1, -1, 1, 0), (-1, -1, -1, 2, 3), root=4, step=2)):
-        with pytest.raises(ValueError, match="not the last nodes in level order"):
-            grow_step(t, _choices("BBB"))
+    # growing tree.
+    with pytest.raises(ValueError, match="not the last nodes in level order"):
+        grow_step(Tree(bytes((I, A, I, A, A)), step=2), _choices("BBB"))
 
 
 def test_grow_step_rejects_unknown_choices():
@@ -100,32 +100,53 @@ A, D, I = NodeKind.ANCHOR, NodeKind.DEAD_LEAF, NodeKind.INTERNAL
 
 
 def test_validate_rejects_odd_anchor_count():
-    bad = Tree(bytes((A, D, I)), (-1, -1, 0), (-1, -1, 1), root=2, step=1)
     with pytest.raises(ValueError, match="odd anchor count 1"):
-        validate_growing(bad)
+        validate_growing(Tree(bytes((I, A, D)), step=1))
 
 
-def test_validate_rejects_shared_child():
-    with pytest.raises(ValueError, match="visited twice"):
-        validate_growing(Tree(bytes((A, I)), (-1, 0), (-1, 0), root=1, step=1))
-
-
-def test_validate_rejects_malformed_nodes():
-    half = Tree(bytes((A, I)), (-1, 0), (-1, -1), root=1, step=1)
-    with pytest.raises(ValueError, match="missing a child"):
-        validate_growing(half)
-    leafy = Tree(bytes((D, A)), (-1, 0), (-1, -1), root=1, step=0)
-    with pytest.raises(ValueError, match="leaf node with children"):
-        validate_growing(leafy)
-
-
-def test_validate_rejects_unreachable_and_bad_root():
-    with pytest.raises(ValueError, match="unreachable"):
-        validate_growing(Tree(bytes((A, D)), (-1, -1), (-1, -1), root=0, step=0))
-    with pytest.raises(ValueError, match="root index"):
-        validate_growing(Tree(bytes((A, D)), (-1, -1), (-1, -1), root=5, step=0))
+def test_validate_rejects_kind_strings_that_do_not_close():
+    # Past the last open child slot, a node belongs to no tree; short of
+    # it, a child is missing.
+    with pytest.raises(ValueError, match="node 1: past the end of the tree, which closes at node 0"):
+        validate_growing(Tree(bytes((A, D)), step=0))
+    with pytest.raises(ValueError, match="node 3: past the end"):
+        validate_growing(Tree(bytes((I, A, A, D, D)), step=1))
+    with pytest.raises(ValueError, match="node 2: missing"):
+        validate_growing(Tree(bytes((I, A)), step=1))
+    with pytest.raises(ValueError, match="node 5: missing"):
+        validate_growing(Tree(bytes((I, I, I, A, A)), step=2))
+    with pytest.raises(ValueError, match="node 0: missing"):
+        validate_growing(Tree(b"", step=0))
+    with pytest.raises(ValueError, match="node 1: kind code 3 is not a growing-tree kind"):
+        validate_growing(Tree(bytes((I, NodeKind.LEAF, A)), step=1))
     with pytest.raises(ValueError, match="negative step"):
-        validate_growing(Tree(bytes((A,)), (-1,), (-1,), root=0, step=-1))
+        validate_growing(Tree(bytes((A,)), step=-1))
+    with pytest.raises(ValueError, match="frozen tree"):
+        validate_growing(freeze(new_seed()))
+
+
+def test_validate_rejects_states_growth_cannot_reach():
+    # Dead leaves beside the anchors on the anchor depth of an active tree:
+    # the step that made those anchors made their neighbours too.
+    with pytest.raises(ValueError, match="node 5: dead_leaf at depth 2 beside the anchors"):
+        validate_growing(Tree(bytes((I, I, I, A, A, D, D)), step=2))
+    with pytest.raises(ValueError, match="node 5: internal at depth 2 beside the anchors"):
+        validate_growing(Tree(bytes((I, I, I, A, A, I, D, D, D)), step=2))
+    # An inactive tree stops at the step its last anchors die: the step
+    # after its height.
+    with pytest.raises(ValueError, match="inactive tree of height 0 at step 5"):
+        validate_growing(Tree(bytes((D,)), step=5))
+    with pytest.raises(ValueError, match="inactive tree of height 0 at step 0"):
+        validate_growing(Tree(bytes((D,)), step=0))
+    with pytest.raises(ValueError, match="inactive tree of height 1 at step 1"):
+        validate_growing(Tree(bytes((I, D, D)), step=1))
+    validate_growing(Tree(bytes((D,)), step=1))
+    validate_growing(Tree(bytes((I, D, D)), step=2))
+    with pytest.raises(ValueError, match="node 5: dead_leaf at depth 2"):
+        from_json('{"step":2,"tree":{"kind":"internal","l":{"kind":"internal","l":{"kind":"anchor"},'
+                  '"r":{"kind":"anchor"}},"r":{"kind":"internal","l":{"kind":"dead_leaf"},"r":{"kind":"dead_leaf"}}}}')
+    with pytest.raises(ValueError, match="inactive tree of height 0 at step 5"):
+        from_json('{"step":5,"tree":{"kind":"dead_leaf"}}')
 
 
 def test_binary_json_roundtrip_exhaustive():
@@ -321,6 +342,26 @@ def test_deep_caterpillar_history():
     assert dot.count("shape=square") == h - 1
 
 
+def test_growth_writer_bytes_are_pinned():
+    # A seeded 40-step history (the last anchor always branches, so it stays
+    # active): 425 nodes with anchors and dead leaves. The digests pin the
+    # writers' bytes for a growing tree and for its frozen shape.
+    rng = random.Random(40)
+    t = new_seed()
+    for _ in range(40):
+        t = grow_step(t, [rng.choice((GrowthChoice.DIE, GrowthChoice.BRANCH)) for _ in range(t.anchor_count - 1)]
+                      + [GrowthChoice.BRANCH])
+    assert stats(t) == TreeStats(n=212, m=22, ell=191, h=40)
+    pinned = [
+        (to_json(t), "45f38e2d9ccd09208d2cb9dca1770fb45c957c627fe212a1e8d2945846a4a519"),
+        (to_dot(t), "99bf04a6718c5195cda8008441daa7f49a9576cd295ecd476516362fe89f2e78"),
+        (to_json(freeze(t)), "f9489bbf67b2c926c47a21f18465c257deb041454bf346864578ee3b67ab50eb"),
+        (to_dot(freeze(t)), "b52b153aac2cd6fe4bc5849041a5c409d64605a763d95b47891cf4c5dcc1c4ff"),
+    ]
+    for text, digest in pinned:
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, text[:60]
+
+
 def test_from_json_rejects_documents_nested_too_deeply():
     deep = '{"l":' * 5000 + '{"leaf":true},"r":{"leaf":true}}' + ',"r":{"leaf":true}}' * 4999
     with pytest.raises(ValueError, match="nested too deeply"):
@@ -328,68 +369,46 @@ def test_from_json_rejects_documents_nested_too_deeply():
 
 
 # ---------------------------------------------------------------------------
-# Level order: the numbering of every tree the package builds
+# Level order: a tree is its kind string
 # ---------------------------------------------------------------------------
 
 
-def _bfs(t):
-    """Node ids breadth-first from the root, left child before right."""
-    order, queue = [], deque([t.root])
-    while queue:
-        i = queue.popleft()
-        order.append(i)
-        if t.left[i] >= 0:
-            queue += (t.left[i], t.right[i])
-    return order
+def _closes(nodes):
+    """True iff nodes is a tree read in level order: each node fills the
+    oldest open child slot (an internal node opens two), and the last node
+    fills the last one."""
+    open_slots = 1
+    for i, kind in enumerate(nodes):
+        open_slots += 1 if kind == NodeKind.INTERNAL else -1
+        if open_slots == 0:
+            return i == len(nodes) - 1
+    return False
 
 
-def _is_level_ordered(t):
-    return _bfs(t) == list(range(len(t.nodes)))
+_NAMES = {NodeKind.INTERNAL: "internal", NodeKind.ANCHOR: "anchor", NodeKind.DEAD_LEAF: "dead_leaf"}
 
 
-def _renumbered(t, order):
-    """t with node order[k] renamed k."""
-    new = {old: k for k, old in enumerate(order)}
-    new[-1] = -1
-    return Tree(
-        bytes(t.nodes[i] for i in order),
-        tuple(new[t.left[i]] for i in order),
-        tuple(new[t.right[i]] for i in order),
-        new[t.root],
-        t.step,
-    )
-
-
-def _depths(t):
-    """The node ids of each depth, left to right, from the root down."""
-    levels, level = [], [t.root]
-    while level:
-        levels.append(level)
-        level = [c for i in level if t.left[i] >= 0 for c in (t.left[i], t.right[i])]
-    return levels
-
-
-def _right_to_left(t):
-    """t renumbered level by level, but each level right to left."""
-    return _renumbered(t, [i for level in _depths(t) for i in reversed(level)])
-
-
-def _root_last(t):
-    """t renumbered bottom-up: the deepest level first, each level left to
-    right, the root last."""
-    return _renumbered(t, [i for level in reversed(_depths(t)) for i in level])
+def _nested(t):
+    """t as nested [kind, left, right] lists, each node read off t.nodes into
+    the oldest open child slot."""
+    root = []
+    slots = deque([root])
+    for kind in t.nodes:
+        node = slots.popleft()
+        node.append(_NAMES[NodeKind(kind)])
+        if kind == NodeKind.INTERNAL:
+            node += ([], [])
+            slots += (node[1], node[2])
+    assert not slots
+    return root
 
 
 def _replayed_json(t, choices):
-    """to_json of grow_step(t, choices), replayed on nested lists: the tree
-    becomes [kind, left, right] lists, the anchors are found left to right
-    by a left-first walk and take the choices in that order."""
-    names = {NodeKind.INTERNAL: "internal", NodeKind.ANCHOR: "anchor", NodeKind.DEAD_LEAF: "dead_leaf"}
-    nested = {i: [names[NodeKind(k)]] for i, k in enumerate(t.nodes)}
-    for i, node in nested.items():
-        if t.left[i] >= 0:
-            node += (nested[t.left[i]], nested[t.right[i]])
-    anchors, stack = [], [nested[t.root]]
+    """to_json of grow_step(t, choices), replayed on nested lists: the
+    anchors are found left to right by a left-first walk and take the
+    choices in that order."""
+    top = _nested(t)
+    anchors, stack = [], [top]
     while stack:
         node = stack.pop()
         if node[0] == "anchor":
@@ -398,7 +417,7 @@ def _replayed_json(t, choices):
     assert len(anchors) == len(choices)
     for node, choice in zip(anchors, choices):
         node[:] = ["internal", ["anchor"], ["anchor"]] if choice is GrowthChoice.BRANCH else ["dead_leaf"]
-    parts, stack = [], [nested[t.root]]
+    parts, stack = [], [top]
     while stack:
         node = stack.pop()
         if isinstance(node, str):
@@ -412,52 +431,74 @@ def _replayed_json(t, choices):
 
 
 def test_every_built_tree_is_level_ordered():
-    assert _is_level_ordered(new_seed())
+    # Every tree the package builds is a kind string that closes.
+    assert _closes(new_seed().nodes)
     for t, _ in all_growth_histories(4):
-        assert _is_level_ordered(t)
-        assert _is_level_ordered(from_json(to_json(t)))
-        assert _is_level_ordered(from_json(to_json(freeze(t))))
+        assert _closes(t.nodes)
+        assert _closes(from_json(to_json(freeze(t))).nodes)
     for leaves in range(1, 9):
         for bt in all_binary_trees(leaves):
-            assert _is_level_ordered(bt)
-            assert _is_level_ordered(from_json(to_json(bt)))
+            assert _closes(bt.nodes)
     rng = random.Random(3)
     t = new_seed()
     for _ in range(12):
         t = grow_step(t, [rng.choice(list(GrowthChoice)) for _ in range(t.anchor_count - 1)] + [GrowthChoice.BRANCH])
-        assert _is_level_ordered(t)
+        assert _closes(t.nodes)
     for seed, levels in enumerate([(1,), (0, 2), (0, 1, 1, 2), (0, 0, 3, 2), (0, 0, 2, 2, 4), (0, 1, 0, 3, 2)]):
         src = BitSource(seed)
         for _ in range(5):
             sampled = sample_with_stats(Profile(levels), src)[0]
-            assert _is_level_ordered(sampled)
-            assert _is_level_ordered(unfreeze(sampled))
+            assert _closes(sampled.nodes)
+            assert _closes(unfreeze(sampled).nodes)
 
 
-def test_grow_step_relabels_other_numberings():
-    # Unfrozen samples numbered bottom-up with the root last, and a
-    # right-to-left level numbering, are two layouts that are not level
-    # order. Each grows like its level-ordered copy, and both take the
-    # choices left to right.
+def test_grow_step_matches_a_nested_replay():
+    # Growing grown and sampled (unfrozen) trees agrees with the same step
+    # replayed on nested lists, choices taken left to right.
     rng = random.Random(5)
     grown = grow_history([_choices(s) for s in ("B", "BB", "BDDB", "DBBB")])
-    sampled = [_root_last(unfreeze(sample_with_stats(Profile(levels), BitSource(seed))[0]))
+    sampled = [unfreeze(sample_with_stats(Profile(levels), BitSource(seed))[0])
                for seed, levels in enumerate([(0, 1, 1, 2), (0, 0, 3, 2), (0, 0, 2, 2, 4), (0, 1, 0, 3, 2)])]
-    for t in sampled + [_right_to_left(grown), _right_to_left(sampled[2])]:
-        assert not _is_level_ordered(t)
-        relabelled = _renumbered(t, _bfs(t))
-        assert _is_level_ordered(relabelled)
+    for t in sampled + [grown]:
         for _ in range(4):
             choices = [rng.choice(list(GrowthChoice)) for _ in range(t.anchor_count)]
             after = grow_step(t, choices)
-            assert after == grow_step(relabelled, choices)
-            assert _is_level_ordered(after)
             assert to_json(after) == _replayed_json(t, choices)
             validate_growing(after)
-    # On a level-ordered tree the replay agrees too.
-    for _ in range(4):
-        choices = [rng.choice(list(GrowthChoice)) for _ in range(grown.anchor_count)]
-        assert to_json(grow_step(grown, choices)) == _replayed_json(grown, choices)
+
+
+def test_kind_strings_against_the_oracle():
+    # A string over {INTERNAL, LEAF} is the kind string of a binary tree
+    # exactly when it closes, and every such tree round trips.
+    trees = {bt.nodes: bt for leaves in range(1, 7) for bt in all_binary_trees(leaves)}
+    assert len(trees) == sum(ref.CATALAN[n] for n in range(6))
+    closing = 0
+    for length in range(1, 12):
+        for nodes in itertools.product((NodeKind.INTERNAL, NodeKind.LEAF), repeat=length):
+            nodes = bytes(nodes)
+            assert (nodes in trees) == _closes(nodes)
+            closing += _closes(nodes)
+    assert closing == len(trees)
+    for bt in trees.values():
+        assert from_json(to_json(bt)) == bt
+    # validate_growing accepts a string over {INTERNAL, ANCHOR, DEAD_LEAF}
+    # with a step exactly when growth reaches that state; one that does not
+    # close is rejected with a node index.
+    reachable = {new_seed()} | {t for t, _ in all_growth_histories(5) if len(t.nodes) <= 7}
+    accepted = set()
+    for length in range(1, 8):
+        for nodes in itertools.product((I, A, D), repeat=length):
+            nodes = bytes(nodes)
+            for step in range(6):
+                t = Tree(nodes, step)
+                try:
+                    validate_growing(t)
+                except ValueError as exc:
+                    assert t not in reachable
+                    assert _closes(nodes) or re.match(r"node \d+: (past the end|missing)", str(exc))
+                else:
+                    accepted.add(t)
+    assert accepted == reachable
 
 
 def test_from_json_error_indices_count_in_level_order():
