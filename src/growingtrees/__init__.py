@@ -37,6 +37,7 @@ from .sampler import (
     SampleStats,
     draw_below,
     entropy_bound,
+    rank_tree,
     sample_with_stats,
     samples,
     unrank_merge,
@@ -115,6 +116,7 @@ __all__ = [
     "mandelbrot",
     "new_seed",
     "profile",
+    "rank_tree",
     "ruler",
     "s_area_formula",
     "s_domain",

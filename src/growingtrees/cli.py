@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
+import random
 import sys
 
 from . import enumeration, oracle, profiles, sampler, sequences, tree_core
@@ -44,6 +44,12 @@ def _positive_arg(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return value
+
+
+def _fresh_seed() -> int:
+    """63 bits from the operating system's generator: secrets.randbits,
+    without the hmac and hashlib imports that loading secrets costs."""
+    return random.SystemRandom().getrandbits(63)
 
 
 def _emit_cells(cells: "sequences.CellSet", fmt: str) -> None:
@@ -144,7 +150,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     p = profiles.Profile(args.profile)
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
+    seed = args.seed if args.seed is not None else _fresh_seed()
     draws = sampler.samples(p, sampler.BitSource(seed), args.count)
     for index, (tree, stats) in enumerate(draws):
         if args.format == "dot":
@@ -220,7 +226,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_bench_bits(args: argparse.Namespace) -> int:
     p = profiles.Profile(args.profile)
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
+    seed = args.seed if args.seed is not None else _fresh_seed()
     # One product tree of the level bases serves the draws, the rank splits
     # and, through its root (the count), the entropy bound.
     tree = profiles.base_tree(p)

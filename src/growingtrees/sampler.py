@@ -13,18 +13,24 @@ words, so the product of the word counts is the tree count N.
 
 A tree is therefore named by one rank r in [0, N). A sample draws r, splits
 it mixed-radix into one digit per level with that level's word count as the
-base (deepest level least significant), and builds the tree, unranking each
-digit into its level's word in combinadic order with a running binomial,
-so a slot costs one small multiply and one exact divide. Distinct ranks give
-distinct trees, so a uniform rank gives a uniform tree.
+base (deepest level least significant), and builds the tree by looking each
+digit up in its depth's row: the words of that depth, indexed by rank.
+Distinct ranks give distinct trees, so a uniform rank gives a uniform tree;
+rank_tree is the inverse.
 
 The setup belongs to the profile, not to the sample: samples(p, src)
-validates p and builds the product tree of its level bases once
-(profiles.base_tree). Its root is N, and every rank is split down the same
-tree, so a command that draws k trees of one profile pays for the profile
-once. Narrow levels keep asking for the same few words, so words of at most
-8 slots (510 in all) are memoized; wider words are unranked afresh. Either
-way the word is the same.
+validates p and builds, once, the product tree of its level bases
+(profiles.base_tree), whose root is N, and the rows of its depths. Every
+rank is split down the same product tree, one pass of divmod per tree
+level, and the build is one join of the rows' words, so a command that
+draws k trees of one profile pays for the profile once and a sample runs
+no Python loop per level. A row of at most 8 slots is a table of all its
+words in combinadic (lex) order, built on first use and shared by every
+profile (510 words in all). A wider row unranks its word when asked:
+in lex order with a running binomial up to 1,024 slots (unrank_merge), in
+split order above (_unrank_wide), where a word is cut in halves whose ranks
+are combined by blocks, so a wide level costs well under the O(W^2) bit
+operations of one running binomial across W slots.
 
 Randomness flows through a BitSource, which hands out fair bits and counts
 every bit drawn. Uniform integers come from draw_below, a rejection sampler
@@ -44,13 +50,14 @@ import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from math import comb
+from operator import getitem
 
 # is_valid is not called here (base_tree validates), but
 # benchmark/tracing.py wraps it under this module's name.
-from .profiles import Profile, _product_tree, base_tree, count_trees, exact_text, is_valid  # noqa: F401
-from .tree_core import INTERNAL, LEAF, Tree
+from .profiles import Profile, _comb, _product_tree, base_tree, count_trees, exact_text, is_valid, level_choices  # noqa: F401
+from .tree_core import ANCHOR, DEAD_LEAF, INTERNAL, LEAF, Tree, profile
 
 
 class BitSource:
@@ -134,22 +141,158 @@ def unrank_merge(rank: int, p: int, q: int) -> tuple[int, ...]:
     return tuple(word)
 
 
-# Every word of at most this many slots is memoized: 2 + 4 + ... + 2^8 = 510.
-_MEMO_SLOTS = 8
-
-
-@lru_cache(maxsize=1 << (_MEMO_SLOTS + 1))
-def _small_merge(rank: int, p: int, q: int) -> tuple[int, ...]:
-    """unrank_merge for words of at most _MEMO_SLOTS slots, memoized.
-
-    A miss calls unrank_merge, so the order and the errors are its own; an
-    error is raised, never cached.
-    """
-    return unrank_merge(rank, p, q)
-
+# Rows of at most this many slots are tables of all their words: 2 + 4 + ...
+# + 2^8 = 510 words at most, built on first use.
+_NARROW_SLOTS = 8
+# Words of more than this many slots are unranked by halves (_unrank_wide).
+_WIDE_SLOTS = 1024
 
 # Word letters to kind codes: 0 -> INTERNAL, 1 -> LEAF.
 _KIND_OF_LETTER = bytes.maketrans(bytes((0, 1)), bytes((INTERNAL, LEAF)))
+# Kind codes to word letters: INTERNAL -> 0, any leaf kind -> 1.
+_LETTER_OF_KIND = bytes.maketrans(bytes((INTERNAL, ANCHOR, DEAD_LEAF, LEAF)), bytes((0, 1, 1, 1)))
+
+
+def _blocks(w1: int, w2: int, q: int) -> Iterator[tuple[int, int, int]]:
+    """The blocks of the words of w1 + w2 slots with q ones, split after slot
+    w1, in split order: (j, size, right) for the words with j ones in the
+    left half, size = binom(w1, j) * binom(w2, q - j) of them and right =
+    binom(w2, q - j). The order runs from the mode of j outward: j0, j0 + 1,
+    j0 - 1, j0 + 2, ..., so a uniform rank meets its block after O(sqrt(w1 +
+    w2)) blocks on average. Each side steps its size and right by small
+    ratios: a multiply and an exact divide each."""
+    lo, hi = max(0, q - w2), min(q, w1)
+    j0 = (q + 1) * (w1 + 1) // (w1 + w2 + 2)  # the hypergeometric mode
+    right = _comb(w2, q - j0)
+    size = _comb(w1, j0) * right
+
+    def up(j: int, size: int, right: int) -> Iterator[tuple[int, int, int]]:
+        while j < hi:
+            a, b = w1 - j, q - j
+            j += 1
+            size = size * a * b // (j * (w2 - b + 1))
+            right = right * b // (w2 - b + 1)
+            yield j, size, right
+
+    def down(j: int, size: int, right: int) -> Iterator[tuple[int, int, int]]:
+        while j > lo:
+            a, b = j, w2 - q + j
+            j -= 1
+            size = size * a * b // ((w1 - j) * (q - j))
+            right = right * b // (q - j)
+            yield j, size, right
+
+    both = itertools.zip_longest(up(j0, size, right), down(j0, size, right))
+    return itertools.chain([(j0, size, right)], filter(None, itertools.chain.from_iterable(both)))
+
+
+def _unrank_wide(rank: int, p: int, q: int) -> bytes:
+    """The rank-th merge word of p zeros and q ones in split order, as 0/1
+    letters; rank runs over [0, binom(p+q, q)).
+
+    A word of at most _WIDE_SLOTS slots is unrank_merge's. A wider one is
+    split after its first w1 = (p+q) // 2 slots: its block (_blocks) fixes
+    the ones j in the left half, and within the block the rank is
+    left_rank * binom(w2, q - j) + right_rank, each half ranked in split
+    order again. The halves wait on an explicit stack. A split walks
+    O(sqrt(w)) blocks of w-bit steps and makes one divmod, against the w
+    steps of a running binomial across the whole word.
+    """
+    if rank < 0:
+        raise ValueError(f"rank {exact_text(rank)} out of range: negative")
+    letters = []
+    stack = [(rank, p, q)]
+    while stack:
+        rank, p, q = stack.pop()
+        w = p + q
+        if w <= _WIDE_SLOTS:
+            letters.append(bytes(unrank_merge(rank, p, q)))
+            continue
+        w1 = w // 2
+        for j, size, right in _blocks(w1, w - w1, q):
+            if rank < size:
+                break
+            rank -= size
+        else:
+            raise ValueError(f"rank out of range for binom({w},{q})")
+        left, rest = divmod(rank, right)
+        stack += ((rest, w - w1 - q + j, q - j), (left, w1 - j, j))
+    return b"".join(letters)
+
+
+def _rank_merge(word: bytes) -> int:
+    """The rank of a 0/1 word in unrank_merge's lex order: its inverse, with
+    the same running binomial."""
+    ones_left = word.count(1)
+    total = comb(len(word), ones_left)
+    rank = 0
+    for slots_left, letter in zip(range(len(word), 0, -1), word):
+        if ones_left == 0:
+            break
+        here = total * ones_left // slots_left
+        if letter:
+            ones_left -= 1
+            total = here
+        else:
+            rank += here
+            total -= here
+    return rank
+
+
+def _rank_wide(word: bytes) -> int:
+    """The rank of a 0/1 word in _unrank_wide's split order: its inverse.
+    The spans of the split are listed top-down, each before its halves, and
+    ranked bottom-up."""
+    spans = [(0, len(word))]
+    for a, b in spans:  # the loop reaches the halves it appends
+        if b - a > _WIDE_SLOTS:
+            spans += ((a, a + (b - a) // 2), (a + (b - a) // 2, b))
+    ranks = {}
+    for a, b in reversed(spans):
+        if b - a <= _WIDE_SLOTS:
+            ranks[a, b] = _rank_merge(word[a:b])
+            continue
+        m = a + (b - a) // 2
+        left_ones = word.count(1, a, m)
+        offset = 0
+        for j, size, right in _blocks(m - a, b - m, word.count(1, a, b)):
+            if j == left_ones:
+                break
+            offset += size
+        ranks[a, b] = offset + ranks[a, m] * right + ranks[m, b]
+    return ranks[0, len(word)]
+
+
+@cache
+def _narrow_row(p: int, q: int) -> tuple[bytes, ...]:
+    """Every merge word of p zeros and q ones as kind bytes, indexed by its
+    unrank_merge rank: the row of a depth of at most _NARROW_SLOTS slots."""
+    return tuple(bytes(unrank_merge(r, p, q)).translate(_KIND_OF_LETTER) for r in range(comb(p + q, q)))
+
+
+class _WideRow:
+    """The row of a depth of more than _NARROW_SLOTS slots: row[rank] is the
+    rank-th merge word of p zeros and q ones in split order, as kind bytes,
+    unranked when asked for. A rank out of range raises ValueError."""
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        self.p, self.q = p, q
+
+    def __getitem__(self, rank: int) -> bytes:
+        return _unrank_wide(rank, self.p, self.q).translate(_KIND_OF_LETTER)
+
+
+def _rows(p: Profile) -> list[tuple[bytes, ...] | _WideRow]:
+    """The rows of depths 1..h-1 of a valid profile p, top-down: depth i's
+    row holds its binom(2*i_{i-1}, l_i) words, indexed by digit."""
+    rows = []
+    internal = 1
+    for leaves in p.levels[1:-1]:
+        slots, internal = 2 * internal, 2 * internal - leaves
+        rows.append(_narrow_row(internal, leaves) if slots <= _NARROW_SLOTS else _WideRow(internal, leaves))
+    return rows
 
 
 def _mixed_radix(rank: int, tree: list[list[int]]) -> list[int]:
@@ -159,48 +302,70 @@ def _mixed_radix(rank: int, tree: list[list[int]]) -> list[int]:
     The rank is split top-down: a node's value is divided by the product of
     its lower half, the remainder going to that half and the quotient to the
     upper one, so every division is between numbers of comparable size and
-    none divides the whole rank by a small base.
+    none divides the whole rank by a small base. Each level of the tree is
+    one pass of divmod over its values.
     """
     if not 0 <= rank < tree[-1][0]:
         raise ValueError(f"rank out of range for {exact_text(tree[-1][0])} trees")
     values = [rank]
     for below in reversed(tree[:-1]):
-        split = []
-        for c, value in enumerate(values):
-            if 2 * c + 1 < len(below):
-                high, low = divmod(value, below[2 * c])
-                split += (low, high)
-            else:
-                split.append(value)
+        # Value c splits by below[2c]; an odd last value is carried as it is.
+        split = list(itertools.chain.from_iterable(map(divmod, values, below[:len(below) & ~1:2])))
+        split[::2], split[1::2] = split[1::2], split[::2]  # (high, low) -> (low, high)
+        if len(below) & 1:
+            split.append(values[-1])
         values = split
     # No bases: the root 1 stands above an empty level and yields no digit.
     return values[:len(tree[0])]
 
 
-def _build(p: Profile, digits: list[int]) -> Tree:
-    """The tree of a valid profile p. `digits` are its merge ranks, deepest
-    level first: a rank's digits in the bases level_choices(p)[-2::-1] (the
-    deepest level's choice, binom(l_h, l_h) = 1, has none). Distinct digits
-    give distinct trees; a digit list of another length raises ValueError.
+def _build(p: Profile, rows: list[tuple[bytes, ...] | _WideRow], digits: list[int]) -> Tree:
+    """The tree of a valid profile p with rows _rows(p). `digits` are its
+    merge ranks, deepest level first: a rank's digits in the bases
+    level_choices(p)[-2::-1] (the deepest level's choice, binom(l_h, l_h) =
+    1, has none). Distinct digits give distinct trees; a digit list of
+    another length, or a digit outside its row, raises ValueError.
 
     The tree is written top-down in level order: the root, then the word of
-    each depth 1..h-1, then the l_h deepest leaves. That is its kind string,
-    the whole of a tree_core.Tree.
+    each depth 1..h-1 looked up in its row, then the l_h deepest leaves.
+    That is its kind string, the whole of a tree_core.Tree.
     """
-    levels = p.levels
-    words = [bytes((0,))] if p.height else []
-    internal = 1
-    for leaves, digit in zip(levels[1:-1], reversed(digits), strict=True):
-        merge = _small_merge if 2 * internal <= _MEMO_SLOTS else unrank_merge
-        internal = 2 * internal - leaves
-        words.append(bytes(merge(digit, internal, leaves)))
-    words.append(bytes((1,)) * levels[-1])
-    letters = b"".join(words)
-    n, inner = len(letters), letters.count(0)
+    if len(digits) != len(rows):
+        raise ValueError(f"{len(digits)} digits for {len(rows)} merge levels")
+    # A negative index would read a narrow row from its end.
+    if min(digits, default=0) < 0:
+        raise ValueError(f"digit {min(digits)} out of range: negative")
+    root = bytes((INTERNAL,)) if p.height else b""
+    try:
+        nodes = b"".join(itertools.chain((root,), map(getitem, rows, reversed(digits)),
+                                         (bytes((LEAF,)) * p.levels[-1],)))
+    except IndexError:
+        raise ValueError("digit out of range: past the word count of its depth") from None
     # A valid profile closes: the deepest row holds exactly the children of
     # the last internal nodes, so every child index 2k+2 is a node.
-    assert n == 2 * inner + 1
-    return Tree(letters.translate(_KIND_OF_LETTER))
+    assert len(nodes) == 2 * nodes.count(INTERNAL) + 1
+    return Tree(nodes)
+
+
+def rank_tree(p: Profile, tree: Tree) -> int:
+    """The rank in [0, count_trees(p)) whose tree is `tree`: the inverse of
+    the sampler's map from ranks to trees with the valid profile p. A
+    growing tree is ranked by its shape; a tree of another profile raises
+    ValueError.
+
+    Depth i's word is the slice of tree.nodes after the rows above it, read
+    as 0 = internal and 1 = leaf, ranked in its row's order (lex up to
+    _WIDE_SLOTS slots, split order above), and the digits are combined
+    mixed-radix, depth 1 most significant.
+    """
+    if profile(tree) != p:
+        raise ValueError(f"tree of profile {profile(tree)}, not {p}")
+    rank, start, width = 0, 1, 2
+    for base in level_choices(p)[:-1]:
+        word = tree.nodes[start:start + width].translate(_LETTER_OF_KIND)
+        rank = rank * base + _rank_wide(word)
+        start, width = start + width, 2 * word.count(0)
+    return rank
 
 
 def uniform_tree(p: Profile, src: BitSource) -> Tree:
@@ -244,7 +409,8 @@ def samples(p: Profile, src: BitSource, count: int | None = None,
     drawn, with count_trees's error. The product tree of the level bases,
     base_tree(p), is built once (a caller that already holds it passes it as
     `tree`) and serves every sample: its root N is the count, and it splits
-    each sample rank into the level digits.
+    each sample rank into the level digits. The rows of the depths, _rows(p),
+    are built once too, and each sample's tree is one lookup per row.
 
     Without a count every tree draws its own rank below N. With one, the
     trees are drawn in batches of g = min(trees left, _BATCH_BITS //
@@ -255,6 +421,7 @@ def samples(p: Profile, src: BitSource, count: int | None = None,
     """
     if tree is None:
         tree = base_tree(p)
+    rows = _rows(p)
     n = tree[-1][0]
     node_count, steps = 2 * p.total_leaves - 1, 3 * p.total_leaves - 2
     if count is None:
@@ -274,7 +441,7 @@ def samples(p: Profile, src: BitSource, count: int | None = None,
             ranks = _mixed_radix(draw_below(src, batch_tree[-1][0]), batch_tree)
             drawn = src.bits_consumed - before
             for rank in ranks:
-                yield _build(p, _mixed_radix(rank, tree)), SampleStats(
+                yield _build(p, rows, _mixed_radix(rank, tree)), SampleStats(
                     seed=src.seed,
                     profile=p,
                     bits_consumed=drawn,

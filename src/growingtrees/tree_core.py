@@ -125,13 +125,14 @@ def _right_children(nodes: bytes) -> list[int]:
 
 
 def _depth_bounds(nodes: bytes) -> list[int]:
-    """Where each depth starts, from the root down, then where the tree ends.
+    """Where each depth starts, from the root down, then where the tree ends,
+    len(nodes); ValueError naming the node at fault when the kind string
+    does not close.
 
     Depth d + 1 holds the two children of each internal node of depth d, so
     its size is twice the internal count of depth d's slice. The walk stops
     at a depth with no internal node, or once the bounds pass the end of
-    nodes; so the kind string closes exactly when the last bound is
-    len(nodes).
+    nodes; the string closes exactly when the last bound is then len(nodes).
     """
     bounds = [0, 1]
     while bounds[-1] <= len(nodes):
@@ -139,6 +140,11 @@ def _depth_bounds(nodes: bytes) -> list[int]:
         if not below:
             break
         bounds.append(bounds[-1] + below)
+    size, end = len(nodes), bounds[-1]
+    if end < size:
+        raise ValueError(f"node {end}: past the end of the tree, which closes at node {end - 1}")
+    if end > size:
+        raise ValueError(f"node {size}: missing, the kind string ends with child slots open")
     return bounds
 
 
@@ -201,7 +207,8 @@ def grow_history(choices_per_step: list[list[GrowthChoice]]) -> Tree:
 def stats(t: Tree) -> TreeStats:
     """Node counts and height (edge distance from root to a deepest node).
 
-    A frozen tree has no anchors; its leaves count as ell.
+    A frozen tree has no anchors; its leaves count as ell. A kind string
+    that does not close raises ValueError.
     """
     n = t.nodes.count(INTERNAL)
     m = t.nodes.count(ANCHOR)
@@ -229,11 +236,6 @@ def validate_growing(t: Tree) -> None:
         i = next(i for i, kind in enumerate(nodes) if kind > DEAD_LEAF)
         raise ValueError(f"node {i}: kind code {nodes[i]} is not a growing-tree kind")
     bounds = _depth_bounds(nodes)
-    size, end = len(nodes), bounds[-1]
-    if end < size:
-        raise ValueError(f"node {end}: past the end of the tree, which closes at node {end - 1}")
-    if end > size:
-        raise ValueError(f"node {size}: missing, the kind string ends with child slots open")
     m = nodes.count(ANCHOR)
     height = len(bounds) - 2
     if not m:
@@ -266,7 +268,8 @@ def unfreeze(bt: Tree) -> Tree:
     In an active tree every deepest node is an anchor and every anchor is at
     the deepest level, so the growth state is forced by the shape: deepest
     leaves become anchors, shallower leaves dead ones, and the step counter
-    is the height. Inverse of freeze on active trees.
+    is the height. Inverse of freeze on active trees. A kind string that
+    does not close raises ValueError.
     """
     bounds = _depth_bounds(bt.nodes)
     deepest = bounds[-2]
@@ -278,7 +281,8 @@ def profile(bt: Tree) -> Profile:
     """Leaf counts per depth; the deepest level of any binary tree holds leaves.
 
     Every internal node has two children, so the leaves at depth d number
-    size_d - size_{d+1} / 2.
+    size_d - size_{d+1} / 2. A kind string that does not close raises
+    ValueError.
     """
     bounds = _depth_bounds(bt.nodes)
     sizes = [b - a for a, b in zip(bounds, bounds[1:])] + [0]

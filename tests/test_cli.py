@@ -14,6 +14,7 @@ import pytest
 
 import growingtrees
 import reference_data as ref
+from growingtrees import profiles, sampler
 from growingtrees.cli import run
 from growingtrees.tree_core import from_json, profile, to_json
 from growingtrees.profiles import Profile
@@ -404,3 +405,24 @@ def test_seeded_output_bytes_are_pinned(capsys):
             assert run(argv + ["--seed", "11", "--profile", text]) == 0
             digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
             assert digest == _PINNED_OUTPUTS[name][command], (name, command)
+
+
+def test_seeded_output_past_the_wide_cutoff_is_pinned(capsys):
+    # Five rows of this profile are wider than _WIDE_SLOTS, so the digest
+    # pins the split order of _unrank_wide as well as the tree.
+    text = _random_split_profile(7, 6000)
+    p = Profile(tuple(map(int, text.split(","))))
+    assert sum(2 * i > sampler._WIDE_SLOTS for i in profiles.internal_profile(p)) == 5
+    assert run(["sample", "--count", "1", "--seed", "11", "--profile", text]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "20d2e64392e1eeb86a30374a496a79a3c9469eb1a5c9273c97659d52c41d27c9"
+
+
+def test_import_leaves_secrets_and_hashlib_unloaded():
+    # The default seed comes from random.SystemRandom, not from secrets,
+    # whose import loads hmac and hashlib.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import growingtrees.cli; "
+            "print(sorted({'secrets', 'hashlib', '_hashlib', 'hmac'} & set(sys.modules)))")
+    src = str(Path(growingtrees.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

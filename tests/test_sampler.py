@@ -3,6 +3,7 @@
 import math
 import random
 from collections import defaultdict
+from fractions import Fraction
 from math import comb, prod
 
 import pytest
@@ -10,22 +11,27 @@ from hypothesis import example, given, strategies as st
 
 from growingtrees import cli, profiles, sampler
 from growingtrees.oracle import all_binary_trees, trees_with_profile
-from growingtrees.profiles import Profile, _product_tree, base_tree, count_trees, internal_profile, level_choices
+from growingtrees.profiles import Profile, _comb, _product_tree, base_tree, count_trees, internal_profile, level_choices
 from growingtrees.sampler import (
-    _MEMO_SLOTS,
+    _NARROW_SLOTS,
+    _WIDE_SLOTS,
     BitSource,
     SampleStats,
     _build,
     _mixed_radix,
-    _small_merge,
+    _narrow_row,
+    _rank_wide,
+    _rows,
+    _unrank_wide,
     draw_below,
     entropy_bound,
+    rank_tree,
     sample_with_stats,
     samples,
     uniform_tree,
     unrank_merge,
 )
-from growingtrees.tree_core import INTERNAL, profile, to_json
+from growingtrees.tree_core import INTERNAL, LEAF, Tree, profile, to_json
 from uniformity import chi_square
 
 
@@ -213,13 +219,14 @@ def test_build_is_a_bijection_from_ranks_to_trees():
         for tree in all_binary_trees(leaves):
             by_profile[profile(tree)].add(tree)
         for p, support in by_profile.items():
-            radix = base_tree(p)
+            radix, rows = base_tree(p), _rows(p)
             count = radix[-1][0]
             assert count == count_trees(p)
-            built = [_build(p, _mixed_radix(r, radix)) for r in range(count)]
+            built = [_build(p, rows, _mixed_radix(r, radix)) for r in range(count)]
             assert len(set(built)) == count, p
             assert set(built) == support, p
             assert [_rank_tree(p, tree) for tree in built] == list(range(count)), p
+            assert [rank_tree(p, tree) for tree in built] == list(range(count)), p
             checked += 1
     assert checked == 116
 
@@ -229,13 +236,15 @@ def test_words_read_off_built_trees_give_back_the_rank():
     both_sides = 0
     for _ in range(100):
         p = _random_split_profile(rng, rng.randint(2, 400))
-        radix = base_tree(p)
+        radix, rows = base_tree(p), _rows(p)
         count = radix[-1][0]
         for rank in (0, count - 1, rng.randrange(count)):
-            assert _rank_tree(p, _build(p, _mixed_radix(rank, radix))) == rank
+            tree = _build(p, rows, _mixed_radix(rank, radix))
+            assert _rank_tree(p, tree) == rank
+            assert rank_tree(p, tree) == rank
         # Depth d's word has 2 * i_{d-1} slots.
         widths = [2 * i for i in internal_profile(p)[:-1]]
-        both_sides += bool(widths) and min(widths) <= _MEMO_SLOTS < max(widths)
+        both_sides += bool(widths) and min(widths) <= _NARROW_SLOTS < max(widths)
     assert both_sides >= 50, both_sides
 
 
@@ -244,8 +253,8 @@ def test_build_rejects_a_digit_list_of_another_length():
     digits = _mixed_radix(0, base_tree(p))
     assert len(digits) == p.height - 1
     for wrong in (digits[:-1], digits + [0]):
-        with pytest.raises(ValueError, match="zip"):
-            _build(p, wrong)
+        with pytest.raises(ValueError, match="digits for 3 merge levels"):
+            _build(p, _rows(p), wrong)
 
 
 def test_mixed_radix_rejects_ranks_out_of_range():
@@ -305,18 +314,95 @@ def test_mixed_radix_on_long_random_ranks():
             assert _mixed_radix(rank, tree) == _digits_one_by_one(rank, bases)
 
 
-def test_memoized_words_are_unrank_merge():
+def test_narrow_rows_are_unrank_merge():
     words = 0
-    for slots in range(1, _MEMO_SLOTS + 1):
+    for slots in range(_NARROW_SLOTS + 1):
         for q in range(slots + 1):
-            for rank in range(comb(slots, q)):
-                assert _small_merge(rank, slots - q, q) == unrank_merge(rank, slots - q, q)
-                words += 1
-    assert words == 510
-    # Errors pass through unchanged and are not remembered as results.
-    for _ in range(2):
-        with pytest.raises(ValueError, match=r"rank 6 out of range for binom\(4,2\) = 6"):
-            _small_merge(6, 2, 2)
+            row = _narrow_row(slots - q, q)
+            letters = [bytes(unrank_merge(r, slots - q, q)) for r in range(comb(slots, q))]
+            assert row == tuple(word.replace(b"\0", bytes((INTERNAL,))).replace(b"\1", bytes((LEAF,)))
+                                for word in letters)
+            words += len(row)
+    assert words == 2 ** (_NARROW_SLOTS + 1) - 1
+    # A row is built once, on first use.
+    assert _narrow_row(3, 1) is _narrow_row(3, 1)
+
+
+def test_build_rejects_digits_outside_their_row():
+    # Depth 1 of this profile has a narrow row (2 slots, 2 words); depth 12
+    # has a wide one (2048 slots, binom(2048, 1000) words).
+    p = Profile((0, 1) + (0,) * 10 + (1000, 2 * 1048))
+    rows = _rows(p)
+    assert len(rows[0]) == 2 and rows[-1].p + rows[-1].q == 2048 > _WIDE_SLOTS
+    base = comb(2048, 1000)
+    assert base_tree(p)[0][0] == base
+    for row, wrong in ((0, -1), (0, 2), (-1, -1), (-1, base)):
+        digits = [0] * len(rows)
+        digits[-1 - row] = wrong  # digits run deepest level first
+        with pytest.raises(ValueError, match="out of range"):
+            _build(p, rows, digits)
+
+
+def test_split_order_is_a_bijection(monkeypatch):
+    # With the cutoff lowered to 4, words of up to 16 slots split up to twice.
+    cutoff = 4
+    monkeypatch.setattr(sampler, "_WIDE_SLOTS", cutoff)
+    for p in range(9):
+        for q in range(9):
+            total = comb(p + q, q)
+            words = [_unrank_wide(r, p, q) for r in range(total)]
+            assert len(set(words)) == total, (p, q)
+            assert all(len(word) == p + q and word.count(1) == q for word in words)
+            if p + q <= cutoff:
+                assert words == [bytes(unrank_merge(r, p, q)) for r in range(total)]
+            assert [_rank_wide(word) for word in words] == list(range(total)), (p, q)
+            for rank in (-1, total):
+                with pytest.raises(ValueError, match="out of range"):
+                    _unrank_wide(rank, p, q)
+
+
+def test_rank_tree_inverts_wide_rows():
+    rng = random.Random(89)
+    profiles_seen = [
+        Profile((0,) * 11 + (1000, 2 * 1048)),  # one 2048-slot row
+        _random_split_profile(rng, 6000),
+    ]
+    for p in profiles_seen:
+        assert max(2 * i for i in internal_profile(p)) > _WIDE_SLOTS
+        radix, rows = base_tree(p), _rows(p)
+        count = radix[-1][0]
+        for rank in (0, count - 1, rng.randrange(count), rng.randrange(count)):
+            tree = _build(p, rows, _mixed_radix(rank, radix))
+            assert profile(tree) == p
+            assert rank_tree(p, tree) == rank
+
+
+def test_rank_tree_inverts_every_split_level(monkeypatch):
+    # A low cutoff (still above the narrow rows, which are always in lex
+    # order) sends the wider rows of these profiles through several splits.
+    monkeypatch.setattr(sampler, "_WIDE_SLOTS", 10)
+    rng = random.Random(97)
+    for _ in range(30):
+        p = _random_split_profile(rng, rng.randint(2, 120))
+        radix, rows = base_tree(p), _rows(p)
+        count = radix[-1][0]
+        for rank in (0, count - 1, rng.randrange(count)):
+            assert rank_tree(p, _build(p, rows, _mixed_radix(rank, radix))) == rank
+
+
+def test_rank_tree_rejects_another_profile():
+    tree = uniform_tree(Profile((0, 0, 2, 4)), BitSource(3))
+    with pytest.raises(ValueError, match="tree of profile 0,0,2,4, not 0,1,2"):
+        rank_tree(Profile((0, 1, 2)), tree)
+    with pytest.raises(ValueError, match="missing"):
+        rank_tree(Profile((0, 2)), Tree(bytes((INTERNAL, LEAF))))
+
+
+@given(st.integers(0, 12_000), st.fractions(0, 1))
+@example(8000, Fraction(1, 2)).via("past the cutoff on both sides of k")
+def test_comb_is_math_comb(n, share):
+    k = round(n * share)
+    assert _comb(n, k) == comb(n, k)
 
 
 def _narrow_profile(rng, height):
@@ -344,12 +430,12 @@ def test_samples_match_repeated_sample_with_stats():
     rng = random.Random(61)
     narrow = _narrow_profile(rng, 120)
     wide = _random_split_profile(rng, 60)
-    # The random-split profile has levels on both sides of the memo cutoff.
+    # The random-split profile has levels on both sides of the narrow cutoff.
     internals, widths = 1, []
     for l in wide.levels[1:]:
         widths.append(2 * internals)
         internals = 2 * internals - l
-    assert min(widths) <= _MEMO_SLOTS < max(widths)
+    assert min(widths) <= _NARROW_SLOTS < max(widths)
     for p in (narrow, wide):
         draws = samples(p, BitSource(67))
         one_by_one = BitSource(67)

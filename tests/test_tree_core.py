@@ -125,6 +125,16 @@ def test_validate_rejects_kind_strings_that_do_not_close():
         validate_growing(freeze(new_seed()))
 
 
+def test_readers_reject_frozen_kind_strings_that_do_not_close():
+    # A string that is no tree used to read as one: profile (0, 2), h = 1.
+    leaf = NodeKind.LEAF
+    for reader in (profile, stats, unfreeze):
+        with pytest.raises(ValueError, match="node 2: missing, the kind string ends with child slots open"):
+            reader(Tree(bytes((I, leaf))))
+        with pytest.raises(ValueError, match="node 3: past the end of the tree, which closes at node 2"):
+            reader(Tree(bytes((I, leaf, leaf, leaf))))
+
+
 def test_validate_rejects_states_growth_cannot_reach():
     # Dead leaves beside the anchors on the anchor depth of an active tree:
     # the step that made those anchors made their neighbours too.
