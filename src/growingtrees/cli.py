@@ -11,6 +11,7 @@ then one row per anchor count 2k with blank cells for zeros.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -358,11 +359,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` uses. Building one costs about 2 ms (each
+    add_argument formats a usage line), and parse_args leaves the parser as
+    it was, so one serves every call in the process."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    """Parse and execute; returns the process exit code without exiting."""
-    parser = build_parser()
+    """Parse and execute; returns the process exit code without exiting.
+
+    The parser is built on the first call and reused by every later one, so
+    an in-process caller pays only for its command; the output and the exit
+    code are those of a freshly built parser.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -142,23 +142,39 @@ def _depth_bounds(nodes: bytes) -> list[int]:
         bounds.append(bounds[-1] + below)
     size, end = len(nodes), bounds[-1]
     if end < size:
-        raise ValueError(f"node {end}: past the end of the tree, which closes at node {end - 1}")
+        raise _past_the_end(end)
     if end > size:
-        raise ValueError(f"node {size}: missing, the kind string ends with child slots open")
+        raise _open_slots(size)
     return bounds
+
+
+def _past_the_end(end: int) -> ValueError:
+    return ValueError(f"node {end}: past the end of the tree, which closes at node {end - 1}")
+
+
+def _open_slots(size: int) -> ValueError:
+    return ValueError(f"node {size}: missing, the kind string ends with child slots open")
 
 
 def _preorder(nodes: bytes, right: list[int]) -> list[int]:
     """Node indices in document order: each node before its subtrees, the
-    left subtree before the right."""
+    left subtree before the right. A kind string that does not close raises
+    _depth_bounds's ValueError: the walk from the root reads past the end
+    of nodes when child slots stay open, and otherwise visits exactly the
+    nodes before the point where the tree closes."""
     order = []
     stack = [0]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        if nodes[i] == INTERNAL:
-            stack.append(right[i])
-            stack.append(right[i] - 1)
+    try:
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            if nodes[i] == INTERNAL:
+                stack.append(right[i])
+                stack.append(right[i] - 1)
+    except IndexError:
+        raise _open_slots(len(nodes)) from None
+    if len(order) != len(nodes):
+        raise _past_the_end(len(order))
     return order
 
 
@@ -301,20 +317,31 @@ _KIND_OF_NAME = {"internal": INTERNAL, "anchor": ANCHOR, "dead_leaf": DEAD_LEAF}
 
 
 def to_json(tree: Tree) -> str:
-    """Compact JSON text of any depth; see the module docstring for the schema."""
+    """Compact JSON text of any depth; see the module docstring for the
+    schema. A kind string that does not close raises ValueError (see
+    _preorder)."""
     text = _JSON_FROZEN if tree.step is None else _JSON_GROWING
     nodes = tree.nodes
     right = _right_children(nodes)
     out = []
     stack: list[int | str] = [0]
-    while stack:
-        i = stack.pop()
-        if isinstance(i, str):
-            out.append(i)
-            continue
-        out.append(text[nodes[i]])
-        if nodes[i] == INTERNAL:
-            stack += ("}", right[i], ',"r":', right[i] - 1)
+    try:
+        while stack:
+            i = stack.pop()
+            if isinstance(i, str):
+                out.append(i)
+                continue
+            out.append(text[nodes[i]])
+            if nodes[i] == INTERNAL:
+                stack += ("}", right[i], ',"r":', right[i] - 1)
+    except IndexError:
+        if i < len(nodes):  # a kind code past the table, not a missing node
+            raise
+        raise _open_slots(len(nodes)) from None
+    # out holds one piece per visited node and two more per internal one,
+    # so 2v - 1 pieces for the v nodes of a closed walk.
+    if len(out) != 2 * len(nodes) - 1:
+        raise _past_the_end((len(out) + 1) // 2)
     body = "".join(out)
     return body if tree.step is None else f'{{"step":{tree.step},"tree":{body}}}'
 
@@ -325,9 +352,10 @@ def from_json(text: str) -> Tree:
     Binary trees are bare node objects; growing trees are wrapped as
     {"step": s, "tree": node}. Node indices in error messages count nodes in
     level order (the root, then each depth from left to right), which is
-    also each node's index in the returned Tree. Documents nested deeper
-    than the json parser's limit (about 1,000 levels) raise ValueError,
-    although to_json writes them.
+    also each node's index in the returned Tree. A key repeated within an
+    object raises ValueError. Documents nested deeper than the json
+    parser's limit (about 1,000 levels) raise ValueError, although to_json
+    writes them.
     """
     try:
         doc = json.loads(text)
@@ -338,16 +366,27 @@ def from_json(text: str) -> Tree:
     if not isinstance(doc, dict):
         raise ValueError("malformed tree document: top level must be an object")
     if "step" not in doc:
-        return _tree_from_obj(doc, _frozen_kind, None)
-    step = doc.get("step")
-    if type(step) is not int or step < 0:  # bool is an int subclass
-        raise ValueError("growing tree: step must be a nonnegative integer")
-    if "tree" not in doc:
-        raise ValueError("growing tree: missing tree field")
-    if len(doc) != 2:
-        raise ValueError("growing tree: extra keys besides step and tree")
-    tree = _tree_from_obj(doc["tree"], _growing_kind, step)
-    validate_growing(tree)
+        tree = _tree_from_obj(doc, _frozen_kind, None)
+        # "leaf" per leaf, "l" and "r" per internal node
+        strings = len(tree.nodes) + tree.nodes.count(INTERNAL)
+    else:
+        step = doc.get("step")
+        if type(step) is not int or step < 0:  # bool is an int subclass
+            raise ValueError("growing tree: step must be a nonnegative integer")
+        if "tree" not in doc:
+            raise ValueError("growing tree: missing tree field")
+        if len(doc) != 2:
+            raise ValueError("growing tree: extra keys besides step and tree")
+        tree = _tree_from_obj(doc["tree"], _growing_kind, step)
+        # "kind" and its name per node, "l" and "r" per internal node, "step" and "tree"
+        strings = 2 * len(tree.nodes) + 2 * tree.nodes.count(INTERNAL) + 2
+    # Past the checks above every string of the text is a key or a kind name
+    # without an escaped quote. json.loads keeps the last value of a repeated
+    # key, whose text only adds quotes.
+    if text.count('"') != 2 * strings:
+        raise ValueError("malformed tree document: a key is repeated within an object")
+    if tree.step is not None:
+        validate_growing(tree)
     return tree
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import growingtrees
 import reference_data as ref
-from growingtrees import profiles, sampler
+from growingtrees import cli, profiles, sampler
 from growingtrees.cli import run
 from growingtrees.tree_core import from_json, profile, to_json
 from growingtrees.profiles import Profile
@@ -326,6 +326,36 @@ def test_usage_errors_and_help(capsys):
     capsys.readouterr()
     assert run(["sample"]) == 2
     capsys.readouterr()
+
+
+def test_run_reuses_one_parser_with_fresh_parser_output(capsys, monkeypatch):
+    # Output, errors and exit codes, after whatever ran before in the
+    # process, against a run with a parser built for that call alone.
+    first = ["sample", "--profile", "0,0,2,4", "--count", "2", "--seed", "11"]
+    sequence = [first, ["sample"], ["sample", "--profile", "0,1", "--seed", "1"], ["--help"], first]
+    reused = []
+    for argv in sequence:
+        reused.append((run(argv), *capsys.readouterr()))
+    assert [code for code, _, _ in reused] == [0, 2, 1, 0, 0]
+    assert reused[4][1] == reused[0][1]
+    for argv, result in zip(sequence, reused):
+        cli._parser.cache_clear()
+        assert (run(argv), *capsys.readouterr()) == result, argv
+
+    assert cli.build_parser() is not cli.build_parser()
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv in sequence * 2:
+        run(argv)
+    capsys.readouterr()
+    assert len(builds) == 1
 
 
 def _random_split_profile(seed, leaves):

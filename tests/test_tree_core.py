@@ -135,6 +135,33 @@ def test_readers_reject_frozen_kind_strings_that_do_not_close():
             reader(Tree(bytes((I, leaf, leaf, leaf))))
 
 
+def test_writers_reject_kind_strings_that_do_not_close():
+    # to_json read past the end of (I, leaf) and dropped node 3 of
+    # (I, leaf, leaf, leaf), writing a 3-node tree.
+    leaf = NodeKind.LEAF
+    for writer in (to_json, to_dot):
+        with pytest.raises(ValueError, match="node 2: missing, the kind string ends with child slots open"):
+            writer(Tree(bytes((I, leaf))))
+        with pytest.raises(ValueError, match="node 3: past the end of the tree, which closes at node 2"):
+            writer(Tree(bytes((I, leaf, leaf, leaf))))
+        with pytest.raises(ValueError, match="node 3: past the end of the tree, which closes at node 2"):
+            writer(Tree(bytes((I, A, A, D)), step=1))
+    # Every string of up to 9 nodes: a writer fails exactly when the readers
+    # do, with their message.
+    for length in range(10):
+        for nodes in itertools.product((I, leaf), repeat=length):
+            t = Tree(bytes(nodes))
+            try:
+                profile(t)
+            except ValueError as exc:
+                for writer in (to_json, to_dot):
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        writer(t)
+            else:
+                assert from_json(to_json(t)) == t
+                assert to_dot(t).count(" -> ") == len(nodes) - 1
+
+
 def test_validate_rejects_states_growth_cannot_reach():
     # Dead leaves beside the anchors on the anchor depth of an active tree:
     # the step that made those anchors made their neighbours too.
@@ -203,6 +230,15 @@ def test_json_document_errors():
         from_json('{"step":1,"tree":{"kind":"internal","leaf":true,"l":{"kind":"anchor"},"r":{"kind":"anchor"}}}')
     with pytest.raises(ValueError, match="growing tree: extra keys besides step and tree"):
         from_json('{"step":0,"tree":{"kind":"anchor"},"extra":5}')
+    # json.loads keeps the last of a repeated key, which would slip past the
+    # checks above: another tree, another step, a leaf with two leaf keys.
+    for text in ('{"l":{"leaf":true},"r":{"leaf":true},"r":{"l":{"leaf":true},"r":{"leaf":true}}}',
+                 '{"step":0,"step":1,"tree":{"kind":"dead_leaf"}}',
+                 '{"leaf":true,"leaf":true}',
+                 '{"step":1,"tree":{"kind":"internal","kind":"internal",'
+                 '"l":{"kind":"anchor"},"r":{"kind":"anchor"}}}'):
+        with pytest.raises(ValueError, match="malformed tree document: a key is repeated within an object"):
+            from_json(text)
     # Structurally well-formed documents still go through the growth
     # invariants: an anchor at depth 0 contradicts a positive step counter.
     with pytest.raises(ValueError, match="anchors at depths"):
