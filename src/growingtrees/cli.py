@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -233,7 +234,7 @@ def cmd_bench_bits(args: argparse.Namespace) -> int:
     tree = profiles.base_tree(p)
     draws = sampler.samples(p, sampler.BitSource(seed), args.samples, tree)
     mean_bits = sum(stats.bits_consumed for _, stats in draws) / args.samples
-    bound = sampler._log2(tree[-1][0])
+    bound = math.log2(tree[-1][0])
     print(json.dumps({
         "profile": str(p),
         "samples": args.samples,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 from .profiles import Profile
@@ -36,20 +37,14 @@ from .tree_core import (
 MAX_ORACLE_LEAVES = 12
 MAX_ORACLE_STEPS = 5
 
-# Nested-pair shape cache shared across calls: None is a leaf, (l, r) an
-# internal node. Shapes are immutable and safely shared between trees.
-_shape_cache: dict[int, list] = {1: [None]}
-
-
-def _shapes(n_leaves: int) -> list:
-    if n_leaves not in _shape_cache:
-        out = []
-        for i in range(1, n_leaves):
-            for left in _shapes(i):
-                for right in _shapes(n_leaves - i):
-                    out.append((left, right))
-        _shape_cache[n_leaves] = out
-    return _shape_cache[n_leaves]
+@cache
+def _shapes(n_leaves: int) -> tuple:
+    """Every nested-pair shape with n_leaves leaves: None is a leaf, (l, r)
+    an internal node. Shapes are immutable, so calls share them."""
+    if n_leaves == 1:
+        return (None,)
+    return tuple((left, right) for i in range(1, n_leaves)
+                 for left in _shapes(i) for right in _shapes(n_leaves - i))
 
 
 def _tree_of_shape(shape) -> Tree:

@@ -10,8 +10,8 @@ its Kraft sum
 holds with equality (the Kraft-McMillan condition for complete prefix codes).
 A valid profile forces the number i_k of internal nodes at each depth k:
 top-down, i_0 = 1 and i_k = 2*i_{k-1} - l_k; bottom-up, i_{h-1} = l_h / 2 and
-i_k = (i_{k+1} + l_{k+1}) / 2. Both directions are computed here and must
-agree, which gives a division-free integrality certificate of validity.
+i_k = (i_{k+1} + l_{k+1}) / 2, where a halving that is not integral or an
+i_0 other than 1 shows the profile invalid.
 
 The number of binary trees realizing a valid profile is the product
 
@@ -117,18 +117,14 @@ def _power_of_two(w: int, powers: dict[int, Decimal]) -> Decimal:
     return powers[w]
 
 
-def _kraft_numerator(p: Profile) -> int:
-    """sum_i l_i * 2^{h-i}, the Kraft sum times 2^h, by Horner's rule. Its
-    integer grows to h bits, so it serves messages only, not is_valid."""
-    total = 0
-    for l in p.levels:
-        total = 2 * total + l
-    return total
-
-
 def kraft_sum(p: Profile) -> Fraction:
-    """Exact Kraft sum sum_i l_i / 2^i of a profile."""
-    return Fraction(_kraft_numerator(p), 1 << p.height)
+    """Exact Kraft sum sum_i l_i / 2^i of a profile: sum_i l_i * 2^{h-i} by
+    Horner's rule, over 2^h. Its numerator grows to h bits, so it serves
+    messages only, not is_valid."""
+    numerator = 0
+    for l in p.levels:
+        numerator = 2 * numerator + l
+    return Fraction(numerator, 1 << p.height)
 
 
 def is_valid(p: Profile) -> bool:
@@ -152,9 +148,8 @@ def internal_profile(p: Profile) -> tuple[int, ...]:
     """Internal-node counts (i_0, ..., i_{h-1}), i_0 = 1, forced by a valid
     profile of height >= 1.
 
-    Computed bottom-up (i_{h-1} = l_h / 2, then i_k = (i_{k+1} + l_{k+1}) / 2)
-    and cross-checked top-down (i_0 = 1, i_k = 2*i_{k-1} - l_k). On a valid
-    profile the two directions agree and every entry is a positive integer.
+    Computed bottom-up (i_{h-1} = l_h / 2, then i_k = (i_{k+1} + l_{k+1}) / 2);
+    on a valid profile every entry is a positive integer.
 
     Raises ValueError "parity violation" when a bottom-up halving step is not
     integral, and "kraft violation" when the steps are integral but the
@@ -175,14 +170,6 @@ def internal_profile(p: Profile) -> tuple[int, ...]:
         carry = internals[k] + l[k]
     if internals[0] != 1:
         raise ValueError(f"kraft violation: bottom-up pass gives i_0 = {internals[0]}, kraft sum {exact_text(kraft_sum(p))}")
-    # Top-down direction, re-derived independently.
-    top_down = [1]
-    for k in range(1, h):
-        top_down.append(2 * top_down[k - 1] - l[k])
-    if top_down != internals:
-        # Unreachable for any profile that passed the bottom-up checks; kept
-        # as a guard because both recurrences are part of the contract.
-        raise ValueError("kraft violation: top-down and bottom-up internal profiles disagree")
     return tuple(internals)
 
 
@@ -272,6 +259,8 @@ def truncate_profile(p: Profile, k: int) -> Profile:
     exactly k + 1. For k = h-1 the profile is returned unchanged (i_h = 0).
     """
     h = p.height
+    if h < 1:
+        raise ValueError("a height-0 profile has no level to truncate at")
     if not 0 <= k <= h - 1:
         raise ValueError(f"level {k} out of range: need 0 <= k <= {h - 1}")
     internals = internal_profile(p)

@@ -4,8 +4,8 @@ The construction is top-down, in level order. A valid profile fixes how
 many nodes each depth holds: the root is internal, depth i (0 < i < h) holds
 2*i_{i-1} nodes, l_i of them leaves and i_i internal, and depth h holds its
 l_h leaves. What a tree adds to its profile is the order of each depth's
-row, a word of i_i zeros (internal nodes) and l_i ones (leaves) read left to
-right: a merge pattern of the row's internal nodes with its leaves. Giving
+row, a word of i_i INTERNAL and l_i LEAF kind bytes (tree_core) read left
+to right: a merge pattern of the row's internal nodes with its leaves. Giving
 the k-th internal node of the rows, read in order, the children 2k+1 and
 2k+2 turns any choice of one word per depth into exactly one tree, numbered
 in level order, and every tree arises so. Depth i has binom(2*i_{i-1}, l_i)
@@ -57,7 +57,7 @@ from operator import getitem
 # is_valid is not called here (base_tree validates), but
 # benchmark/tracing.py wraps it under this module's name.
 from .profiles import Profile, _comb, _product_tree, base_tree, count_trees, exact_text, is_valid, level_choices  # noqa: F401
-from .tree_core import ANCHOR, DEAD_LEAF, INTERNAL, LEAF, Tree, profile
+from .tree_core import INTERNAL, LEAF, Tree, freeze, profile
 
 
 class BitSource:
@@ -147,10 +147,8 @@ _NARROW_SLOTS = 8
 # Words of more than this many slots are unranked by halves (_unrank_wide).
 _WIDE_SLOTS = 1024
 
-# Word letters to kind codes: 0 -> INTERNAL, 1 -> LEAF.
+# unrank_merge's letters to kind codes: 0 -> INTERNAL, 1 -> LEAF.
 _KIND_OF_LETTER = bytes.maketrans(bytes((0, 1)), bytes((INTERNAL, LEAF)))
-# Kind codes to word letters: INTERNAL -> 0, any leaf kind -> 1.
-_LETTER_OF_KIND = bytes.maketrans(bytes((INTERNAL, ANCHOR, DEAD_LEAF, LEAF)), bytes((0, 1, 1, 1)))
 
 
 def _blocks(w1: int, w2: int, q: int) -> Iterator[tuple[int, int, int]]:
@@ -187,26 +185,26 @@ def _blocks(w1: int, w2: int, q: int) -> Iterator[tuple[int, int, int]]:
 
 
 def _unrank_wide(rank: int, p: int, q: int) -> bytes:
-    """The rank-th merge word of p zeros and q ones in split order, as 0/1
-    letters; rank runs over [0, binom(p+q, q)).
+    """The rank-th merge word of p INTERNAL and q LEAF codes in split order;
+    rank runs over [0, binom(p+q, q)).
 
-    A word of at most _WIDE_SLOTS slots is unrank_merge's. A wider one is
-    split after its first w1 = (p+q) // 2 slots: its block (_blocks) fixes
-    the ones j in the left half, and within the block the rank is
-    left_rank * binom(w2, q - j) + right_rank, each half ranked in split
-    order again. The halves wait on an explicit stack. A split walks
+    A word of at most _WIDE_SLOTS slots is unrank_merge's, in kind codes. A
+    wider one is split after its first w1 = (p+q) // 2 slots: its block
+    (_blocks) fixes the leaves j in the left half, and within the block the
+    rank is left_rank * binom(w2, q - j) + right_rank, each half ranked in
+    split order again. The halves wait on an explicit stack. A split walks
     O(sqrt(w)) blocks of w-bit steps and makes one divmod, against the w
     steps of a running binomial across the whole word.
     """
     if rank < 0:
         raise ValueError(f"rank {exact_text(rank)} out of range: negative")
-    letters = []
+    words = []
     stack = [(rank, p, q)]
     while stack:
         rank, p, q = stack.pop()
         w = p + q
         if w <= _WIDE_SLOTS:
-            letters.append(bytes(unrank_merge(rank, p, q)))
+            words.append(bytes(unrank_merge(rank, p, q)).translate(_KIND_OF_LETTER))
             continue
         w1 = w // 2
         for j, size, right in _blocks(w1, w - w1, q):
@@ -217,20 +215,20 @@ def _unrank_wide(rank: int, p: int, q: int) -> bytes:
             raise ValueError(f"rank out of range for binom({w},{q})")
         left, rest = divmod(rank, right)
         stack += ((rest, w - w1 - q + j, q - j), (left, w1 - j, j))
-    return b"".join(letters)
+    return b"".join(words)
 
 
 def _rank_merge(word: bytes) -> int:
-    """The rank of a 0/1 word in unrank_merge's lex order: its inverse, with
-    the same running binomial."""
-    ones_left = word.count(1)
+    """The rank of a word of INTERNAL and LEAF codes in unrank_merge's lex
+    order, LEAF for its 1: its inverse, with the same running binomial."""
+    ones_left = word.count(LEAF)
     total = comb(len(word), ones_left)
     rank = 0
-    for slots_left, letter in zip(range(len(word), 0, -1), word):
+    for slots_left, kind in zip(range(len(word), 0, -1), word):
         if ones_left == 0:
             break
         here = total * ones_left // slots_left
-        if letter:
+        if kind == LEAF:
             ones_left -= 1
             total = here
         else:
@@ -240,9 +238,9 @@ def _rank_merge(word: bytes) -> int:
 
 
 def _rank_wide(word: bytes) -> int:
-    """The rank of a 0/1 word in _unrank_wide's split order: its inverse.
-    The spans of the split are listed top-down, each before its halves, and
-    ranked bottom-up."""
+    """The rank of a word of INTERNAL and LEAF codes in _unrank_wide's split
+    order: its inverse. The spans of the split are listed top-down, each
+    before its halves, and ranked bottom-up."""
     spans = [(0, len(word))]
     for a, b in spans:  # the loop reaches the halves it appends
         if b - a > _WIDE_SLOTS:
@@ -253,9 +251,9 @@ def _rank_wide(word: bytes) -> int:
             ranks[a, b] = _rank_merge(word[a:b])
             continue
         m = a + (b - a) // 2
-        left_ones = word.count(1, a, m)
+        left_ones = word.count(LEAF, a, m)
         offset = 0
-        for j, size, right in _blocks(m - a, b - m, word.count(1, a, b)):
+        for j, size, right in _blocks(m - a, b - m, word.count(LEAF, a, b)):
             if j == left_ones:
                 break
             offset += size
@@ -265,14 +263,14 @@ def _rank_wide(word: bytes) -> int:
 
 @cache
 def _narrow_row(p: int, q: int) -> tuple[bytes, ...]:
-    """Every merge word of p zeros and q ones as kind bytes, indexed by its
+    """Every merge word of p INTERNAL and q LEAF codes, indexed by its
     unrank_merge rank: the row of a depth of at most _NARROW_SLOTS slots."""
     return tuple(bytes(unrank_merge(r, p, q)).translate(_KIND_OF_LETTER) for r in range(comb(p + q, q)))
 
 
 class _WideRow:
     """The row of a depth of more than _NARROW_SLOTS slots: row[rank] is the
-    rank-th merge word of p zeros and q ones in split order, as kind bytes,
+    rank-th merge word of p INTERNAL and q LEAF codes in split order,
     unranked when asked for. A rank out of range raises ValueError."""
 
     __slots__ = ("p", "q")
@@ -281,7 +279,7 @@ class _WideRow:
         self.p, self.q = p, q
 
     def __getitem__(self, rank: int) -> bytes:
-        return _unrank_wide(rank, self.p, self.q).translate(_KIND_OF_LETTER)
+        return _unrank_wide(rank, self.p, self.q)
 
 
 def _rows(p: Profile) -> list[tuple[bytes, ...] | _WideRow]:
@@ -353,18 +351,19 @@ def rank_tree(p: Profile, tree: Tree) -> int:
     growing tree is ranked by its shape; a tree of another profile raises
     ValueError.
 
-    Depth i's word is the slice of tree.nodes after the rows above it, read
-    as 0 = internal and 1 = leaf, ranked in its row's order (lex up to
-    _WIDE_SLOTS slots, split order above), and the digits are combined
-    mixed-radix, depth 1 most significant.
+    Depth i's word is the slice of the frozen kind string after the rows
+    above it, ranked in its row's order (lex up to _WIDE_SLOTS slots, split
+    order above), and the digits are combined mixed-radix, depth 1 most
+    significant.
     """
     if profile(tree) != p:
         raise ValueError(f"tree of profile {profile(tree)}, not {p}")
+    nodes = freeze(tree).nodes
     rank, start, width = 0, 1, 2
     for base in level_choices(p)[:-1]:
-        word = tree.nodes[start:start + width].translate(_LETTER_OF_KIND)
+        word = nodes[start:start + width]
         rank = rank * base + _rank_wide(word)
-        start, width = start + width, 2 * word.count(0)
+        start, width = start + width, 2 * word.count(INTERNAL)
     return rank
 
 
@@ -460,17 +459,5 @@ def sample_with_stats(p: Profile, src: BitSource) -> tuple[Tree, SampleStats]:
 
 
 def entropy_bound(p: Profile) -> float:
-    """log2 of the number of trees with profile p: the random-bit floor."""
-    return _log2(count_trees(p))
-
-
-def _log2(n: int) -> float:
-    """log2 of a positive integer of any size.
-
-    Exact to well under 1e-9 relative error even for astronomically large
-    counts (the count is split into a float-safe mantissa and a shift).
-    """
-    if n.bit_length() <= 900:
-        return math.log2(n)
-    shift = n.bit_length() - 900
-    return math.log2(n >> shift) + shift
+    """log2 of the number of trees with profile p: the random-bit floor (math.log2 takes any int)."""
+    return math.log2(count_trees(p))

@@ -156,6 +156,14 @@ def _open_slots(size: int) -> ValueError:
     return ValueError(f"node {size}: missing, the kind string ends with child slots open")
 
 
+def _check_kinds(t: Tree) -> None:
+    """ValueError naming the first node whose kind code t cannot hold."""
+    kind, allowed = ("frozen", (INTERNAL, LEAF)) if t.step is None else ("growing", (INTERNAL, ANCHOR, DEAD_LEAF))
+    bad = t.nodes.translate(None, bytes(allowed))
+    if bad:
+        raise ValueError(f"node {t.nodes.index(bad[0])}: kind code {bad[0]} is not a {kind}-tree kind")
+
+
 def _preorder(nodes: bytes, right: list[int]) -> list[int]:
     """Node indices in document order: each node before its subtrees, the
     left subtree before the right. A kind string that does not close raises
@@ -183,7 +191,7 @@ def grow_step(t: Tree, choices: list[GrowthChoice] | tuple[GrowthChoice, ...]) -
 
     Die turns the anchor into a dead leaf; Branch turns it into an internal
     node with two fresh anchors. The choice list length must equal the
-    anchor count and the tree must be active.
+    anchor count and the tree must be growing (step set) and active.
 
     In level order the anchors of a growing tree, which all sit on the
     deepest level, are its last m nodes, left to right, so the step keeps
@@ -191,6 +199,8 @@ def grow_step(t: Tree, choices: list[GrowthChoice] | tuple[GrowthChoice, ...]) -
     are not the last nodes raise ValueError; the anchor depths are not
     checked further (validate_growing does that).
     """
+    if t.step is None:
+        raise ValueError("frozen tree: no growth state to grow")
     m = t.nodes.count(ANCHOR)
     if m == 0:
         raise ValueError("no anchors: the tree is inactive and cannot grow")
@@ -248,9 +258,7 @@ def validate_growing(t: Tree) -> None:
         raise ValueError("frozen tree: no growth state to validate")
     if step < 0:
         raise ValueError(f"negative step counter {step}")
-    if max(nodes, default=INTERNAL) > DEAD_LEAF:
-        i = next(i for i, kind in enumerate(nodes) if kind > DEAD_LEAF)
-        raise ValueError(f"node {i}: kind code {nodes[i]} is not a growing-tree kind")
+    _check_kinds(t)
     bounds = _depth_bounds(nodes)
     m = nodes.count(ANCHOR)
     height = len(bounds) - 2
@@ -318,8 +326,9 @@ _KIND_OF_NAME = {"internal": INTERNAL, "anchor": ANCHOR, "dead_leaf": DEAD_LEAF}
 
 def to_json(tree: Tree) -> str:
     """Compact JSON text of any depth; see the module docstring for the
-    schema. A kind string that does not close raises ValueError (see
-    _preorder)."""
+    schema. A kind code the tree cannot hold (_check_kinds) or a kind string
+    that does not close (_preorder) raises ValueError."""
+    _check_kinds(tree)
     text = _JSON_FROZEN if tree.step is None else _JSON_GROWING
     nodes = tree.nodes
     right = _right_children(nodes)
@@ -335,8 +344,6 @@ def to_json(tree: Tree) -> str:
             if nodes[i] == INTERNAL:
                 stack += ("}", right[i], ',"r":', right[i] - 1)
     except IndexError:
-        if i < len(nodes):  # a kind code past the table, not a missing node
-            raise
         raise _open_slots(len(nodes)) from None
     # out holds one piece per visited node and two more per internal one,
     # so 2v - 1 pieces for the v nodes of a closed walk.
@@ -443,7 +450,8 @@ _DOT_STYLES = (  # indexed by kind code
 
 
 def to_dot(tree: Tree) -> str:
-    """Graphviz digraph; node shapes encode the kinds (see module docstring)."""
+    """Graphviz digraph; node shapes encode the kinds (see module docstring). Raises as to_json does."""
+    _check_kinds(tree)
     nodes = tree.nodes
     right = _right_children(nodes)
     order = _preorder(nodes, right)

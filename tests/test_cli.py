@@ -14,6 +14,7 @@ import pytest
 
 import growingtrees
 import reference_data as ref
+from random_profiles import narrow_profile, random_split_profile
 from growingtrees import cli, profiles, sampler
 from growingtrees.cli import run
 from growingtrees.tree_core import from_json, profile, to_json
@@ -167,6 +168,9 @@ def test_profile_error_paths(capsys):
     assert run(["profile", "count", "--profile", "1,2"]) == 1
     assert "l_0 = 0" in capsys.readouterr().err
     assert run(["profile", "count", "--profile", "0,x"]) == 2
+    capsys.readouterr()
+    assert run(["profile", "truncate", "--profile", "1", "--level", "0"]) == 1
+    assert capsys.readouterr().err == "error: a height-0 profile has no level to truncate at\n"
 
 
 def test_profile_numbers_past_the_str_digit_limit(capsys):
@@ -358,33 +362,6 @@ def test_run_reuses_one_parser_with_fresh_parser_output(capsys, monkeypatch):
     assert len(builds) == 1
 
 
-def _random_split_profile(seed, leaves):
-    """Leaf depths of a random-split tree, as CLI profile text."""
-    rng = random.Random(seed)
-    counts = {}
-    stack = [(leaves, 0)]
-    while stack:
-        n, depth = stack.pop()
-        if n == 1:
-            counts[depth] = counts.get(depth, 0) + 1
-        else:
-            left = rng.randint(1, n - 1)
-            stack += [(left, depth + 1), (n - left, depth + 1)]
-    return ",".join(str(counts.get(d, 0)) for d in range(max(counts) + 1))
-
-
-def _narrow_profile(seed, height):
-    """A valid profile with 1-2 internal nodes per level, as CLI profile text."""
-    rng = random.Random(seed)
-    levels, internal = [0], 1
-    for _ in range(1, height):
-        leaves = rng.choice([l for l in range(4) if 1 <= 2 * internal - l <= 2])
-        levels.append(leaves)
-        internal = 2 * internal - leaves
-    levels.append(2 * internal)
-    return ",".join(map(str, levels))
-
-
 # SHA-256 of the stdout of each command with --seed 11: seeded output bytes
 # stay fixed within a version. DOT names each node by its index, and sampled
 # trees are numbered in level order, so the DOT digests pin that numbering
@@ -415,12 +392,11 @@ _PINNED_OUTPUTS = {
 
 
 def test_seeded_output_bytes_are_pinned(capsys):
-    texts = {
-        "small": "0,0,2,4",
-        "split": _random_split_profile(3, 300),
-        "narrow": _narrow_profile(5, 500),
+    shapes = {
+        "small": Profile((0, 0, 2, 4)),
+        "split": random_split_profile(random.Random(3), 300),
+        "narrow": narrow_profile(random.Random(5), 500),
     }
-    shapes = {name: Profile(tuple(map(int, text.split(",")))) for name, text in texts.items()}
     assert (shapes["split"].total_leaves, shapes["split"].height) == (300, 21)
     assert (shapes["narrow"].total_leaves, shapes["narrow"].height) == (734, 500)
     commands = {
@@ -430,9 +406,9 @@ def test_seeded_output_bytes_are_pinned(capsys):
         "sample-1": ["sample", "--count", "1"],
         "dot-1": ["sample", "--count", "1", "--format", "dot"],
     }
-    for name, text in texts.items():
+    for name, p in shapes.items():
         for command, argv in commands.items():
-            assert run(argv + ["--seed", "11", "--profile", text]) == 0
+            assert run(argv + ["--seed", "11", "--profile", str(p)]) == 0
             digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
             assert digest == _PINNED_OUTPUTS[name][command], (name, command)
 
@@ -440,10 +416,9 @@ def test_seeded_output_bytes_are_pinned(capsys):
 def test_seeded_output_past_the_wide_cutoff_is_pinned(capsys):
     # Five rows of this profile are wider than _WIDE_SLOTS, so the digest
     # pins the split order of _unrank_wide as well as the tree.
-    text = _random_split_profile(7, 6000)
-    p = Profile(tuple(map(int, text.split(","))))
+    p = random_split_profile(random.Random(7), 6000)
     assert sum(2 * i > sampler._WIDE_SLOTS for i in profiles.internal_profile(p)) == 5
-    assert run(["sample", "--count", "1", "--seed", "11", "--profile", text]) == 0
+    assert run(["sample", "--count", "1", "--seed", "11", "--profile", str(p)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "20d2e64392e1eeb86a30374a496a79a3c9469eb1a5c9273c97659d52c41d27c9"
 

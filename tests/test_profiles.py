@@ -172,6 +172,8 @@ def test_truncate_out_of_range():
         truncate_profile(Profile((0, 2)), 1)
     with pytest.raises(ValueError, match="out of range"):
         truncate_profile(Profile((0, 0, 2, 4)), -1)
+    with pytest.raises(ValueError, match="^a height-0 profile has no level to truncate at$"):
+        truncate_profile(Profile((1,)), 0)
 
 
 def _level_tuples(length, budget):
@@ -201,6 +203,8 @@ def test_validity_iff_internal_profile_succeeds():
                 assert internal[0] == 1
                 assert all(i >= 1 for i in internal)
                 assert 2 * internal[-1] == p.levels[-1]
+                # The top-down recurrence i_k = 2*i_{k-1} - l_k holds too.
+                assert all(internal[k] == 2 * internal[k - 1] - p.levels[k] for k in range(1, h)), p
 
 
 @given(st.lists(st.integers(0, 8), min_size=1, max_size=11))

@@ -32,6 +32,7 @@ from growingtrees.sampler import (
     unrank_merge,
 )
 from growingtrees.tree_core import INTERNAL, LEAF, Tree, profile, to_json
+from random_profiles import narrow_profile, random_split_profile
 from uniformity import chi_square
 
 
@@ -235,7 +236,7 @@ def test_words_read_off_built_trees_give_back_the_rank():
     rng = random.Random(73)
     both_sides = 0
     for _ in range(100):
-        p = _random_split_profile(rng, rng.randint(2, 400))
+        p = random_split_profile(rng, rng.randint(2, 400))
         radix, rows = base_tree(p), _rows(p)
         count = radix[-1][0]
         for rank in (0, count - 1, rng.randrange(count)):
@@ -305,7 +306,7 @@ def test_mixed_radix_matches_digit_by_digit_division(data):
 def test_mixed_radix_on_long_random_ranks():
     rng = random.Random(71)
     for height in (300, 3000):
-        p = _narrow_profile(rng, height)
+        p = narrow_profile(rng, height)
         tree = base_tree(p)
         bases = level_choices(p)[-2::-1]
         n = prod(bases)
@@ -352,9 +353,12 @@ def test_split_order_is_a_bijection(monkeypatch):
             total = comb(p + q, q)
             words = [_unrank_wide(r, p, q) for r in range(total)]
             assert len(set(words)) == total, (p, q)
-            assert all(len(word) == p + q and word.count(1) == q for word in words)
+            # Kind bytes: p INTERNAL and q LEAF codes, nothing else.
+            assert all(len(word) == p + q and word.count(LEAF) == q and word.count(INTERNAL) == p
+                       for word in words)
             if p + q <= cutoff:
-                assert words == [bytes(unrank_merge(r, p, q)) for r in range(total)]
+                assert words == [bytes(INTERNAL if letter == 0 else LEAF for letter in unrank_merge(r, p, q))
+                                 for r in range(total)]
             assert [_rank_wide(word) for word in words] == list(range(total)), (p, q)
             for rank in (-1, total):
                 with pytest.raises(ValueError, match="out of range"):
@@ -365,7 +369,7 @@ def test_rank_tree_inverts_wide_rows():
     rng = random.Random(89)
     profiles_seen = [
         Profile((0,) * 11 + (1000, 2 * 1048)),  # one 2048-slot row
-        _random_split_profile(rng, 6000),
+        random_split_profile(rng, 6000),
     ]
     for p in profiles_seen:
         assert max(2 * i for i in internal_profile(p)) > _WIDE_SLOTS
@@ -383,7 +387,7 @@ def test_rank_tree_inverts_every_split_level(monkeypatch):
     monkeypatch.setattr(sampler, "_WIDE_SLOTS", 10)
     rng = random.Random(97)
     for _ in range(30):
-        p = _random_split_profile(rng, rng.randint(2, 120))
+        p = random_split_profile(rng, rng.randint(2, 120))
         radix, rows = base_tree(p), _rows(p)
         count = radix[-1][0]
         for rank in (0, count - 1, rng.randrange(count)):
@@ -405,31 +409,10 @@ def test_comb_is_math_comb(n, share):
     assert _comb(n, k) == comb(n, k)
 
 
-def _narrow_profile(rng, height):
-    levels, internal = [0], 1
-    for _ in range(1, height):
-        leaves = rng.choice([l for l in range(4) if 1 <= 2 * internal - l <= 2])
-        levels.append(leaves)
-        internal = 2 * internal - leaves
-    return Profile(tuple(levels) + (2 * internal,))
-
-
-def _random_split_profile(rng, leaves):
-    depths, stack = defaultdict(int), [(leaves, 0)]
-    while stack:
-        n, depth = stack.pop()
-        if n == 1:
-            depths[depth] += 1
-        else:
-            left = rng.randint(1, n - 1)
-            stack += [(left, depth + 1), (n - left, depth + 1)]
-    return Profile(tuple(depths[d] for d in range(max(depths) + 1)))
-
-
 def test_samples_match_repeated_sample_with_stats():
     rng = random.Random(61)
-    narrow = _narrow_profile(rng, 120)
-    wide = _random_split_profile(rng, 60)
+    narrow = narrow_profile(rng, 120)
+    wide = random_split_profile(rng, 60)
     # The random-split profile has levels on both sides of the narrow cutoff.
     internals, widths = 1, []
     for l in wide.levels[1:]:
@@ -533,7 +516,7 @@ def test_batched_streams_stay_above_the_floor_and_account_every_bit(monkeypatch)
     for cap in (1 << 4, 1 << 6, 1 << 8, sampler._BATCH_BITS):
         monkeypatch.setattr(sampler, "_BATCH_BITS", cap)
         for _ in range(60):
-            p = _random_split_profile(rng, rng.randint(1, 60))
+            p = random_split_profile(rng, rng.randint(1, 60))
             n = count_trees(p)
             count = rng.randint(1, 40)
             batch = max(1, cap // n.bit_length())

@@ -81,6 +81,14 @@ def test_grow_step_errors():
         grow_step(Tree(bytes((I, A, I, A, A)), step=2), _choices("BBB"))
 
 
+def test_grow_step_rejects_a_frozen_tree():
+    # A frozen tree has no step to advance, even when it holds an anchor.
+    with pytest.raises(ValueError, match="^frozen tree: no growth state to grow$"):
+        grow_step(Tree(bytes((A,))), _choices("D"))
+    with pytest.raises(ValueError, match="^frozen tree: no growth state to grow$"):
+        grow_step(freeze(grow_step(new_seed(), _choices("B"))), _choices("BB"))
+
+
 def test_grow_step_rejects_unknown_choices():
     for bad in ("branch", True, None, "B"):
         with pytest.raises(ValueError, match="choice 0: .* is not a GrowthChoice"):
@@ -160,6 +168,25 @@ def test_writers_reject_kind_strings_that_do_not_close():
             else:
                 assert from_json(to_json(t)) == t
                 assert to_dot(t).count(" -> ") == len(nodes) - 1
+
+
+def test_writers_reject_kind_codes_their_tree_cannot_hold():
+    leaf = NodeKind.LEAF
+    cases = [
+        (Tree(bytes((A,))), "node 0: kind code 1 is not a frozen-tree kind"),
+        (Tree(bytes((I, leaf, D))), "node 2: kind code 2 is not a frozen-tree kind"),
+        (Tree(bytes((leaf,)), 0), "node 0: kind code 3 is not a growing-tree kind"),
+        (Tree(bytes((I, A, leaf)), 1), "node 2: kind code 3 is not a growing-tree kind"),
+        (Tree(bytes((7,))), "node 0: kind code 7 is not a frozen-tree kind"),
+        (Tree(bytes((I, 7, leaf)), 1), "node 1: kind code 7 is not a growing-tree kind"),
+    ]
+    for tree, message in cases:
+        for writer in (to_json, to_dot):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                writer(tree)
+        if tree.step is not None:  # validate_growing shares the check
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                validate_growing(tree)
 
 
 def test_validate_rejects_states_growth_cannot_reach():
