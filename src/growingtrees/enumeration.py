@@ -292,13 +292,16 @@ DEFAULT_TRUNC = 64
 def iterate_p(h: int, trunc: int = DEFAULT_TRUNC) -> PolySeries:
     """The height iterate p_h(1,z): apply x -> 1 + z*x^2 h times, then x = 1.
 
-    Equivalently u_0 = 1 and u_{j+1} = 1 + z*u_j^2 as series in z.
+    Equivalently u_0 = 1 and u_{j+1} = 1 + z*u_j^2 as series in z. u_j
+    counts trees of height at most j by internal nodes, and a tree with n
+    internal nodes has height at most n, so the truncated iterates are
+    fixed from j = trunc on.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
     one = PolySeries.of([1], trunc)
     u = one
-    for _ in range(h):
+    for _ in range(min(h, trunc)):
         u = one + (u * u).shifted(1)
     return u
 

@@ -32,9 +32,11 @@ Serialization formats:
   JSON  leaf = {"leaf": true}; internal = {"l": ..., "r": ...}. Growing-tree
         nodes carry "kind" ("internal" | "anchor" | "dead_leaf") instead, and
         the top-level document is {"step": s, "tree": node} so the step
-        counter round-trips. to_json writes trees of any depth, but from_json
-        reads through the standard json parser and rejects documents nested
-        deeper than its limit (about 1,000 levels).
+        counter round-trips. to_json writes trees of any depth, and
+        from_json reads its text back at any depth. Other layouts of the
+        same document (whitespace, key order) go through the standard json
+        parser, which rejects documents nested deeper than its limit (about
+        1,000 levels).
   DOT   internal nodes as filled circles, dead leaves (and frozen leaves) as
         squares, anchors as hollow circles; edge order is left, right.
 """
@@ -156,10 +158,14 @@ def _open_slots(size: int) -> ValueError:
     return ValueError(f"node {size}: missing, the kind string ends with child slots open")
 
 
+_FROZEN_KINDS = bytes((INTERNAL, LEAF))
+_GROWING_KINDS = bytes((INTERNAL, ANCHOR, DEAD_LEAF))
+
+
 def _check_kinds(t: Tree) -> None:
     """ValueError naming the first node whose kind code t cannot hold."""
-    kind, allowed = ("frozen", (INTERNAL, LEAF)) if t.step is None else ("growing", (INTERNAL, ANCHOR, DEAD_LEAF))
-    bad = t.nodes.translate(None, bytes(allowed))
+    kind, allowed = ("frozen", _FROZEN_KINDS) if t.step is None else ("growing", _GROWING_KINDS)
+    bad = t.nodes.translate(None, allowed)
     if bad:
         raise ValueError(f"node {t.nodes.index(bad[0])}: kind code {bad[0]} is not a {kind}-tree kind")
 
@@ -327,28 +333,38 @@ _KIND_OF_NAME = {"internal": INTERNAL, "anchor": ANCHOR, "dead_leaf": DEAD_LEAF}
 def to_json(tree: Tree) -> str:
     """Compact JSON text of any depth; see the module docstring for the
     schema. A kind code the tree cannot hold (_check_kinds) or a kind string
-    that does not close (_preorder) raises ValueError."""
+    that does not close raises ValueError, naming the node at fault as
+    _depth_bounds does."""
     _check_kinds(tree)
     text = _JSON_FROZEN if tree.step is None else _JSON_GROWING
     nodes = tree.nodes
     right = _right_children(nodes)
+    # closes[i]: the right-child steps that end at node i. A leaf's piece
+    # closes that many objects after its own and opens the next ',"r":'.
+    closes = [0] * len(nodes)
+    pieces = ({}, {}, {}, {})  # per kind: closes -> leaf piece
     out = []
-    stack: list[int | str] = [0]
+    stack = [0]
     try:
         while stack:
             i = stack.pop()
-            if isinstance(i, str):
-                out.append(i)
-                continue
-            out.append(text[nodes[i]])
-            if nodes[i] == INTERNAL:
-                stack += ("}", right[i], ',"r":', right[i] - 1)
+            kind = nodes[i]
+            if kind == INTERNAL:
+                out.append(text[INTERNAL])
+                r = right[i]
+                closes[r] = closes[i] + 1
+                stack += (r, r - 1)
+            else:
+                c = closes[i]
+                piece = pieces[kind].get(c)
+                if piece is None:
+                    piece = pieces[kind][c] = text[kind] + "}" * c + ',"r":'
+                out.append(piece)
     except IndexError:
         raise _open_slots(len(nodes)) from None
-    # out holds one piece per visited node and two more per internal one,
-    # so 2v - 1 pieces for the v nodes of a closed walk.
-    if len(out) != 2 * len(nodes) - 1:
-        raise _past_the_end((len(out) + 1) // 2)
+    if len(out) != len(nodes):
+        raise _past_the_end(len(out))
+    out[-1] = out[-1][:-len(',"r":')]  # the last leaf closes the root
     body = "".join(out)
     return body if tree.step is None else f'{{"step":{tree.step},"tree":{body}}}'
 
@@ -360,10 +376,83 @@ def from_json(text: str) -> Tree:
     {"step": s, "tree": node}. Node indices in error messages count nodes in
     level order (the root, then each depth from left to right), which is
     also each node's index in the returned Tree. A key repeated within an
-    object raises ValueError. Documents nested deeper than the json
-    parser's limit (about 1,000 levels) raise ValueError, although to_json
-    writes them.
+    object raises ValueError.
+
+    Text exactly as to_json writes it is read in one pass at any depth.
+    Any other layout (whitespace, key order) and every malformed document
+    goes through the standard json parser, which rejects documents nested
+    deeper than its limit (about 1,000 levels).
     """
+    tree = _canonical_tree(text)
+    if tree is None:
+        tree = _json_tree(text)
+    if tree.step is not None:
+        validate_growing(tree)
+    return tree
+
+
+_STEP_HEAD = '{"step":'
+_TREE_KEY = ',"tree":'
+# The characters of the structure pieces ',"r":' and '}', which carry
+# nothing a node's kind does not already fix.
+_STRUCTURE_CHARS = b',"r:}'
+
+
+def _canonical_tree(text: str) -> Tree | None:
+    """The Tree whose to_json is text, or None when text is anything else.
+
+    Each node's piece is replaced by its kind code and the characters of
+    the structure pieces are dropped, which leaves the kinds in document
+    order. A pending-depth stack puts each kind on its depth's row: an
+    internal node's children sit one depth below it, and the right child
+    is pending while the left subtree is read. The rows, top down, are the
+    kind string. The tree is accepted only if to_json writes text back
+    from it, so nothing reaches the caller that the json path would read
+    differently; a kind code already in text, which to_json never writes,
+    fails that comparison.
+    """
+    step, table, allowed = None, _JSON_FROZEN, _FROZEN_KINDS
+    body = text
+    if text.startswith(_STEP_HEAD):
+        head, _, body = text.partition(_TREE_KEY)
+        try:
+            step = int(head[len(_STEP_HEAD):])
+        except ValueError:  # not an integer, or past int's digit limit
+            return None
+        if step < 0:
+            return None
+        table, allowed = _JSON_GROWING, _GROWING_KINDS
+    if not body.isascii():
+        return None
+    for kind, piece in enumerate(table):
+        if piece is not None:
+            body = body.replace(piece, chr(kind))
+    kinds = body.encode().translate(None, _STRUCTURE_CHARS)
+    if kinds.translate(None, allowed):
+        return None
+    rows = [bytearray()]
+    pending = []
+    depth = 0
+    try:
+        for kind in kinds:
+            rows[depth].append(kind)
+            if kind == INTERNAL:
+                depth += 1
+                pending.append(depth)
+                if depth == len(rows):
+                    rows.append(bytearray())
+            else:
+                depth = pending.pop()
+    except IndexError:  # a leaf with no right child pending closes the tree
+        tree = Tree(b"".join(rows), step)
+        if to_json(tree) == text:  # fails too when kinds go on past that leaf
+            return tree
+    return None
+
+
+def _json_tree(text: str) -> Tree:
+    """Read any tree document through the standard json parser; growth
+    invariants are left to validate_growing."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -392,8 +481,6 @@ def from_json(text: str) -> Tree:
     # key, whose text only adds quotes.
     if text.count('"') != 2 * strings:
         raise ValueError("malformed tree document: a key is repeated within an object")
-    if tree.step is not None:
-        validate_growing(tree)
     return tree
 
 

@@ -253,6 +253,17 @@ def test_height_iterate_stabilizes_to_catalan():
         assert series.coeff(n) == ref.CATALAN[n]
 
 
+def test_height_iterate_past_the_truncation_order():
+    # iterate_p stops after trunc steps; the uncapped recurrence, written
+    # out, gives the same series for every h.
+    for trunc in range(13):
+        one = PolySeries.of([1], trunc)
+        u = one
+        for h in range(2 * trunc + 3):
+            assert iterate_p(h, trunc) == u
+            u = one + (u * u).shifted(1)
+
+
 def test_height_iterate_counts_trees_by_height():
     for h in range(6):
         total = sum(iterate_p(h, trunc=32).coeffs)

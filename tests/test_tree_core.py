@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_data as ref
+from random_profiles import narrow_profile
+from growingtrees import tree_core
 from growingtrees.oracle import all_binary_trees, all_growth_histories
 from growingtrees.profiles import Profile
 from growingtrees.sampler import BitSource, sample_with_stats
@@ -272,6 +274,57 @@ def test_json_document_errors():
         from_json('{"step":2,"tree":{"kind":"anchor"}}')
 
 
+# The pieces to_json writes: each node's text opens with one of the first
+# five, and ',"r":' and '}' join them.
+_JSON_PIECES = ('{"l":', '{"leaf":true}', '{"kind":"internal","l":', '{"kind":"anchor"}',
+                '{"kind":"dead_leaf"}', ',"r":', '}')
+_JSON_TOKEN = re.compile(r'\{"step":\d+,"tree":|' + "|".join(map(re.escape, _JSON_PIECES)))
+
+
+def _read_via_json(text):
+    """from_json through the standard json parser alone."""
+    tree = tree_core._json_tree(text)
+    if tree.step is not None:
+        validate_growing(tree)
+    return tree
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_from_json_matches_the_json_parser_on_single_token_edits():
+    # to_json's own text is read without the json parser. Every text one
+    # token away from it must read as the json parser reads it: the same
+    # Tree, or a ValueError with the same message. A token is deleted,
+    # doubled, swapped with the next, or replaced by each piece, by a
+    # one-character value, or by a character that json reads but UTF-8
+    # cannot encode.
+    trees = [t for leaves in range(1, 6) for t in all_binary_trees(leaves)]
+    growing = [new_seed()] + [t for t, _ in all_growth_histories(3)]
+    trees += growing + [freeze(t) for t in growing]
+    documents = set()
+    for t in trees:
+        tokens = _JSON_TOKEN.findall(to_json(t))
+        assert "".join(tokens) == to_json(t)
+        for i in range(len(tokens)):
+            before, token, after = tokens[:i], tokens[i], tokens[i + 1:]
+            edits = [before + after, before + [token, token] + after, before + after[:1] + [token] + after[1:]]
+            edits += [before + [piece] + after for piece in _JSON_PIECES + ("0", "\ud800")]
+            documents.update("".join(edit) for edit in edits)
+        if t.step is not None:  # the step counter, spelled as json reads it and otherwise
+            body = to_json(t).partition(',"tree":')[2]
+            for step in (t.step + 1, -t.step, -1, "-0", f"0{t.step}", f" {t.step}", f"+{t.step}",
+                         f"{t.step}.0", f"{t.step}_0", "true", f'"{t.step}"'):
+                documents.add(f'{{"step":{step},"tree":{body}')
+    assert len(documents) > 3000
+    for text in documents:
+        assert _outcome(from_json, text) == _outcome(_read_via_json, text), text
+
+
 def test_unfreeze_inverts_freeze_on_active_trees():
     for t, st_ in all_growth_histories(4):
         if st_.m:
@@ -409,6 +462,8 @@ def test_deep_caterpillar_history():
         + '{"kind":"anchor"},"r":{"kind":"anchor"}}' + ',"r":{"kind":"dead_leaf"}}' * (h - 1) + "}"
     )
     assert to_json(frozen) == '{"l":' * h + '{"leaf":true},"r":{"leaf":true}}' + ',"r":{"leaf":true}}' * (h - 1)
+    assert from_json(to_json(t)) == t
+    assert from_json(to_json(frozen)) == frozen
     dot = to_dot(t)
     assert dot.count("->") == 2 * h
     assert dot.count("shape=circle, label=") == 2
@@ -436,9 +491,19 @@ def test_growth_writer_bytes_are_pinned():
 
 
 def test_from_json_rejects_documents_nested_too_deeply():
+    # A space after every colon: not to_json's text, so it goes through the
+    # json parser and meets its depth limit.
     deep = '{"l":' * 5000 + '{"leaf":true},"r":{"leaf":true}}' + ',"r":{"leaf":true}}' * 4999
     with pytest.raises(ValueError, match="nested too deeply"):
-        from_json(deep)
+        from_json(deep.replace(":", ": "))
+
+
+def test_deep_samples_round_trip():
+    # 20,000 levels: to_json's own text reads back at any depth.
+    t = sample_with_stats(narrow_profile(random.Random(20000), 20000), BitSource(1))[0]
+    assert profile(t).height == 20000
+    for tree in (t, unfreeze(t)):
+        assert from_json(to_json(tree)) == tree
 
 
 # ---------------------------------------------------------------------------
