@@ -66,9 +66,9 @@ def _emit_cells(cells: "sequences.CellSet", fmt: str) -> None:
 def _emit_table(table: "enumeration.CountTable", header: tuple[str, int], fmt: str) -> None:
     """Print a count table as CSV, or as JSON with the header pair and [n, 2k, value] cells."""
     if fmt == "json":
-        cells = [[n, 2 * k, v] for n in sorted(table.columns)
-                 for k, v in enumerate(table.columns[n], 1) if v]
-        print(json.dumps({header[0]: header[1], "cells": cells}, separators=(",", ":")))
+        cells = ",".join([f"[{n},{2 * k},{v}]" for n in sorted(table.columns)
+                          for k, v in enumerate(table.columns[n], 1) if v])
+        print(f'{{"{header[0]}":{header[1]},"cells":[{cells}]}}')
     else:
         print(table.to_csv(), end="")
 

@@ -170,28 +170,6 @@ def _check_kinds(t: Tree) -> None:
         raise ValueError(f"node {t.nodes.index(bad[0])}: kind code {bad[0]} is not a {kind}-tree kind")
 
 
-def _preorder(nodes: bytes, right: list[int]) -> list[int]:
-    """Node indices in document order: each node before its subtrees, the
-    left subtree before the right. A kind string that does not close raises
-    _depth_bounds's ValueError: the walk from the root reads past the end
-    of nodes when child slots stay open, and otherwise visits exactly the
-    nodes before the point where the tree closes."""
-    order = []
-    stack = [0]
-    try:
-        while stack:
-            i = stack.pop()
-            order.append(i)
-            if nodes[i] == INTERNAL:
-                stack.append(right[i])
-                stack.append(right[i] - 1)
-    except IndexError:
-        raise _open_slots(len(nodes)) from None
-    if len(order) != len(nodes):
-        raise _past_the_end(len(order))
-    return order
-
-
 def grow_step(t: Tree, choices: list[GrowthChoice] | tuple[GrowthChoice, ...]) -> Tree:
     """Apply one growth step, consuming one choice per anchor, left to right.
 
@@ -328,6 +306,29 @@ def profile(bt: Tree) -> Profile:
 _JSON_GROWING = ('{"kind":"internal","l":', '{"kind":"anchor"}', '{"kind":"dead_leaf"}', None)
 _JSON_FROZEN = ('{"l":', None, None, '{"leaf":true}')
 _KIND_OF_NAME = {"internal": INTERNAL, "anchor": ANCHOR, "dead_leaf": DEAD_LEAF}
+_RIGHT_KEY = ',"r":'
+_STEP_HEAD = '{"step":'
+_TREE_KEY = ',"tree":'
+
+
+class _LeafPieces(dict):
+    """closes -> the text to_json writes for a leaf of one kind: the kind's
+    object, a '}' for each of the closes objects the leaf ends, and the
+    ',"r":' that opens the next right child. Built on first use."""
+
+    def __init__(self, kind_text: str):
+        super().__init__()
+        self.kind_text = kind_text
+
+    def __missing__(self, closes: int) -> str:
+        piece = self[closes] = self.kind_text + "}" * closes + _RIGHT_KEY
+        return piece
+
+
+def _leaf_pieces(table: tuple) -> list:
+    """Per kind code: the leaf pieces of that kind, or None for the codes
+    that are no leaf of table's trees."""
+    return [None if kind == INTERNAL or text is None else _LeafPieces(text) for kind, text in enumerate(table)]
 
 
 def to_json(tree: Tree) -> str:
@@ -336,37 +337,34 @@ def to_json(tree: Tree) -> str:
     that does not close raises ValueError, naming the node at fault as
     _depth_bounds does."""
     _check_kinds(tree)
-    text = _JSON_FROZEN if tree.step is None else _JSON_GROWING
+    table = _JSON_FROZEN if tree.step is None else _JSON_GROWING
+    opener, pieces = table[INTERNAL], _leaf_pieces(table)
     nodes = tree.nodes
     right = _right_children(nodes)
-    # closes[i]: the right-child steps that end at node i. A leaf's piece
-    # closes that many objects after its own and opens the next ',"r":'.
+    # closes[r]: the right-child steps that end at the pending right child r.
+    # The walk goes down each left spine, whose nodes end none, and pushes
+    # the right children it passes.
     closes = [0] * len(nodes)
-    pieces = ({}, {}, {}, {})  # per kind: closes -> leaf piece
     out = []
     stack = [0]
     try:
         while stack:
             i = stack.pop()
-            kind = nodes[i]
-            if kind == INTERNAL:
-                out.append(text[INTERNAL])
+            c = closes[i]
+            while nodes[i] == INTERNAL:
+                out.append(opener)
                 r = right[i]
-                closes[r] = closes[i] + 1
-                stack += (r, r - 1)
-            else:
-                c = closes[i]
-                piece = pieces[kind].get(c)
-                if piece is None:
-                    piece = pieces[kind][c] = text[kind] + "}" * c + ',"r":'
-                out.append(piece)
+                closes[r] = c + 1
+                stack.append(r)
+                i, c = r - 1, 0
+            out.append(pieces[nodes[i]][c])
     except IndexError:
         raise _open_slots(len(nodes)) from None
     if len(out) != len(nodes):
         raise _past_the_end(len(out))
-    out[-1] = out[-1][:-len(',"r":')]  # the last leaf closes the root
+    out[-1] = out[-1][:-len(_RIGHT_KEY)]  # the last leaf closes the root
     body = "".join(out)
-    return body if tree.step is None else f'{{"step":{tree.step},"tree":{body}}}'
+    return body if tree.step is None else f'{_STEP_HEAD}{tree.step}{_TREE_KEY}{body}}}'
 
 
 def from_json(text: str) -> Tree:
@@ -378,10 +376,11 @@ def from_json(text: str) -> Tree:
     also each node's index in the returned Tree. A key repeated within an
     object raises ValueError.
 
-    Text exactly as to_json writes it is read in one pass at any depth.
-    Any other layout (whitespace, key order) and every malformed document
-    goes through the standard json parser, which rejects documents nested
-    deeper than its limit (about 1,000 levels).
+    Text exactly as to_json writes it is read in one pass at any depth;
+    that pass checks the text by rebuilding it piece by piece, without
+    calling to_json. Any other layout (whitespace, key order) and every
+    malformed document goes through the standard json parser, which
+    rejects documents nested deeper than its limit (about 1,000 levels).
     """
     tree = _canonical_tree(text)
     if tree is None:
@@ -391,8 +390,6 @@ def from_json(text: str) -> Tree:
     return tree
 
 
-_STEP_HEAD = '{"step":'
-_TREE_KEY = ',"tree":'
 # The characters of the structure pieces ',"r":' and '}', which carry
 # nothing a node's kind does not already fix.
 _STRUCTURE_CHARS = b',"r:}'
@@ -406,10 +403,16 @@ def _canonical_tree(text: str) -> Tree | None:
     order. A pending-depth stack puts each kind on its depth's row: an
     internal node's children sit one depth below it, and the right child
     is pending while the left subtree is read. The rows, top down, are the
-    kind string. The tree is accepted only if to_json writes text back
-    from it, so nothing reaches the caller that the json path would read
-    differently; a kind code already in text, which to_json never writes,
-    fails that comparison.
+    kind string. The same walk writes back what to_json writes for each
+    node: an internal node's opener; a leaf's piece, closing the objects
+    between its depth and the depth of the right child popped after it;
+    for the leaf that closes the tree, all of its depth's objects; and the
+    {"step":N,"tree": head and closing '}' of a growing document. These
+    kinds read in preorder, so the pieces are to_json of the rows, and the
+    tree is accepted only if they join to text: nothing reaches the caller
+    that the json path would read differently. A head int() reads but
+    to_json does not write ("+5", "05"), a kind code already in text, and
+    kinds left after the closing leaf all fail that comparison.
     """
     step, table, allowed = None, _JSON_FROZEN, _FROZEN_KINDS
     body = text
@@ -430,6 +433,8 @@ def _canonical_tree(text: str) -> Tree | None:
     kinds = body.encode().translate(None, _STRUCTURE_CHARS)
     if kinds.translate(None, allowed):
         return None
+    opener, pieces = table[INTERNAL], _leaf_pieces(table)
+    out = [] if step is None else [f"{_STEP_HEAD}{step}{_TREE_KEY}"]
     rows = [bytearray()]
     pending = []
     depth = 0
@@ -437,16 +442,21 @@ def _canonical_tree(text: str) -> Tree | None:
         for kind in kinds:
             rows[depth].append(kind)
             if kind == INTERNAL:
+                out.append(opener)
                 depth += 1
                 pending.append(depth)
                 if depth == len(rows):
                     rows.append(bytearray())
             else:
-                depth = pending.pop()
+                up = pending.pop()
+                out.append(pieces[kind][depth - up])
+                depth = up
     except IndexError:  # a leaf with no right child pending closes the tree
-        tree = Tree(b"".join(rows), step)
-        if to_json(tree) == text:  # fails too when kinds go on past that leaf
-            return tree
+        out.append(pieces[kind][depth][:-len(_RIGHT_KEY)])
+        if step is not None:
+            out.append("}")
+        if "".join(out) == text:
+            return Tree(b"".join(rows), step)
     return None
 
 
@@ -537,16 +547,31 @@ _DOT_STYLES = (  # indexed by kind code
 
 
 def to_dot(tree: Tree) -> str:
-    """Graphviz digraph; node shapes encode the kinds (see module docstring). Raises as to_json does."""
+    """Graphviz digraph; node shapes encode the kinds (see module docstring). Raises as to_json does.
+
+    Node lines come in document order, from to_json's walk down left
+    spines, and so do the edge lines, two per internal node."""
     _check_kinds(tree)
     nodes = tree.nodes
     right = _right_children(nodes)
-    order = _preorder(nodes, right)
+    internal = _DOT_STYLES[INTERNAL]
     lines = ["digraph tree {", "  ordering=out;"]
-    lines += [f"  n{i} [{_DOT_STYLES[nodes[i]]}];" for i in order]
-    for i in order:
-        if nodes[i] == INTERNAL:
-            lines.append(f"  n{i} -> n{right[i] - 1};")
-            lines.append(f"  n{i} -> n{right[i]};")
+    edges = []
+    stack = [0]
+    try:
+        while stack:
+            i = stack.pop()
+            while nodes[i] == INTERNAL:
+                lines.append(f"  n{i} [{internal}];")
+                r = right[i]
+                edges.append(f"  n{i} -> n{r - 1};\n  n{i} -> n{r};")
+                stack.append(r)
+                i = r - 1
+            lines.append(f"  n{i} [{_DOT_STYLES[nodes[i]]}];")
+    except IndexError:
+        raise _open_slots(len(nodes)) from None
+    if len(lines) - 2 != len(nodes):
+        raise _past_the_end(len(lines) - 2)
+    lines += edges
     lines.append("}")
     return "\n".join(lines) + "\n"

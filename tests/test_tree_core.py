@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import re
+import sys
 from collections import deque
 
 import pytest
@@ -504,6 +505,84 @@ def test_deep_samples_round_trip():
     assert profile(t).height == 20000
     for tree in (t, unfreeze(t)):
         assert from_json(to_json(tree)) == tree
+
+
+def test_a_canonical_read_writes_nothing(monkeypatch):
+    # from_json checks to_json's text by rebuilding it as it reads, so it
+    # reads canonical documents with the writer gone and without the json
+    # parser. Another spacing of the same document still takes the json route.
+    grown = grow_history([_choices(s) for s in ("B", "BB", "BDDB")])
+    deep = sample_with_stats(narrow_profile(random.Random(2000), 2000), BitSource(1))[0]
+    trees = [grown, freeze(grown), deep, unfreeze(deep)]
+    texts = [to_json(t) for t in trees]
+    json_tree, json_reads = tree_core._json_tree, []
+
+    def no_write(tree):
+        raise AssertionError("from_json wrote a tree")
+
+    def counted_json_tree(text):
+        json_reads.append(text)
+        return json_tree(text)
+
+    monkeypatch.setattr(tree_core, "to_json", no_write)
+    monkeypatch.setattr(tree_core, "_json_tree", counted_json_tree)
+    for t, text in zip(trees, texts):
+        assert from_json(text) == t
+    assert json_reads == []
+    for t, text in zip(trees[:2], texts[:2]):
+        spaced = text.replace(":", ": ")
+        assert from_json(spaced) == t
+        assert json_reads[-1] == spaced
+    for text in texts[2:]:
+        with pytest.raises(ValueError, match="nested too deeply"):
+            from_json(text.replace(":", ": "))
+    assert len(json_reads) == 4
+
+
+_DOT_STYLE_OF = {
+    NodeKind.INTERNAL: 'shape=circle, style=filled, fillcolor=black, label="", width=0.2',
+    NodeKind.ANCHOR: 'shape=circle, label="", width=0.2',
+    NodeKind.DEAD_LEAF: 'shape=square, style=filled, fillcolor=black, label="", width=0.18',
+    NodeKind.LEAF: 'shape=square, style=filled, fillcolor=black, label="", width=0.18',
+}
+
+
+def _recursive_dot(t):
+    """to_dot by recursion: node lines in preorder, then each internal
+    node's left and right edge lines in the same order."""
+    children, internal = {}, 0
+    for i, kind in enumerate(t.nodes):
+        if kind == NodeKind.INTERNAL:
+            children[i] = (2 * internal + 1, 2 * internal + 2)
+            internal += 1
+    order = []
+
+    def visit(i):
+        order.append(i)
+        for child in children.get(i, ()):
+            visit(child)
+
+    visit(0)
+    lines = ["digraph tree {", "  ordering=out;"]
+    lines += [f"  n{i} [{_DOT_STYLE_OF[t.nodes[i]]}];" for i in order]
+    lines += [f"  n{i} -> n{child};" for i in order for child in children.get(i, ())]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_to_dot_matches_a_recursive_writer():
+    trees = [t for leaves in range(1, 7) for t in all_binary_trees(leaves)]
+    trees += [new_seed()] + [t for t, _ in all_growth_histories(3)]
+    caterpillar = new_seed()
+    for step in range(1500):
+        caterpillar = grow_step(caterpillar, _choices("B" if step == 0 else "BD"))
+    trees += [caterpillar, freeze(caterpillar)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)  # the caterpillar is 1,500 levels deep
+    try:
+        for t in trees:
+            assert to_dot(t) == _recursive_dot(t), t
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
