@@ -50,17 +50,17 @@ z = 1/4 and escapes beyond it; fixed_point_probe measures that numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from math import comb
+
+from ._record import Record
 
 
 # ---------------------------------------------------------------------------
 # Count tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(Record):
     """Exact counts t_{n,2k}, or t_{n,2k,h} at a fixed height h, by column.
 
     columns[n] holds the values for k = 1, 2, ..., top; a zero marks an
@@ -68,8 +68,10 @@ class CountTable:
     map as read-only.
     """
 
+    __slots__ = ("columns", "h")
+    _defaults = {"h": None}
     columns: dict[int, tuple[int, ...]]
-    h: int | None = None
+    h: int | None
 
     @property
     def n_max(self) -> int:
@@ -222,8 +224,7 @@ def catalan_column_check(table: CountTable) -> bool:
 # Truncated integer power series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolySeries:
+class PolySeries(Record):
     """Dense truncated power series with exact integer coefficients.
 
     coeffs[i] is the coefficient of z^i; len(coeffs) == trunc + 1 always,
@@ -231,14 +232,17 @@ class PolySeries:
     share the same truncation order.
     """
 
+    __slots__ = ("coeffs", "trunc")
     coeffs: tuple[int, ...]
     trunc: int
 
-    def __post_init__(self) -> None:
-        if self.trunc < 0:
-            raise ValueError(f"trunc must be nonnegative, got {self.trunc}")
-        if len(self.coeffs) != self.trunc + 1:
+    def __init__(self, coeffs: tuple[int, ...], trunc: int) -> None:
+        if trunc < 0:
+            raise ValueError(f"trunc must be nonnegative, got {trunc}")
+        if len(coeffs) != trunc + 1:
             raise ValueError("coefficient list must have length trunc + 1")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "trunc", trunc)
 
     @classmethod
     def of(cls, values: list[int] | tuple[int, ...], trunc: int) -> "PolySeries":
@@ -347,13 +351,14 @@ DEFAULT_BLOW_UP = 1e6
 DEFAULT_MAX_ITERS = 100_000
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(Record):
     """Outcome of the fixed-point iteration: converged, diverged, or undecided."""
 
-    status: str                 # "converged" | "diverged" | "undecided"
-    limit: float | None = None  # fixed point when converged
-    iterations: int = 0
+    __slots__ = ("status", "limit", "iterations")
+    _defaults = {"limit": None, "iterations": 0}
+    status: str          # "converged" | "diverged" | "undecided"
+    limit: float | None  # fixed point when converged
+    iterations: int
 
     @property
     def converged(self) -> bool:

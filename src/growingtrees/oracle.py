@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import cache
-from typing import Iterator
 
+from ._record import Record
 from .profiles import Profile
 from .tree_core import (
     INTERNAL,
@@ -105,10 +105,10 @@ def _expand(t: Tree, n: int, ell: int, h_steps: int) -> Iterator[tuple[Tree, Tre
             yield from _expand(child, child_n, child_ell, h_steps)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     """One expected-versus-actual comparison, serializable as a JSON line."""
 
+    __slots__ = ("checked", "expected", "actual", "passed")
     checked: str
     expected: object
     actual: object

@@ -21,20 +21,20 @@ one independent choice per level: the l_{k+1} leaves at depth k+1 pick their
 positions among the 2*i_k children slots of the depth-k internal nodes.
 
 The validity test is exact integer arithmetic; kraft_sum reports the exact
-sum as a fractions.Fraction for messages. Counts are exact big integers.
+sum as a fractions.Fraction for messages, and exact_text writes big numbers
+through decimal. Both modules are imported inside those functions only, so
+importing the package loads neither. Counts are exact big integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
-from fractions import Fraction
 from itertools import compress
 from math import comb, isqrt
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class Profile:
+
+class Profile(Record):
     """Per-level leaf counts (l_0, ..., l_h) of a binary tree, l_h > 0.
 
     Structural constraints are enforced on construction: entries are
@@ -48,22 +48,24 @@ class Profile:
     report on them.
     """
 
+    __slots__ = ("levels",)
     levels: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, levels: tuple[int, ...] | list[int]) -> None:
         # A list of levels is the same profile as the tuple: equal and hashable.
-        object.__setattr__(self, "levels", tuple(self.levels))
-        if not self.levels:
+        levels = tuple(levels)
+        if not levels:
             raise ValueError("empty profile")
         # bool is an int subclass, but True is not a leaf count.
-        if set(map(type, self.levels)) != {int} or min(self.levels) < 0:
+        if set(map(type, levels)) != {int} or min(levels) < 0:
             raise ValueError("profile entries must be nonnegative integers")
-        if self.levels[-1] == 0:
+        if levels[-1] == 0:
             raise ValueError("trailing zero: the last profile entry l_h must be positive")
-        if len(self.levels) == 1 and self.levels != (1,):
+        if len(levels) == 1 and levels != (1,):
             raise ValueError("a height-0 profile must be (1)")
-        if len(self.levels) > 1 and self.levels[0] != 0:
+        if len(levels) > 1 and levels[0] != 0:
             raise ValueError("a profile of positive height must start with l_0 = 0")
+        object.__setattr__(self, "levels", levels)
 
     @property
     def height(self) -> int:
@@ -79,8 +81,11 @@ class Profile:
 
 def exact_text(x: int | Fraction) -> str:
     """Exact decimal text of an int or a Fraction "p/q": unlike str(), Decimal
-    has no limit on the number of digits (str() stops at 4,300 by default)."""
-    if isinstance(x, Fraction) and x.denominator != 1:
+    has no limit on the number of digits (str() stops at 4,300 by default).
+    decimal is imported here, on the first call, not with the package."""
+    from decimal import MAX_EMAX, MAX_PREC, Inexact, localcontext
+
+    if x.denominator != 1:
         return f"{exact_text(x.numerator)}/{exact_text(x.denominator)}"
     n = int(x)
     with localcontext() as ctx:
@@ -99,6 +104,8 @@ def _decimal(n: int, bits: int, powers: dict[int, Decimal]) -> Decimal:
     (8 ms at 140,000 bits). Needs an exact, unbounded context; `powers`
     keeps the 2^w it builds, also by halving w. The depth is log2 of
     bits / 4096."""
+    from decimal import Decimal
+
     if bits <= _DECIMAL_LEAF_BITS:
         return Decimal(n)
     half = bits >> 1
@@ -109,6 +116,8 @@ def _decimal(n: int, bits: int, powers: dict[int, Decimal]) -> Decimal:
 
 def _power_of_two(w: int, powers: dict[int, Decimal]) -> Decimal:
     """Decimal 2^w, kept in `powers`; under the same context as _decimal."""
+    from decimal import Decimal
+
     if w not in powers:
         if w <= _DECIMAL_LEAF_BITS:
             powers[w] = Decimal(2) ** w
@@ -120,7 +129,10 @@ def _power_of_two(w: int, powers: dict[int, Decimal]) -> Decimal:
 def kraft_sum(p: Profile) -> Fraction:
     """Exact Kraft sum sum_i l_i / 2^i of a profile: sum_i l_i * 2^{h-i} by
     Horner's rule, over 2^h. Its numerator grows to h bits, so it serves
-    messages only, not is_valid."""
+    messages only, not is_valid. fractions is imported here, on the first
+    call, not with the package."""
+    from fractions import Fraction
+
     numerator = 0
     for l in p.levels:
         numerator = 2 * numerator + l

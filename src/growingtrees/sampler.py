@@ -49,11 +49,11 @@ import itertools
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 from operator import getitem
 
+from ._record import Record
 # is_valid is not called here (base_tree validates), but
 # benchmark/tracing.py wraps it under this module's name.
 from .profiles import Profile, _comb, _product_tree, base_tree, count_trees, exact_text, is_valid, level_choices  # noqa: F401
@@ -373,18 +373,19 @@ def uniform_tree(p: Profile, src: BitSource) -> Tree:
     return next(samples(p, src, 1))[0]
 
 
-@dataclass(frozen=True)
-class SampleStats:
+class SampleStats(Record):
     """Per-sample accounting: source seed, profile, bits, sizes.
 
     bits_consumed counts the bits drawn while producing this record: the
     first record of a batch carries the batch's one draw and the others read
     0, so the records of a stream sum to the bits its source gave out.
-    Every tree with L leaves has node_count = 2L - 1 nodes, and its build
-    costs steps = 3L - 2 elementary steps: 1 per leaf and 2 per internal
-    node (one hookup per child).
+    Every tree with L leaves has node_count = 2L - 1 nodes. steps = 3L - 2
+    is a count kept in the record (1 per leaf and 2 per internal node), not
+    a measured cost: the build joins the row words of the depths into the
+    kind string and does no per-node work.
     """
 
+    __slots__ = ("seed", "profile", "bits_consumed", "node_count", "steps")
     seed: int
     profile: Profile
     bits_consumed: int

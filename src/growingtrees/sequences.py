@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
+
+from ._record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +167,7 @@ def a_hat_seq(n_max: int) -> list[int]:
 # Cell sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CellSet:
+class CellSet(Record):
     """A set of (n, k) cells whose columns are contiguous k-intervals.
 
     columns maps n to the inclusive interval (k_min, k_max). All the cell
@@ -175,6 +175,7 @@ class CellSet:
     keeps huge instances (|S_14| is about 3.4e7 cells) representable.
     """
 
+    __slots__ = ("columns", "h")
     columns: dict[int, tuple[int, int]]
     h: int
 

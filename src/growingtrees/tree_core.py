@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import accumulate
 
+from ._record import Record
 from .profiles import Profile
 
 
@@ -68,8 +68,7 @@ class GrowthChoice(Enum):
 INTERNAL, ANCHOR, DEAD_LEAF, LEAF = (int(k) for k in NodeKind)
 
 
-@dataclass(frozen=True, slots=True)
-class Tree:
+class Tree(Record):
     """Immutable binary tree as its kind string, growing or frozen.
 
     nodes[i] is the NodeKind code of node i, in level order: the root is
@@ -79,8 +78,14 @@ class Tree:
     growing tree and None for a frozen tree, whose leaves are all LEAF.
     """
 
+    __slots__ = ("nodes", "step")
     nodes: bytes
-    step: int | None = None
+    step: int | None
+
+    def __init__(self, nodes: bytes, step: int | None = None) -> None:
+        # Built on every growth step and every sample: no generic binding.
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "step", step)
 
     @property
     def anchor_count(self) -> int:
@@ -99,10 +104,10 @@ class Tree:
         return len(self.nodes) - self.nodes.count(INTERNAL)
 
 
-@dataclass(frozen=True)
-class TreeStats:
+class TreeStats(Record):
     """Counts of a growing tree: internal n, anchors m, dead leaves ell, height h."""
 
+    __slots__ = ("n", "m", "ell", "h")
     n: int
     m: int
     ell: int

@@ -431,3 +431,13 @@ def test_import_leaves_secrets_and_hashlib_unloaded():
     src = str(Path(growingtrees.__file__).parents[1])
     done = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_import_and_parser_leave_dataclasses_typing_decimal_fractions_unloaded():
+    # -S: site's .pth hooks may import typing before any user code runs.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import growingtrees.cli; "
+            "growingtrees.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'decimal', 'fractions'} & set(sys.modules)))")
+    src = str(Path(growingtrees.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -1,6 +1,5 @@
 """Growth process, invariants, freezing, and serialization of growing trees."""
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -102,7 +101,7 @@ def test_grow_step_rejects_unknown_choices():
 
 
 def test_validate_rejects_anchor_off_step():
-    shifted = dataclasses.replace(new_seed(), step=1)
+    shifted = Tree(new_seed().nodes, step=1)
     with pytest.raises(ValueError, match=r"anchors at depths \[0\]"):
         validate_growing(shifted)
 
