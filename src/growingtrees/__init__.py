@@ -34,14 +34,11 @@ from .profiles import (
 )
 from .sampler import (
     BitSource,
-    SampleStats,
     draw_below,
     entropy_bound,
     rank_tree,
-    sample_with_stats,
     samples,
     unrank_merge,
-    uniform_tree,
 )
 from .sequences import (
     CellSet,
@@ -87,7 +84,6 @@ __all__ = [
     "PolySeries",
     "ProbeResult",
     "Profile",
-    "SampleStats",
     "Tree",
     "TreeStats",
     "a_gf_check",
@@ -120,7 +116,6 @@ __all__ = [
     "ruler",
     "s_area_formula",
     "s_domain",
-    "sample_with_stats",
     "samples",
     "scaling_limit_deviation",
     "stats",
@@ -130,7 +125,6 @@ __all__ = [
     "to_json",
     "truncate_profile",
     "unfreeze",
-    "uniform_tree",
     "unrank_merge",
     "validate_growing",
 ]

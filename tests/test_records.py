@@ -9,7 +9,6 @@ import pytest
 from growingtrees.enumeration import CountTable, PolySeries, ProbeResult
 from growingtrees.oracle import OracleReport
 from growingtrees.profiles import Profile
-from growingtrees.sampler import SampleStats
 from growingtrees.sequences import CellSet
 from growingtrees.tree_core import Tree, TreeStats
 
@@ -25,8 +24,6 @@ RECORDS = [
     (PolySeries((1, 2, 0), 2), "PolySeries(coeffs=(1, 2, 0), trunc=2)", True),
     (ProbeResult("converged", 1.5, 3), "ProbeResult(status='converged', limit=1.5, iterations=3)", True),
     (ProbeResult(status="undecided"), "ProbeResult(status='undecided', limit=None, iterations=0)", True),
-    (SampleStats(seed=7, profile=Profile((0, 2)), bits_consumed=0, node_count=3, steps=4),
-     "SampleStats(seed=7, profile=Profile(levels=(0, 2)), bits_consumed=0, node_count=3, steps=4)", True),
     (CellSet({2: (1, 1)}, 3), "CellSet(columns={2: (1, 1)}, h=3)", False),
     (OracleReport.compare("catalan", 5, 5), "OracleReport(checked='catalan', expected=5, actual=5, passed=True)", True),
 ]

@@ -16,7 +16,6 @@ from growingtrees.sampler import (
     _NARROW_SLOTS,
     _WIDE_SLOTS,
     BitSource,
-    SampleStats,
     _build,
     _mixed_radix,
     _narrow_row,
@@ -26,9 +25,7 @@ from growingtrees.sampler import (
     draw_below,
     entropy_bound,
     rank_tree,
-    sample_with_stats,
     samples,
-    uniform_tree,
     unrank_merge,
 )
 from growingtrees.tree_core import INTERNAL, LEAF, Tree, profile, to_json
@@ -395,7 +392,7 @@ def test_rank_tree_inverts_every_split_level(monkeypatch):
 
 
 def test_rank_tree_rejects_another_profile():
-    tree = uniform_tree(Profile((0, 0, 2, 4)), BitSource(3))
+    tree = next(samples(Profile((0, 0, 2, 4)), BitSource(3), 1))
     with pytest.raises(ValueError, match="tree of profile 0,0,2,4, not 0,1,2"):
         rank_tree(Profile((0, 1, 2)), tree)
     with pytest.raises(ValueError, match="missing"):
@@ -409,7 +406,7 @@ def test_comb_is_math_comb(n, share):
     assert _comb(n, k) == comb(n, k)
 
 
-def test_samples_match_repeated_sample_with_stats():
+def test_samples_build_the_trees_of_their_drawn_ranks():
     rng = random.Random(61)
     narrow = narrow_profile(rng, 120)
     wide = random_split_profile(rng, 60)
@@ -420,14 +417,20 @@ def test_samples_match_repeated_sample_with_stats():
         internals = 2 * internals - l
     assert min(widths) <= _NARROW_SLOTS < max(widths)
     for p in (narrow, wide):
-        draws = samples(p, BitSource(67))
-        one_by_one = BitSource(67)
-        for _ in range(8):
-            tree, stats = next(draws)
-            again, again_stats = sample_with_stats(p, one_by_one)
-            assert to_json(tree) == to_json(again)
-            assert stats == again_stats
+        radix, rows = base_tree(p), _rows(p)
+        n = radix[-1][0]
+        # One batch of 8 trees: one rank below N^8, split into 8 sample ranks.
+        assert 8 * n.bit_length() <= sampler._BATCH_BITS
+        ranks = _mixed_radix(draw_below(BitSource(67), n ** 8), _product_tree([n] * 8))
+        one_by_one, again = BitSource(67), BitSource(67)
+        for tree, rank in zip(samples(p, BitSource(67), 8), ranks, strict=True):
+            assert tree == _build(p, rows, _mixed_radix(rank, radix))
             assert profile(tree) == p
+            assert rank_tree(p, tree) == rank
+            # One tree at a time: one draw below N each.
+            alone = next(samples(p, one_by_one, 1))
+            assert rank_tree(p, alone) == draw_below(again, n)
+            assert one_by_one.bits_consumed == again.bits_consumed
 
 
 def test_single_tree_profiles_cost_no_bits():
@@ -435,8 +438,7 @@ def test_single_tree_profiles_cost_no_bits():
         p = Profile(levels)
         assert count_trees(p) == 1
         src = BitSource(17)
-        tree, stats = sample_with_stats(p, src)
-        assert stats.bits_consumed == 0
+        tree = next(samples(p, src, 1))
         assert src.bits_consumed == 0
         assert profile(tree) == p
 
@@ -444,8 +446,8 @@ def test_single_tree_profiles_cost_no_bits():
 def test_sampled_trees_match_profile():
     p = Profile((0, 0, 3, 2))
     src = BitSource(23)
-    for _ in range(200):
-        assert profile(uniform_tree(p, src)) == p
+    for tree in samples(p, src, 200):
+        assert profile(tree) == p
 
 
 def test_uniformity_small_profile():
@@ -455,7 +457,7 @@ def test_uniformity_small_profile():
     src = BitSource(29)
     tally = {}
     for _ in range(3000):
-        key = to_json(uniform_tree(p, src))
+        key = to_json(next(samples(p, src, 1)))
         tally[key] = tally.get(key, 0) + 1
     assert set(tally) == support
     assert chi_square(list(tally.values())).passed
@@ -521,12 +523,14 @@ def test_batched_streams_stay_above_the_floor_and_account_every_bit(monkeypatch)
             count = rng.randint(1, 40)
             batch = max(1, cap // n.bit_length())
             src = BitSource(rng.randrange(1 << 32))
-            records = [stats for _, stats in samples(p, src, count)]
-            assert len(records) == count
-            assert all(stats.profile == p for stats in records)
-            bits = [stats.bits_consumed for stats in records]
-            assert sum(bits) == src.bits_consumed
-            # Each batch's first record carries its one draw, of at least
+            # The bits each tree's next() drew.
+            bits, drawn = [], 0
+            for tree in samples(p, src, count):
+                assert profile(tree) == p
+                bits.append(src.bits_consumed - drawn)
+                drawn = src.bits_consumed
+            assert len(bits) == count
+            # Each batch's first tree carries its one draw, of at least
             # log2(N^g) bits: 2^bits >= N^count exactly, for every seed.
             assert all(b == 0 for i, b in enumerate(bits) if i % batch)
             assert 1 << src.bits_consumed >= n ** count
@@ -540,7 +544,7 @@ def test_uniformity_of_consecutive_pairs_within_a_batch():
     index = {key: i for i, key in enumerate(support)}
     pairs = 4000
     # One batch of 2 * pairs trees: 6^8000 has 20,680 bits, under the cap.
-    trees = [index[to_json(tree)] for tree, _ in samples(p, BitSource(83), 2 * pairs)]
+    trees = [index[to_json(tree)] for tree in samples(p, BitSource(83), 2 * pairs)]
     tally = [0] * 36
     for first, second in zip(trees[::2], trees[1::2]):
         tally[6 * first + second] += 1
@@ -550,48 +554,46 @@ def test_uniformity_of_consecutive_pairs_within_a_batch():
 def test_invalid_profile_rejected_before_bits_flow():
     src = BitSource(31)
     with pytest.raises(ValueError, match=r"invalid profile, kraft sum 3/4 != 1"):
-        uniform_tree(Profile((0, 1, 1)), src)
-    with pytest.raises(ValueError, match="invalid profile"):
-        sample_with_stats(Profile((0, 1, 1)), src)
-    with pytest.raises(ValueError, match="invalid profile"):
-        samples(Profile((0, 1, 1)), src)
+        samples(Profile((0, 1, 1)), src, 1)
     with pytest.raises(ValueError, match="invalid profile"):
         samples(Profile((0, 1, 1)), src, 5)
     assert src.bits_consumed == 0
 
 
 def test_sample_stats_record():
+    # What the deleted per-tree record held, read from the tree and the source.
     p = Profile((0, 1, 2))
-    src = BitSource(37)
-    tree, stats = sample_with_stats(p, src)
-    assert isinstance(stats, SampleStats)
-    assert stats.seed == 37
-    assert stats.profile == p
-    assert stats.node_count == len(tree.nodes) == 2 * 3 - 1
-    assert stats.steps == 3 * 3 - 2
-    assert stats.bits_consumed == src.bits_consumed
+    src, check = BitSource(37), BitSource(37)
+    tree = next(samples(p, src, 1))
+    assert isinstance(tree, Tree)
+    assert profile(tree) == p
+    assert len(tree.nodes) == 2 * 3 - 1
+    # The source counted exactly the bits of one draw below the count.
+    draw_below(check, count_trees(p))
+    assert src.bits_consumed == check.bits_consumed
 
 
 def test_step_counter_is_linear_in_leaves():
+    # The build writes one node code per node: 2L - 1 of them, L leaves.
     for levels in ((1,), (0, 2), (0, 1, 2), (0, 0, 2, 4), (0, 1, 0, 4), (0, 1, 1, 2)):
         p = Profile(levels)
         leaves = p.total_leaves
         src = BitSource(41)
-        tree, stats = sample_with_stats(p, src)
-        assert stats.steps == 3 * leaves - 2
-        assert stats.node_count == 2 * leaves - 1
+        tree = next(samples(p, src, 1))
+        assert profile(tree) == p
+        assert len(tree.nodes) == 2 * leaves - 1
         assert tree.leaf_count == leaves
 
 
 def test_seeded_sampling_is_reproducible():
     p = Profile((0, 1, 0, 2, 4))
-    first = [to_json(uniform_tree(p, BitSource(101 + i))) for i in range(10)]
-    second = [to_json(uniform_tree(p, BitSource(101 + i))) for i in range(10)]
+    first = [to_json(next(samples(p, BitSource(101 + i), 1))) for i in range(10)]
+    second = [to_json(next(samples(p, BitSource(101 + i), 1))) for i in range(10)]
     assert first == second
     stream = BitSource(7)
-    run_a = [to_json(uniform_tree(p, stream)) for _ in range(5)]
+    run_a = [to_json(next(samples(p, stream, 1))) for _ in range(5)]
     stream2 = BitSource(7)
-    run_b = [to_json(uniform_tree(p, stream2)) for _ in range(5)]
+    run_b = [to_json(next(samples(p, stream2, 1))) for _ in range(5)]
     assert run_a == run_b
 
 
@@ -613,8 +615,6 @@ def test_mean_bits_stay_near_entropy_floor():
     p = Profile((0, 0, 2, 4))
     src = BitSource(53)
     draws = 2000
-    total = 0
     for _ in range(draws):
-        _, stats = sample_with_stats(p, src)
-        total += stats.bits_consumed
-    assert total / draws <= entropy_bound(p) + 3
+        next(samples(p, src, 1))
+    assert src.bits_consumed / draws <= entropy_bound(p) + 3

@@ -15,7 +15,7 @@ from random_profiles import narrow_profile
 from growingtrees import tree_core
 from growingtrees.oracle import all_binary_trees, all_growth_histories
 from growingtrees.profiles import Profile
-from growingtrees.sampler import BitSource, sample_with_stats
+from growingtrees.sampler import BitSource, samples
 from growingtrees.tree_core import (
     GrowthChoice,
     NodeKind,
@@ -500,7 +500,7 @@ def test_from_json_rejects_documents_nested_too_deeply():
 
 def test_deep_samples_round_trip():
     # 20,000 levels: to_json's own text reads back at any depth.
-    t = sample_with_stats(narrow_profile(random.Random(20000), 20000), BitSource(1))[0]
+    t = next(samples(narrow_profile(random.Random(20000), 20000), BitSource(1), 1))
     assert profile(t).height == 20000
     for tree in (t, unfreeze(t)):
         assert from_json(to_json(tree)) == tree
@@ -511,7 +511,7 @@ def test_a_canonical_read_writes_nothing(monkeypatch):
     # reads canonical documents with the writer gone and without the json
     # parser. Another spacing of the same document still takes the json route.
     grown = grow_history([_choices(s) for s in ("B", "BB", "BDDB")])
-    deep = sample_with_stats(narrow_profile(random.Random(2000), 2000), BitSource(1))[0]
+    deep = next(samples(narrow_profile(random.Random(2000), 2000), BitSource(1), 1))
     trees = [grown, freeze(grown), deep, unfreeze(deep)]
     texts = [to_json(t) for t in trees]
     json_tree, json_reads = tree_core._json_tree, []
@@ -663,7 +663,7 @@ def test_every_built_tree_is_level_ordered():
     for seed, levels in enumerate([(1,), (0, 2), (0, 1, 1, 2), (0, 0, 3, 2), (0, 0, 2, 2, 4), (0, 1, 0, 3, 2)]):
         src = BitSource(seed)
         for _ in range(5):
-            sampled = sample_with_stats(Profile(levels), src)[0]
+            sampled = next(samples(Profile(levels), src, 1))
             assert _closes(sampled.nodes)
             assert _closes(unfreeze(sampled).nodes)
 
@@ -673,7 +673,7 @@ def test_grow_step_matches_a_nested_replay():
     # replayed on nested lists, choices taken left to right.
     rng = random.Random(5)
     grown = grow_history([_choices(s) for s in ("B", "BB", "BDDB", "DBBB")])
-    sampled = [unfreeze(sample_with_stats(Profile(levels), BitSource(seed))[0])
+    sampled = [unfreeze(next(samples(Profile(levels), BitSource(seed), 1)))
                for seed, levels in enumerate([(0, 1, 1, 2), (0, 0, 3, 2), (0, 0, 2, 2, 4), (0, 1, 0, 3, 2)])]
     for t in sampled + [grown]:
         for _ in range(4):
