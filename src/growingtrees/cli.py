@@ -163,40 +163,29 @@ def cmd_sample(args: argparse.Namespace) -> int:
                   f"bits_consumed={bits} node_count={node_count}")
             print(tree_core.to_dot(tree), end="")
         else:
-            record = json.dumps({
-                "seed": seed,
-                "profile": str(p),
-                "index": index,
-                "bits_consumed": bits,
-                "node_count": node_count,
-            }, separators=(",", ":"))
-            # The tree text goes in as written: the json module cannot
-            # re-encode trees nested deeper than about 1,000 levels.
-            print(f'{record[:-1]},"tree":{tree_core.to_json(tree)}}}')
+            print(f'{{"seed":{seed},"profile":"{p}","index":{index},'
+                  f'"bits_consumed":{bits},"node_count":{node_count},'
+                  f'"tree":{tree_core.to_json(tree)}}}')
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    reports: list[oracle.OracleReport] = []
+    # (checked, expected, actual) triples, all computed before any is printed,
+    # so a size out of range prints nothing.
+    checks: list[tuple[str, object, object]] = []
     if args.which == "catalan":
         n_max = args.nmax if args.nmax is not None else 8
         for leaves in range(1, n_max + 1):
-            reports.append(oracle.OracleReport.compare(
-                f"binary trees with {leaves} leaves",
-                enumeration.catalan(leaves - 1),
-                len(oracle.all_binary_trees(leaves)),
-            ))
+            checks.append((f"binary trees with {leaves} leaves",
+                           enumeration.catalan(leaves - 1),
+                           len(oracle.all_binary_trees(leaves))))
     elif args.which == "profile-count":
         if args.profile is None:
             print("error: profile-count requires --profile", file=sys.stderr)
             return 2
         p = profiles.Profile(args.profile)
         formula = profiles.count_trees(p) if profiles.is_valid(p) else 0
-        reports.append(oracle.OracleReport.compare(
-            f"trees with profile {p}",
-            len(oracle.trees_with_profile(p)),
-            formula,
-        ))
+        checks.append((f"trees with profile {p}", formula, len(oracle.trees_with_profile(p))))
     else:
         steps = args.steps if args.steps is not None else 3
         by_height: dict[int, dict[tuple[int, int], int]] = {}
@@ -207,26 +196,25 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 cell = (st.n, st.m)
                 bucket[cell] = bucket.get(cell, 0) + 1
             by_column_total[st.n] = by_column_total.get(st.n, 0) + 1
+        # Cell counts as sorted ((n, anchors), count) pairs, which json
+        # writes as [[n, anchors], count].
         for h in range(1, steps + 1):
-            expected = {(n, 2 * k): v
-                        for (n, k), v in enumeration.t_height_table(h).entries.items()}
-            reports.append(oracle.OracleReport.compare(
-                f"active states at step {h} by (n, anchors)",
-                expected,
-                by_height.get(h, {}),
-            ))
+            expected = sorted(((n, 2 * k), v)
+                              for (n, k), v in enumeration.t_height_table(h).entries.items())
+            checks.append((f"active states at step {h} by (n, anchors)",
+                           expected,
+                           sorted(by_height.get(h, {}).items())))
         # Columns whose histories all finish within the step budget (shapes
         # with n internal nodes die by step n+1): every shape appears once
         # active and once fully dead.
         for n in range(1, steps):
-            reports.append(oracle.OracleReport.compare(
-                f"column {n} states vs 2*catalan",
-                2 * enumeration.catalan(n),
-                by_column_total.get(n, 0),
-            ))
-    for report in reports:
-        print(report.to_json())
-    return 0 if all(r.passed for r in reports) else 1
+            checks.append((f"column {n} states vs 2*catalan",
+                           2 * enumeration.catalan(n),
+                           by_column_total.get(n, 0)))
+    for checked, expected, actual in checks:
+        print(json.dumps({"checked": checked, "expected": expected, "actual": actual,
+                          "pass": expected == actual}, separators=(",", ":")))
+    return 0 if all(expected == actual for _, expected, actual in checks) else 1
 
 
 def cmd_bench_bits(args: argparse.Namespace) -> int:

@@ -17,11 +17,9 @@ completed to Catalan numbers by the inactive states.
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Iterator
 from functools import cache
 
-from ._record import Record
 from .profiles import Profile
 from .tree_core import (
     INTERNAL,
@@ -103,38 +101,3 @@ def _expand(t: Tree, n: int, ell: int, h_steps: int) -> Iterator[tuple[Tree, Tre
         yield child, TreeStats(n=child_n, m=child_m, ell=child_ell, h=height)
         if child_m and child.step < h_steps:
             yield from _expand(child, child_n, child_ell, h_steps)
-
-
-class OracleReport(Record):
-    """One expected-versus-actual comparison, serializable as a JSON line."""
-
-    __slots__ = ("checked", "expected", "actual", "passed")
-    checked: str
-    expected: object
-    actual: object
-    passed: bool
-
-    @classmethod
-    def compare(cls, checked: str, expected: object, actual: object) -> "OracleReport":
-        return cls(checked=checked, expected=expected, actual=actual, passed=expected == actual)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "checked": self.checked,
-                "expected": _jsonable(self.expected),
-                "actual": _jsonable(self.actual),
-                "pass": self.passed,
-            },
-            separators=(",", ":"),
-        )
-
-
-def _jsonable(value: object) -> object:
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, dict):
-        return [[_jsonable(k), _jsonable(v)] for k, v in sorted(value.items())]
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    return value

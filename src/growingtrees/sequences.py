@@ -117,18 +117,15 @@ def a_gf_check(trunc: int) -> bool:
     if trunc < 1:
         raise ValueError("trunc must be at least 1")
     total = PolySeries.of([], trunc)
-    product = PolySeries.of([1], trunc)
+    one = product = PolySeries.of([1], trunc)
+    z = one.shifted(1)
     i = 0
     while not product.is_zero():
         total = total + product.shifted(1)
         i += 1
-        factor_coeffs = [0] * (trunc + 1)
-        factor_coeffs[1] = 1
-        if (1 << i) <= trunc:
-            factor_coeffs[1 << i] += 1
         # Sparse factor on the left: multiplication skips zero coefficients
         # of the left operand, and the factor has only two terms.
-        product = PolySeries.of(factor_coeffs, trunc) * product
+        product = (z + one.shifted(1 << i)) * product
     expected = a_seq(trunc)
     return all(total.coeff(n) == expected[n] for n in range(1, trunc + 1))
 

@@ -15,8 +15,9 @@ import pytest
 import growingtrees
 import reference_data as ref
 from random_profiles import narrow_profile, random_split_profile
-from growingtrees import cli, profiles, sampler
+from growingtrees import cli, oracle, profiles, sampler
 from growingtrees.cli import run
+from growingtrees.enumeration import t_height_table
 from growingtrees.tree_core import from_json, profile, to_json
 from growingtrees.profiles import Profile
 from growingtrees.sampler import BitSource, samples
@@ -311,6 +312,18 @@ def test_oracle_histories(capsys):
     assert len(docs) == 5
     assert all(doc["pass"] for doc in docs)
     assert docs[3]["expected"] == 2 * ref.CATALAN[1]
+    # The step lines write their cells as sorted [[n, 2k], count] pairs.
+    for h, doc in enumerate(docs[:3], 1):
+        cells = sorted(t_height_table(h).entries.items())
+        assert doc["expected"] == [[[n, 2 * k], v] for (n, k), v in cells]
+
+
+def test_oracle_mismatch_fails_with_the_formula_as_expected(monkeypatch, capsys):
+    real = oracle.trees_with_profile
+    monkeypatch.setattr(oracle, "trees_with_profile", lambda p: real(p)[1:])
+    assert run(["oracle", "profile-count", "--profile", "0,0,2,4"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "checked": "trees with profile 0,0,2,4", "expected": 6, "actual": 5, "pass": False}
 
 
 def test_bench_bits(capsys):

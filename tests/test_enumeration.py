@@ -270,6 +270,15 @@ def test_height_iterate_counts_trees_by_height():
         assert total == ref.TREES_BY_MAX_HEIGHT[h]
 
 
+def test_height_iterate_differences_are_the_height_table_columns():
+    # Column by column, not only in total: the series layer and the transfer
+    # step agree on every tree count of height exactly h with n internal nodes.
+    for h in range(1, 11):
+        series = iterate_p(h, 40) - iterate_p(h - 1, 40)
+        table = t_height_table(h, n_cap=40)
+        assert all(table.column_sum(n) == series.coeff(n) for n in range(41))
+
+
 def test_mandelbrot_recurrence():
     z = PolySeries.of([0, 1], 64)
     for h in range(11):

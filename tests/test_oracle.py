@@ -1,6 +1,5 @@
-"""Exhaustive enumerations, the chi-square helper, and report records."""
+"""Exhaustive enumerations and the chi-square helper."""
 
-import json
 import math
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 import reference_data as ref
 from growingtrees.enumeration import t_height_table
 from growingtrees.oracle import (
-    OracleReport,
     all_binary_trees,
     all_growth_histories,
     trees_with_profile,
@@ -159,20 +157,3 @@ def test_chi_square_guards():
     with pytest.raises(ValueError, match="insufficient draws: 150 < 100"):
         chi_square([75, 75])
 
-
-def test_oracle_report():
-    good = OracleReport.compare("column sum", 5, 5)
-    assert good.passed
-    bad = OracleReport.compare("column sum", 5, 6)
-    assert not bad.passed
-    doc = json.loads(bad.to_json())
-    assert doc == {"checked": "column sum", "expected": 5, "actual": 6, "pass": False}
-
-
-def test_oracle_report_serializes_collections():
-    report = OracleReport.compare("cells", {(1, 1): 2}, {(1, 1): 2})
-    doc = json.loads(report.to_json())
-    assert doc["pass"] is True
-    assert doc["expected"] == [[[1, 1], 2]]
-    sets = OracleReport.compare("support", {3, 1, 2}, {1, 2, 3})
-    assert json.loads(sets.to_json())["expected"] == [1, 2, 3]

@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from growingtrees.enumeration import CountTable, PolySeries, ProbeResult
-from growingtrees.oracle import OracleReport
 from growingtrees.profiles import Profile
 from growingtrees.sequences import CellSet
 from growingtrees.tree_core import Tree, TreeStats
@@ -25,7 +24,6 @@ RECORDS = [
     (ProbeResult("converged", 1.5, 3), "ProbeResult(status='converged', limit=1.5, iterations=3)", True),
     (ProbeResult(status="undecided"), "ProbeResult(status='undecided', limit=None, iterations=0)", True),
     (CellSet({2: (1, 1)}, 3), "CellSet(columns={2: (1, 1)}, h=3)", False),
-    (OracleReport.compare("catalan", 5, 5), "OracleReport(checked='catalan', expected=5, actual=5, passed=True)", True),
 ]
 IDS = [text.split("(")[0] for _, text, _ in RECORDS]
 
