@@ -312,8 +312,13 @@ def test_oracle_histories(capsys):
     assert len(docs) == 5
     assert all(doc["pass"] for doc in docs)
     assert docs[3]["expected"] == 2 * ref.CATALAN[1]
-    # The step lines write their cells as sorted [[n, 2k], count] pairs.
+
+
+def test_oracle_histories_writes_cells_as_sorted_pairs(capsys):
+    assert run(["oracle", "histories", "--steps", "3"]) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     for h, doc in enumerate(docs[:3], 1):
+        assert doc["pass"] is True
         cells = sorted(t_height_table(h).entries.items())
         assert doc["expected"] == [[[n, 2 * k], v] for (n, k), v in cells]
 
