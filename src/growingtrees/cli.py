@@ -156,7 +156,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     src, drawn = sampler.BitSource(seed), 0
     node_count = 2 * p.total_leaves - 1
     for index, tree in enumerate(sampler.samples(p, src, args.count)):
-        # What this tree's next() drew: its batch's draw, on its first tree.
+        # What this tree's next() drew; it may use bits an earlier tree drew.
         bits, drawn = src.bits_consumed - drawn, src.bits_consumed
         if args.format == "dot":
             print(f"// seed={seed} index={index} "

@@ -33,14 +33,14 @@ combined by blocks, so a wide level costs well under the O(W^2) bit
 operations of one running binomial across W slots.
 
 Randomness flows through a BitSource, which hands out fair bits and counts
-every bit drawn. Uniform integers come from draw_below, a rejection sampler
-on the smallest binary range holding N that recycles the rejected remainder
-instead of discarding it, so a draw costs under log2(N) + 2 bits on average,
-never less than log2(N), and a single-outcome draw costs none. samples
-draws its trees in batches: g trees share one rank below N^g, split
-mixed-radix into g sample ranks, so a tree costs under log2(N) + 2/g bits.
-g grows until the batch rank reaches about 2^15 bits, which keeps its split
-cheap; one tree on its own is one draw below N.
+every bit drawn. Every uniform integer comes from one routine, _draw, which
+keeps a uniform state (c, v), c uniform on [0, v), and recycles both what a
+draw rejects and what it leaves unused (the interval algorithm of Han and
+Hoshi; randomness recycling). draw_below is one draw from a fresh state: it
+costs under log2(n) + 2 bits on average, never less than log2(n), and a
+single-outcome draw costs none. samples draws all its trees from one state,
+so k trees cost close to k * log2(N) bits: only the last draw pays the
+rounding up to whole bits.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from operator import getitem
 
 # is_valid is not called here (base_tree validates), but
 # benchmark/tracing.py wraps it under this module's name.
-from .profiles import Profile, _comb, _product_tree, base_tree, count_trees, exact_text, is_valid, level_choices  # noqa: F401
+from .profiles import Profile, _comb, base_tree, count_trees, exact_text, is_valid, level_choices  # noqa: F401
 from .tree_core import INTERNAL, LEAF, Tree, freeze, profile
 
 
@@ -63,9 +63,10 @@ class BitSource:
     """A seeded stream of fair bits with an exact consumption counter.
 
     bits_consumed, every bit drawn, is the package's one account of bits: a
-    call costs its change. samples draws a batch when its first tree is
-    asked for, so that tree's next() carries the batch's draw and the
-    batch's other trees cost 0.
+    call costs its change. samples draws each tree when it is asked for, so
+    a tree's cost is the change across its next(); a tree may use bits an
+    earlier one drew, so one tree's cost can be under log2(N), while the
+    total never is.
 
     One source serves one sampling call at a time; concurrent samplers
     should each own a source. Same seed, same call sequence: same bits.
@@ -85,28 +86,38 @@ class BitSource:
         return self._rng.getrandbits(k)
 
 
-def draw_below(src: BitSource, n: int) -> int:
-    """A uniform integer in [0, n), consuming expected <= log2(n) + 2 bits.
+def _draw(src: BitSource, state: list[int], n: int, spare: int) -> int:
+    """A uniform integer in [0, n) from the state [c, v], c uniform on
+    [0, v), which is left in place as a uniform state independent of the
+    result.
 
-    Extends a uniform value c on [0, v) by the fewest fair bits that make
-    its range cover n, accepts when it lands under n, and on rejection keeps
-    the excess as the start of the next attempt (the leftover value is still
-    uniform on its range). n = 1 consumes no bits.
+    Fresh bits extend v to at least n * 2^spare. With v = q*n + r, c < q*n
+    accepts, returns c mod n and keeps [c // n, q]; otherwise [c - q*n, r]
+    is kept and the draw repeats. spare 0 draws the fewest bits that answer.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    v, c = 1, 0
+    c, v = state
+    need = n << spare
     while True:
-        if v < n:
-            k = n.bit_length() - v.bit_length()
-            if v << k < n:
+        if v < need:
+            k = need.bit_length() - v.bit_length()
+            if v << k < need:
                 k += 1
             v <<= k
             c = (c << k) | src.next_bits(k)
-        if c < n:
-            return c
-        v -= n
-        c -= n
+        q, r = divmod(v, n)
+        if c < v - r:
+            c, result = divmod(c, n)
+            state[:] = c, q
+            return result
+        c, v = c - (v - r), r
+
+
+def draw_below(src: BitSource, n: int) -> int:
+    """A uniform integer in [0, n), consuming expected <= log2(n) + 2 bits:
+    one _draw from a fresh state, with no spare. n = 1 consumes no bits."""
+    return _draw(src, [0, 1], n, 0)
 
 
 def unrank_merge(rank: int, p: int, q: int) -> tuple[int, ...]:
@@ -371,12 +382,6 @@ def rank_tree(p: Profile, tree: Tree) -> int:
     return rank
 
 
-# A batch of g > 1 trees draws one rank below N^g of at most this many bits.
-# Splitting it into g sample ranks takes time quadratic in its size under
-# schoolbook long division, so the cap bounds that cost per batch.
-_BATCH_BITS = 1 << 15
-
-
 def samples(p: Profile, src: BitSource, count: int,
             tree: list[list[int]] | None = None) -> Iterator[Tree]:
     """count uniform, independent trees with profile p drawn from src.
@@ -388,28 +393,22 @@ def samples(p: Profile, src: BitSource, count: int,
     each sample rank into the level digits. The rows of the depths, _rows(p),
     are built once too, and each sample's tree is one lookup per row.
 
-    The trees are drawn in batches of g = min(trees left, _BATCH_BITS //
-    bit_length(N)) (at least 1): one rank below N^g, split by the product
-    tree of g copies of N into g sample ranks. One draw costs under
-    log2(N^g) + 2 bits on average, so a batch pays the draw's overhead once
-    for g trees. A batch is drawn when its first tree is asked for.
+    Each tree's rank is one _draw below N, made when the tree is asked for,
+    from a state shared by the whole call. A draw keeps up to 16 spare bits
+    in the state, never more than the later draws use, and the last draw
+    asks for none, so the call draws a few bits over count * log2(N) in all.
     """
     if tree is None:
         tree = base_tree(p)
     rows = _rows(p)
     n = tree[-1][0]
-    batch = max(1, _BATCH_BITS // n.bit_length())
 
     def stream() -> Iterator[Tree]:
-        # Rebuilt when the batch size changes: at most twice, for the full
-        # batches and the short last one.
-        batch_tree = [[]]
-        for done in range(0, count, batch):
-            g = min(batch, count - done)
-            if len(batch_tree[0]) != g:
-                batch_tree = _product_tree([n] * g)
-            for rank in _mixed_radix(draw_below(src, batch_tree[-1][0]), batch_tree):
-                yield _build(p, rows, _mixed_radix(rank, tree))
+        state = [0, 1]
+        for later in range(count - 1, -1, -1):
+            # The later draws surely use bit_length(n) - 1 bits each.
+            rank = _draw(src, state, n, min(16, later * (n.bit_length() - 1)))
+            yield _build(p, rows, _mixed_radix(rank, tree))
 
     return stream()
 

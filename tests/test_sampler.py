@@ -17,6 +17,7 @@ from growingtrees.sampler import (
     _WIDE_SLOTS,
     BitSource,
     _build,
+    _draw,
     _mixed_radix,
     _narrow_row,
     _rank_wide,
@@ -419,11 +420,11 @@ def test_samples_build_the_trees_of_their_drawn_ranks():
     for p in (narrow, wide):
         radix, rows = base_tree(p), _rows(p)
         n = radix[-1][0]
-        # One batch of 8 trees: one rank below N^8, split into 8 sample ranks.
-        assert 8 * n.bit_length() <= sampler._BATCH_BITS
-        ranks = _mixed_radix(draw_below(BitSource(67), n ** 8), _product_tree([n] * 8))
-        one_by_one, again = BitSource(67), BitSource(67)
-        for tree, rank in zip(samples(p, BitSource(67), 8), ranks, strict=True):
+        # A call of 8 trees: 8 draws below N from one state, the last tight.
+        replay, state = BitSource(67), [0, 1]
+        ranks = [_draw(replay, state, n, min(16, later * (n.bit_length() - 1))) for later in range(7, -1, -1)]
+        src, one_by_one, again = BitSource(67), BitSource(67), BitSource(67)
+        for tree, rank in zip(samples(p, src, 8), ranks, strict=True):
             assert tree == _build(p, rows, _mixed_radix(rank, radix))
             assert profile(tree) == p
             assert rank_tree(p, tree) == rank
@@ -431,6 +432,7 @@ def test_samples_build_the_trees_of_their_drawn_ranks():
             alone = next(samples(p, one_by_one, 1))
             assert rank_tree(p, alone) == draw_below(again, n)
             assert one_by_one.bits_consumed == again.bits_consumed
+        assert src.bits_consumed == replay.bits_consumed
 
 
 def test_single_tree_profiles_cost_no_bits():
@@ -489,17 +491,16 @@ def test_one_product_tree_per_sampling_command(monkeypatch, capsys):
         return _product_tree(factors)
 
     monkeypatch.setattr(profiles, "_product_tree", counted)
-    monkeypatch.setattr(sampler, "_product_tree", counted)
+    # The sampler builds none of its own; a name it imported would be seen.
+    monkeypatch.setattr(sampler, "_product_tree", counted, raising=False)
     bases = level_choices(Profile((0, 0, 2, 4)))[-2::-1]
     for argv in (["sample", "--profile", "0,0,2,4", "--count", "3", "--seed", "1"],
                  ["sample", "--profile", "0,0,2,4", "--count", "3", "--seed", "1", "--format", "dot"],
                  ["bench-bits", "--profile", "0,0,2,4", "--samples", "3", "--seed", "1"]):
         built.clear()
         assert cli.run(argv) == 0
-        # The level bases once; the other trees are batch trees over copies
-        # of the count.
-        assert built.count(bases) == 1
-        assert all(factors == [6] * len(factors) for factors in built if factors != bases)
+        # The level bases, once: every tree's rank is split down that tree.
+        assert built == [bases]
     capsys.readouterr()
 
 
@@ -510,40 +511,47 @@ def test_batch_ranks_split_one_to_one_into_sample_ranks():
     assert sorted(ranks) == [(a, b, c) for a in range(6) for b in range(6) for c in range(6)]
 
 
-def test_batched_streams_stay_above_the_floor_and_account_every_bit(monkeypatch):
-    # Small caps make batches of a few trees, so counts cross the cap and end
-    # on a short last batch; the cap the package ships is in the mix too.
+def test_streams_stay_above_the_floor_and_account_every_bit():
     rng = random.Random(79)
-    cases = 0
-    for cap in (1 << 4, 1 << 6, 1 << 8, sampler._BATCH_BITS):
-        monkeypatch.setattr(sampler, "_BATCH_BITS", cap)
-        for _ in range(60):
-            p = random_split_profile(rng, rng.randint(1, 60))
-            n = count_trees(p)
-            count = rng.randint(1, 40)
-            batch = max(1, cap // n.bit_length())
-            src = BitSource(rng.randrange(1 << 32))
-            # The bits each tree's next() drew.
-            bits, drawn = [], 0
-            for tree in samples(p, src, count):
-                assert profile(tree) == p
-                bits.append(src.bits_consumed - drawn)
-                drawn = src.bits_consumed
-            assert len(bits) == count
-            # Each batch's first tree carries its one draw, of at least
-            # log2(N^g) bits: 2^bits >= N^count exactly, for every seed.
-            assert all(b == 0 for i, b in enumerate(bits) if i % batch)
-            assert 1 << src.bits_consumed >= n ** count
-            cases += 1
-    assert cases >= 200
+    for _ in range(240):
+        p = random_split_profile(rng, rng.randint(1, 60))
+        n = count_trees(p)
+        count = rng.randint(1, 40)
+        src = BitSource(rng.randrange(1 << 32))
+        # The bits each tree's next() drew.
+        bits, drawn = [], 0
+        for tree in samples(p, src, count):
+            assert profile(tree) == p
+            bits.append(src.bits_consumed - drawn)
+            drawn = src.bits_consumed
+            # A tree may use bits an earlier one drew, but every prefix of
+            # the stream draws at least log2(N) per tree: 2^bits >= N^trees
+            # exactly, for every seed.
+            assert 1 << drawn >= n ** len(bits)
+        assert len(bits) == count
+        # Nothing is drawn after the last tree.
+        assert sum(bits) == src.bits_consumed
 
 
-def test_uniformity_of_consecutive_pairs_within_a_batch():
+def test_power_of_two_counts_draw_exactly_their_bits():
+    # With N = 2^k every draw accepts, so a stream whose spare bits never
+    # outrun its later draws costs exactly k bits per tree, for any count.
+    for levels in ((0, 1, 0, 4), (0, 0, 3, 2), (0,) + (1,) * 30 + (2,)):
+        p = Profile(levels)
+        k = count_trees(p).bit_length() - 1
+        assert count_trees(p) == 1 << k
+        for count in range(1, 51):
+            src = BitSource(count)
+            assert len(list(samples(p, src, count))) == count
+            assert src.bits_consumed == count * k, (levels, count)
+
+
+def test_uniformity_of_consecutive_pairs_within_a_stream():
     p = Profile((0, 0, 2, 4))
     support = sorted(to_json(t) for t in trees_with_profile(p))
     index = {key: i for i, key in enumerate(support)}
     pairs = 4000
-    # One batch of 2 * pairs trees: 6^8000 has 20,680 bits, under the cap.
+    # One stream of 2 * pairs trees, all drawn from one state.
     trees = [index[to_json(tree)] for tree in samples(p, BitSource(83), 2 * pairs)]
     tally = [0] * 36
     for first, second in zip(trees[::2], trees[1::2]):
