@@ -220,14 +220,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_bench_bits(args: argparse.Namespace) -> int:
     p = profiles.Profile(args.profile)
     seed = args.seed if args.seed is not None else _fresh_seed()
-    # One product tree of the level bases serves the draws, the rank splits
-    # and, through its root (the count), the entropy bound.
-    tree = profiles.base_tree(p)
+    # One setup of the profile serves the draws, the rank splits and,
+    # through its count, the entropy bound.
+    setup = sampler.Setup(p)
     src = sampler.BitSource(seed)
-    for _ in sampler.samples(p, src, args.samples, tree):
+    for _ in sampler.samples(setup, src, args.samples):
         pass
     mean_bits = src.bits_consumed / args.samples
-    bound = math.log2(tree[-1][0])
+    bound = math.log2(setup.count)
     print(json.dumps({
         "profile": str(p),
         "samples": args.samples,

@@ -247,20 +247,18 @@ def _product_tree(factors: list[int]) -> list[list[int]]:
     return tree
 
 
-def base_tree(p: Profile) -> list[list[int]]:
-    """The product tree of p's level bases, level_choices(p)[-2::-1]: the
-    pattern counts deepest level first, the deepest level's own choice,
-    binom(l_h, l_h) = 1, left out. Its root is count_trees(p). An invalid p
-    raises ValueError naming its Kraft sum."""
-    if not is_valid(p):
-        raise ValueError(f"invalid profile, kraft sum {exact_text(kraft_sum(p))} != 1")
-    return _product_tree(level_choices(p)[-2::-1])
+def _invalid_profile(p: Profile) -> ValueError:
+    """The error that rejects an invalid profile p, naming its Kraft sum."""
+    return ValueError(f"invalid profile, kraft sum {exact_text(kraft_sum(p))} != 1")
 
 
 def count_trees(p: Profile) -> int:
-    """Exact number of binary trees with profile p: the root of base_tree(p),
-    the product of its level_choices. The Kraft test is the only validation."""
-    return base_tree(p)[-1][0]
+    """Exact number of binary trees with profile p: the product of its
+    level_choices, taken in a balanced product tree. The Kraft test is the
+    only validation; an invalid p raises ValueError naming its Kraft sum."""
+    if not is_valid(p):
+        raise _invalid_profile(p)
+    return _product_tree(level_choices(p))[-1][0]
 
 
 def truncate_profile(p: Profile, k: int) -> Profile:

@@ -19,18 +19,23 @@ Distinct ranks give distinct trees, so a uniform rank gives a uniform tree;
 rank_tree is the inverse.
 
 The setup belongs to the profile, not to the sample: samples(p, src, count),
-the one sampling call, validates p and builds, once, the product tree of its
-level bases (profiles.base_tree), whose root is N, and the rows of its
-depths. Every rank is split down the same product tree, one pass of divmod
-per tree level, and the build is one join of the rows' words, so a command
-that draws k trees of one profile pays for the profile once and a sample
-runs no Python loop per level. A row of at most 8 slots is a table of all
-its words in combinadic (lex) order, built on first use and shared by every
-profile (510 words in all). A wider row unranks its word when asked: in lex
-order with a running binomial up to 1,024 slots (unrank_merge), in split
-order above (_unrank_wide), where a word is cut in halves whose ranks are
-combined by blocks, so a wide level costs well under the O(W^2) bit
-operations of one running binomial across W slots.
+the one sampling call, validates p and sets it up once, in one pass over its
+depths (Setup). The pass groups the depths into units: two consecutive
+depths of at most 8 slots each make one unit, whose row is a table of their
+joined words (the pair's digit a * base_lower + b is exactly the two level
+digits of the per-level radix, so ranks name the same trees), and every
+other depth is a unit of its own. It then builds the product tree of the
+unit bases, whose root is N. Every rank is split down that product tree,
+one pass of divmod per tree level, and the build is one join of the unit
+rows' words, so a command that draws k trees of one profile pays for the
+profile once and a sample runs no Python loop per level. A row of at most 8
+slots is a table of all its words in combinadic (lex) order, built on first
+use and shared by every profile (510 words in all; the pair tables hold
+28,016). A wider row unranks its word when asked: in lex order with a
+running binomial up to 1,024 slots (unrank_merge), in split order above
+(_unrank_wide), where a word is cut in halves whose ranks are combined by
+blocks, so a wide level costs well under the O(W^2) bit operations of one
+running binomial across W slots.
 
 Randomness flows through a BitSource, which hands out fair bits and counts
 every bit drawn. Every uniform integer comes from one routine, _draw, which
@@ -53,9 +58,7 @@ from functools import cache
 from math import comb
 from operator import getitem
 
-# is_valid is not called here (base_tree validates), but
-# benchmark/tracing.py wraps it under this module's name.
-from .profiles import Profile, _comb, base_tree, count_trees, exact_text, is_valid, level_choices  # noqa: F401
+from .profiles import Profile, _comb, _invalid_profile, _product_tree, count_trees, exact_text, is_valid, level_choices
 from .tree_core import INTERNAL, LEAF, Tree, freeze, profile
 
 
@@ -297,15 +300,58 @@ class _WideRow:
         return _unrank_wide(rank, self.p, self.q)
 
 
-def _rows(p: Profile) -> list[tuple[bytes, ...] | _WideRow]:
-    """The rows of depths 1..h-1 of a valid profile p, top-down: depth i's
-    row holds its binom(2*i_{i-1}, l_i) words, indexed by digit."""
-    rows = []
-    internal = 1
-    for leaves in p.levels[1:-1]:
-        slots, internal = 2 * internal, 2 * internal - leaves
-        rows.append(_narrow_row(internal, leaves) if slots <= _NARROW_SLOTS else _WideRow(internal, leaves))
-    return rows
+@cache
+def _pair_row(upper: tuple[int, int], lower: tuple[int, int]) -> tuple[bytes, ...]:
+    """The row of a unit of two consecutive narrow depths, each given as
+    (INTERNAL, LEAF) code counts: every joined word _narrow_row(*upper)[a] +
+    _narrow_row(*lower)[b], at index a * len(_narrow_row(*lower)) + b. The
+    lower depth has 2 * upper[0] slots, so there are 80 such rows, 28,016
+    words in all."""
+    lower_words = _narrow_row(*lower)
+    return tuple(a + b for a in _narrow_row(*upper) for b in lower_words)
+
+
+class Setup:
+    """A valid profile p set up for sampling, in one pass over its depths.
+
+    The depths 1..h-1 are grouped top-down into units: two consecutive
+    depths of at most _NARROW_SLOTS slots each make one unit, whose row is
+    their _pair_row, and every other depth is a unit of its own, with its
+    _narrow_row or a _WideRow. `rows` lists the unit rows top-down; a unit's
+    base is its word count. `tree` is the product tree of the unit bases,
+    deepest unit first (profiles._product_tree), and `count`, its root, is
+    N. A pair's digit is a * base_lower + b for the level digits a and b of
+    its depths, exactly what the mixed radix of the level bases gives, so a
+    rank names the same tree through either radix. An invalid p raises
+    ValueError naming its Kraft sum.
+    """
+
+    __slots__ = ("profile", "rows", "tree", "count")
+
+    def __init__(self, p: Profile):
+        if not is_valid(p):
+            raise _invalid_profile(p)
+        rows: list[tuple[bytes, ...] | _WideRow] = []
+        waiting = None  # an unpaired narrow depth's (internal, leaves)
+        internal = 1
+        for leaves in p.levels[1:-1]:
+            slots, internal = 2 * internal, 2 * internal - leaves
+            if slots > _NARROW_SLOTS:
+                if waiting:
+                    rows.append(_narrow_row(*waiting))
+                rows.append(_WideRow(internal, leaves))
+                waiting = None
+            elif waiting:
+                rows.append(_pair_row(waiting, (internal, leaves)))
+                waiting = None
+            else:
+                waiting = (internal, leaves)
+        if waiting:
+            rows.append(_narrow_row(*waiting))
+        bases = [len(row) if type(row) is tuple else _comb(row.p + row.q, row.q) for row in reversed(rows)]
+        self.profile, self.rows = p, rows
+        self.tree = _product_tree(bases)
+        self.count = self.tree[-1][0]
 
 
 def _mixed_radix(rank: int, tree: list[list[int]]) -> list[int]:
@@ -332,19 +378,19 @@ def _mixed_radix(rank: int, tree: list[list[int]]) -> list[int]:
     return values[:len(tree[0])]
 
 
-def _build(p: Profile, rows: list[tuple[bytes, ...] | _WideRow], digits: list[int]) -> Tree:
-    """The tree of a valid profile p with rows _rows(p). `digits` are its
-    merge ranks, deepest level first: a rank's digits in the bases
-    level_choices(p)[-2::-1] (the deepest level's choice, binom(l_h, l_h) =
-    1, has none). Distinct digits give distinct trees; a digit list of
-    another length, or a digit outside its row, raises ValueError.
+def _build(setup: Setup, digits: list[int]) -> Tree:
+    """The tree of setup.profile whose unit digits are `digits`, deepest unit
+    first: a rank's digits in the bases setup.tree[0]. Distinct digits give
+    distinct trees; a digit list of another length, or a digit outside its
+    unit's row, raises ValueError.
 
-    The tree is written top-down in level order: the root, then the word of
-    each depth 1..h-1 looked up in its row, then the l_h deepest leaves.
-    That is its kind string, the whole of a tree_core.Tree.
+    The tree is written top-down in level order: the root, then the words of
+    the units looked up in their rows, then the l_h deepest leaves. That is
+    its kind string, the whole of a tree_core.Tree.
     """
+    p, rows = setup.profile, setup.rows
     if len(digits) != len(rows):
-        raise ValueError(f"{len(digits)} digits for {len(rows)} merge levels")
+        raise ValueError(f"{len(digits)} digits for {len(rows)} merge units")
     # A negative index would read a narrow row from its end.
     if min(digits, default=0) < 0:
         raise ValueError(f"digit {min(digits)} out of range: negative")
@@ -382,33 +428,29 @@ def rank_tree(p: Profile, tree: Tree) -> int:
     return rank
 
 
-def samples(p: Profile, src: BitSource, count: int,
-            tree: list[list[int]] | None = None) -> Iterator[Tree]:
+def samples(p: Profile | Setup, src: BitSource, count: int) -> Iterator[Tree]:
     """count uniform, independent trees with profile p drawn from src.
 
     An invalid profile is rejected here, at the call, before any bit is
-    drawn, with count_trees's error. The product tree of the level bases,
-    base_tree(p), is built once (a caller that already holds it passes it as
-    `tree`) and serves every sample: its root N is the count, and it splits
-    each sample rank into the level digits. The rows of the depths, _rows(p),
-    are built once too, and each sample's tree is one lookup per row.
+    drawn, with count_trees's error. The profile is set up once, in one pass
+    (Setup; a caller that also needs N passes its Setup as p): the product
+    tree of the unit bases, whose root N is the count, splits each sample
+    rank into unit digits, and each tree is one lookup per unit row.
 
     Each tree's rank is one _draw below N, made when the tree is asked for,
     from a state shared by the whole call. A draw keeps up to 16 spare bits
     in the state, never more than the later draws use, and the last draw
     asks for none, so the call draws a few bits over count * log2(N) in all.
     """
-    if tree is None:
-        tree = base_tree(p)
-    rows = _rows(p)
-    n = tree[-1][0]
+    setup = p if isinstance(p, Setup) else Setup(p)
+    n = setup.count
 
     def stream() -> Iterator[Tree]:
         state = [0, 1]
         for later in range(count - 1, -1, -1):
             # The later draws surely use bit_length(n) - 1 bits each.
             rank = _draw(src, state, n, min(16, later * (n.bit_length() - 1)))
-            yield _build(p, rows, _mixed_radix(rank, tree))
+            yield _build(setup, _mixed_radix(rank, setup.tree))
 
     return stream()
 

@@ -11,17 +11,18 @@ from hypothesis import example, given, strategies as st
 
 from growingtrees import cli, profiles, sampler
 from growingtrees.oracle import all_binary_trees, trees_with_profile
-from growingtrees.profiles import Profile, _comb, _product_tree, base_tree, count_trees, internal_profile, level_choices
+from growingtrees.profiles import Profile, _comb, _product_tree, count_trees, internal_profile, level_choices
 from growingtrees.sampler import (
     _NARROW_SLOTS,
     _WIDE_SLOTS,
     BitSource,
+    Setup,
     _build,
     _draw,
     _mixed_radix,
     _narrow_row,
+    _pair_row,
     _rank_wide,
-    _rows,
     _unrank_wide,
     draw_below,
     entropy_bound,
@@ -218,10 +219,10 @@ def test_build_is_a_bijection_from_ranks_to_trees():
         for tree in all_binary_trees(leaves):
             by_profile[profile(tree)].add(tree)
         for p, support in by_profile.items():
-            radix, rows = base_tree(p), _rows(p)
-            count = radix[-1][0]
+            setup = Setup(p)
+            count = setup.count
             assert count == count_trees(p)
-            built = [_build(p, rows, _mixed_radix(r, radix)) for r in range(count)]
+            built = [_build(setup, _mixed_radix(r, setup.tree)) for r in range(count)]
             assert len(set(built)) == count, p
             assert set(built) == support, p
             assert [_rank_tree(p, tree) for tree in built] == list(range(count)), p
@@ -235,10 +236,10 @@ def test_words_read_off_built_trees_give_back_the_rank():
     both_sides = 0
     for _ in range(100):
         p = random_split_profile(rng, rng.randint(2, 400))
-        radix, rows = base_tree(p), _rows(p)
-        count = radix[-1][0]
+        setup = Setup(p)
+        count = setup.count
         for rank in (0, count - 1, rng.randrange(count)):
-            tree = _build(p, rows, _mixed_radix(rank, radix))
+            tree = _build(setup, _mixed_radix(rank, setup.tree))
             assert _rank_tree(p, tree) == rank
             assert rank_tree(p, tree) == rank
         # Depth d's word has 2 * i_{d-1} slots.
@@ -248,18 +249,20 @@ def test_words_read_off_built_trees_give_back_the_rank():
 
 
 def test_build_rejects_a_digit_list_of_another_length():
+    # Depths 1 and 2 (2 slots each) make one unit, depth 3 another.
     p = Profile((0, 1, 0, 2, 4))
-    digits = _mixed_radix(0, base_tree(p))
-    assert len(digits) == p.height - 1
-    for wrong in (digits[:-1], digits + [0]):
-        with pytest.raises(ValueError, match="digits for 3 merge levels"):
-            _build(p, _rows(p), wrong)
+    setup = Setup(p)
+    digits = _mixed_radix(0, setup.tree)
+    assert len(digits) == 2
+    for wrong in (digits[:-1], digits + [0], [0] * (p.height - 1)):
+        with pytest.raises(ValueError, match=f"{len(wrong)} digits for 2 merge units"):
+            _build(setup, wrong)
 
 
 def test_mixed_radix_rejects_ranks_out_of_range():
     for levels in ((1,), (0, 2), (0, 0, 2, 4), (0, 1, 0, 2, 4)):
         p = Profile(levels)
-        radix = base_tree(p)
+        radix = Setup(p).tree
         for rank in (-1, count_trees(p)):
             with pytest.raises(ValueError, match="rank out of range"):
                 _mixed_radix(rank, radix)
@@ -305,8 +308,8 @@ def test_mixed_radix_on_long_random_ranks():
     rng = random.Random(71)
     for height in (300, 3000):
         p = narrow_profile(rng, height)
-        tree = base_tree(p)
         bases = level_choices(p)[-2::-1]
+        tree = _product_tree(bases)
         n = prod(bases)
         for _ in range(3):
             rank = rng.randrange(n)
@@ -327,19 +330,90 @@ def test_narrow_rows_are_unrank_merge():
     assert _narrow_row(3, 1) is _narrow_row(3, 1)
 
 
+def _narrow_pairs():
+    """Every (upper, lower) shape of two consecutive narrow depths, each as
+    (internal, leaves): the upper depth has 2-8 slots and 1-4 internal
+    nodes, whose 2-8 child slots the lower depth splits in any way."""
+    return [((internal, slots - internal), (2 * internal - leaves, leaves))
+            for slots in range(2, _NARROW_SLOTS + 1, 2)
+            for internal in range(1, min(slots, _NARROW_SLOTS // 2) + 1)
+            for leaves in range(2 * internal + 1)]
+
+
+def test_pair_rows_join_the_narrow_rows_of_their_depths():
+    pairs = _narrow_pairs()
+    assert len(pairs) == 80
+    words = 0
+    for upper, lower in pairs:
+        above, below = _narrow_row(*upper), _narrow_row(*lower)
+        row = _pair_row(upper, lower)
+        assert row == tuple(above[a] + below[b] for a in range(len(above)) for b in range(len(below)))
+        assert row[len(below) * (len(above) - 1)] == above[-1] + below[0]
+        words += len(row)
+    assert words == 28_016
+    # Setting profiles up builds no other pair: the cache keeps its 80 rows.
+    rng = random.Random(5)
+    for _ in range(40):
+        Setup(narrow_profile(rng, rng.randint(1, 300)))
+        Setup(random_split_profile(rng, rng.randint(1, 300)))
+    assert _pair_row.cache_info().currsize == 80
+
+
+def test_rank_tree_inverts_the_unit_path():
+    rng = random.Random(101)
+    # Each profile with the slots its units' words cover, top-down: a pair
+    # of narrow depths covers the slots of both.
+    cases = [
+        # Height 0, 1 and 2: no unit, and one unit of one depth.
+        ((1,), []),
+        ((0, 2), []),
+        ((0, 1, 2), [2]),
+        ((0, 0, 4), [2]),
+        # Narrow runs of odd length: 3 and 5 depths.
+        ((0, 0, 0, 1, 14), [2 + 4, 8]),
+        ((0, 1, 1, 1, 1, 1, 2), [2 + 2, 2 + 2, 2]),
+        # Narrow depths on both sides of a 16-slot depth ...
+        ((0, 0, 0, 0, 14, 2, 3, 0, 4), [2 + 4, 8, 16, 4 + 4, 2]),
+        # ... and on both sides of 16- to 2048-slot depths.
+        ((0,) + (0,) * 10 + (2046, 1, 4, 4), [2 + 4, 8] + [2 ** d for d in range(4, 12)] + [4 + 6]),
+    ]
+    for levels, slots in cases:
+        p = Profile(levels)
+        setup = Setup(p)
+        assert [len(row[0]) for row in setup.rows] == slots, levels
+        assert setup.count == count_trees(p) == math.prod(setup.tree[0])
+        count = setup.count
+        ranks = range(count) if count <= 500 else [0, count - 1] + [rng.randrange(count) for _ in range(20)]
+        for rank in ranks:
+            tree = _build(setup, _mixed_radix(rank, setup.tree))
+            assert profile(tree) == p
+            assert rank_tree(p, tree) == rank
+    # 1,999 narrow depths: 999 pairs and one depth alone.
+    deep = narrow_profile(rng, 2000)
+    setup = Setup(deep)
+    assert len(setup.rows) == 1000
+    for rank in [0, setup.count - 1] + [rng.randrange(setup.count) for _ in range(10)]:
+        tree = _build(setup, _mixed_radix(rank, setup.tree))
+        assert rank_tree(deep, tree) == _rank_tree(deep, tree) == rank
+
+
 def test_build_rejects_digits_outside_their_row():
-    # Depth 1 of this profile has a narrow row (2 slots, 2 words); depth 12
-    # has a wide one (2048 slots, binom(2048, 1000) words).
+    # Depths 1 and 2 of this profile (2 slots each, 2 and 1 words) make a
+    # narrow pair of 2 words, depths 3 and 4 (4 and 8 slots) another; depth
+    # 12 has a wide row (2048 slots, binom(2048, 1000) words).
     p = Profile((0, 1) + (0,) * 10 + (1000, 2 * 1048))
-    rows = _rows(p)
-    assert len(rows[0]) == 2 and rows[-1].p + rows[-1].q == 2048 > _WIDE_SLOTS
+    setup = Setup(p)
+    rows = setup.rows
+    assert rows[0] is _pair_row((1, 1), (2, 0)) and len(rows[0]) == 2
+    assert rows[1] is _pair_row((4, 0), (8, 0)) and len(rows[1]) == 1
+    assert rows[-1].p + rows[-1].q == 2048 > _WIDE_SLOTS and len(rows) == 10
     base = comb(2048, 1000)
-    assert base_tree(p)[0][0] == base
-    for row, wrong in ((0, -1), (0, 2), (-1, -1), (-1, base)):
+    assert setup.tree[0][0] == base
+    for row, wrong in ((0, -1), (0, 2), (1, 1), (-1, -1), (-1, base)):
         digits = [0] * len(rows)
-        digits[-1 - row] = wrong  # digits run deepest level first
+        digits[-1 - row] = wrong  # digits run deepest unit first
         with pytest.raises(ValueError, match="out of range"):
-            _build(p, rows, digits)
+            _build(setup, digits)
 
 
 def test_split_order_is_a_bijection(monkeypatch):
@@ -371,10 +445,10 @@ def test_rank_tree_inverts_wide_rows():
     ]
     for p in profiles_seen:
         assert max(2 * i for i in internal_profile(p)) > _WIDE_SLOTS
-        radix, rows = base_tree(p), _rows(p)
-        count = radix[-1][0]
+        setup = Setup(p)
+        count = setup.count
         for rank in (0, count - 1, rng.randrange(count), rng.randrange(count)):
-            tree = _build(p, rows, _mixed_radix(rank, radix))
+            tree = _build(setup, _mixed_radix(rank, setup.tree))
             assert profile(tree) == p
             assert rank_tree(p, tree) == rank
 
@@ -386,10 +460,9 @@ def test_rank_tree_inverts_every_split_level(monkeypatch):
     rng = random.Random(97)
     for _ in range(30):
         p = random_split_profile(rng, rng.randint(2, 120))
-        radix, rows = base_tree(p), _rows(p)
-        count = radix[-1][0]
-        for rank in (0, count - 1, rng.randrange(count)):
-            assert rank_tree(p, _build(p, rows, _mixed_radix(rank, radix))) == rank
+        setup = Setup(p)
+        for rank in (0, setup.count - 1, rng.randrange(setup.count)):
+            assert rank_tree(p, _build(setup, _mixed_radix(rank, setup.tree))) == rank
 
 
 def test_rank_tree_rejects_another_profile():
@@ -418,14 +491,14 @@ def test_samples_build_the_trees_of_their_drawn_ranks():
         internals = 2 * internals - l
     assert min(widths) <= _NARROW_SLOTS < max(widths)
     for p in (narrow, wide):
-        radix, rows = base_tree(p), _rows(p)
-        n = radix[-1][0]
+        setup = Setup(p)
+        n = setup.count
         # A call of 8 trees: 8 draws below N from one state, the last tight.
         replay, state = BitSource(67), [0, 1]
         ranks = [_draw(replay, state, n, min(16, later * (n.bit_length() - 1))) for later in range(7, -1, -1)]
         src, one_by_one, again = BitSource(67), BitSource(67), BitSource(67)
         for tree, rank in zip(samples(p, src, 8), ranks, strict=True):
-            assert tree == _build(p, rows, _mixed_radix(rank, radix))
+            assert tree == _build(setup, _mixed_radix(rank, setup.tree))
             assert profile(tree) == p
             assert rank_tree(p, tree) == rank
             # One tree at a time: one draw below N each.
@@ -465,21 +538,44 @@ def test_uniformity_small_profile():
     assert chi_square(list(tally.values())).passed
 
 
-def test_one_level_choices_call_per_sampling_command(monkeypatch, capsys):
-    calls = []
+# Depths 1-3 are a narrow run of odd length; depth 4 (16 slots) is wide and
+# depths 5-7 are narrow again.
+_SAMPLING_COMMANDS = [
+    (levels, argv + ["--profile", ",".join(map(str, levels)), "--seed", "1"])
+    for levels in ((0, 1, 2), (0, 0, 0, 0, 14, 2, 3, 0, 4))
+    for argv in (["sample", "--count", "3"], ["sample", "--count", "3", "--format", "dot"],
+                 ["bench-bits", "--samples", "3"])
+]
 
-    def counted(p):
-        calls.append(p)
-        return level_choices(p)
 
-    monkeypatch.setattr(profiles, "level_choices", counted)
-    monkeypatch.setattr(sampler, "level_choices", counted, raising=False)
-    for argv in (["sample", "--profile", "0,1,2", "--count", "3", "--seed", "1"],
-                 ["sample", "--profile", "0,1,2", "--count", "3", "--seed", "1", "--format", "dot"],
-                 ["bench-bits", "--profile", "0,1,2", "--samples", "3", "--seed", "1"]):
-        calls.clear()
+def test_one_setup_walk_per_sampling_command(monkeypatch, capsys):
+    setups, validated = [], []
+
+    class Counted(Setup):
+        __slots__ = ()
+
+        def __init__(self, p):
+            setups.append(p)
+            super().__init__(p)
+
+    def counted_is_valid(p):
+        validated.append(p)
+        return profiles.is_valid(p)
+
+    def second_walk(p):
+        raise AssertionError("the levels are walked again")
+
+    monkeypatch.setattr(sampler, "Setup", Counted)
+    # The sampler validates through its own name, the one the benchmark's
+    # tracer wraps.
+    monkeypatch.setattr(sampler, "is_valid", counted_is_valid)
+    monkeypatch.setattr(profiles, "level_choices", second_walk)
+    monkeypatch.setattr(sampler, "level_choices", second_walk)
+    for levels, argv in _SAMPLING_COMMANDS:
+        setups.clear()
+        validated.clear()
         assert cli.run(argv) == 0
-        assert calls == [Profile((0, 1, 2))]
+        assert setups == validated == [Profile(levels)], argv
     capsys.readouterr()
 
 
@@ -491,16 +587,16 @@ def test_one_product_tree_per_sampling_command(monkeypatch, capsys):
         return _product_tree(factors)
 
     monkeypatch.setattr(profiles, "_product_tree", counted)
-    # The sampler builds none of its own; a name it imported would be seen.
-    monkeypatch.setattr(sampler, "_product_tree", counted, raising=False)
-    bases = level_choices(Profile((0, 0, 2, 4)))[-2::-1]
-    for argv in (["sample", "--profile", "0,0,2,4", "--count", "3", "--seed", "1"],
-                 ["sample", "--profile", "0,0,2,4", "--count", "3", "--seed", "1", "--format", "dot"],
-                 ["bench-bits", "--profile", "0,0,2,4", "--samples", "3", "--seed", "1"]):
+    monkeypatch.setattr(sampler, "_product_tree", counted)
+    for levels, argv in _SAMPLING_COMMANDS:
+        p = Profile(levels)
+        bases = Setup(p).tree[0]
         built.clear()
         assert cli.run(argv) == 0
-        # The level bases, once: every tree's rank is split down that tree.
-        assert built == [bases]
+        # The unit bases, once: every tree's rank is split down that tree,
+        # whose root is the count.
+        assert built == [bases], argv
+        assert math.prod(bases) == count_trees(p)
     capsys.readouterr()
 
 
