@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import math
 import os
-import random
 import sys
 
-from . import enumeration, oracle, profiles, sampler, sequences, tree_core
+# Each command imports the submodules it uses, so a fresh process loads only
+# its own command's code, and calls through the module (enumeration.t_table),
+# so a wrapper set on the module attribute sees the call. json, math and
+# random load where they are used.
 
 # Output-size guards for the unbounded-growth commands. The library itself
 # goes further; these only keep terminal use sane.
@@ -51,12 +51,16 @@ def _positive_arg(text: str) -> int:
 def _fresh_seed() -> int:
     """63 bits from the operating system's generator: secrets.randbits,
     without the hmac and hashlib imports that loading secrets costs."""
+    import random
+
     return random.SystemRandom().getrandbits(63)
 
 
 def _emit_cells(cells: "sequences.CellSet", fmt: str) -> None:
     pairs = sorted(cells)
     if fmt == "json":
+        import json
+
         print(json.dumps([[n, k] for n, k in pairs], separators=(",", ":")))
     else:
         for n, k in pairs:
@@ -74,6 +78,8 @@ def _emit_table(table: "enumeration.CountTable", header: tuple[str, int], fmt: s
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from . import enumeration
+
     if args.nmax > MAX_CLI_TABLE_NMAX:
         raise ValueError(
             f"nmax out of range 1..{MAX_CLI_TABLE_NMAX} for the command line; "
@@ -84,6 +90,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_height_table(args: argparse.Namespace) -> int:
+    from . import enumeration
+
     if not 1 <= args.h <= MAX_CLI_HEIGHT_TABLE:
         raise ValueError(
             f"h out of range 1..{MAX_CLI_HEIGHT_TABLE} for the command line; "
@@ -94,6 +102,8 @@ def cmd_height_table(args: argparse.Namespace) -> int:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
+    from . import sequences
+
     n_max = args.nmax
     if n_max > MAX_CLI_SEQ_NMAX:
         raise ValueError(f"nmax out of range 1..{MAX_CLI_SEQ_NMAX} for the command line")
@@ -106,6 +116,8 @@ def cmd_seq(args: argparse.Namespace) -> int:
     else:
         values = [sequences.ruler(n) for n in range(1, n_max + 1)]
     if args.format == "json":
+        import json
+
         print(json.dumps(values, separators=(",", ":")))
     else:
         print(",".join(str(v) for v in values))
@@ -113,10 +125,14 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 
 def cmd_domain(args: argparse.Namespace) -> int:
+    from . import sequences
+
     h = args.h
     if args.which == "area":
         if h > MAX_CLI_AREA_H:
             raise ValueError(f"h out of range 1..{MAX_CLI_AREA_H} for the command line")
+        from . import profiles
+
         print(profiles.exact_text(sequences.s_area_formula(h)))
         return 0
     if args.which == "cells":
@@ -132,6 +148,8 @@ def cmd_domain(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from . import profiles
+
     p = profiles.Profile(args.profile)
     if args.which == "validate":
         q = profiles.kraft_sum(p)
@@ -151,6 +169,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from . import profiles, sampler, tree_core
+
     p = profiles.Profile(args.profile)
     seed = args.seed if args.seed is not None else _fresh_seed()
     src, drawn = sampler.BitSource(seed), 0
@@ -170,6 +190,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    import json
+
+    from . import enumeration, oracle, profiles
+
     # (checked, expected, actual) triples, all computed before any is printed,
     # so a size out of range prints nothing.
     checks: list[tuple[str, object, object]] = []
@@ -218,6 +242,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_bits(args: argparse.Namespace) -> int:
+    import json
+    import math
+
+    from . import profiles, sampler
+
     p = profiles.Profile(args.profile)
     seed = args.seed if args.seed is not None else _fresh_seed()
     # One setup of the profile serves the draws, the rank splits and,

@@ -455,7 +455,7 @@ def samples(p: Profile | Setup, src: BitSource, count: int) -> Iterator[Tree]:
     return stream()
 
 
-# Kept for benchmark/tracing.py and calibrate.py only; ROADMAP.md item 3 deletes it.
+# Kept for benchmark/tracing.py and calibrate.py only; ROADMAP.md item 4 deletes it.
 def sample_with_stats(p: Profile, src: BitSource) -> Tree:
     return next(samples(p, src, 1))
 

@@ -43,7 +43,6 @@ Serialization formats:
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from enum import Enum, IntEnum
 from itertools import accumulate
@@ -468,6 +467,8 @@ def _canonical_tree(text: str) -> Tree | None:
 def _json_tree(text: str) -> Tree:
     """Read any tree document through the standard json parser; growth
     invariants are left to validate_growing."""
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -467,21 +467,53 @@ def test_seeded_output_past_the_wide_cutoff_is_pinned(capsys):
     assert digest == "20d2e64392e1eeb86a30374a496a79a3c9469eb1a5c9273c97659d52c41d27c9"
 
 
+def _loaded_modules(statements: str) -> str:
+    """The sorted growingtrees.* and listed standard-library modules loaded
+    after `statements` run in a fresh isolated interpreter. -S: site's .pth
+    hooks may import typing and more before any user code runs."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); " + statements + "; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'growingtrees' or m in "
+            "{'secrets', 'hashlib', '_hashlib', 'hmac', 'dataclasses', 'inspect', 'typing', "
+            "'decimal', 'fractions', 'json', 'random'}))")
+    src = str(Path(growingtrees.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
 def test_import_leaves_secrets_and_hashlib_unloaded():
     # The default seed comes from random.SystemRandom, not from secrets,
     # whose import loads hmac and hashlib.
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import growingtrees.cli; "
-            "print(sorted({'secrets', 'hashlib', '_hashlib', 'hmac'} & set(sys.modules)))")
-    src = str(Path(growingtrees.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert _loaded_modules("import growingtrees.cli; growingtrees.cli._fresh_seed()") == \
+        "['growingtrees', 'growingtrees.cli', 'random']\n"
 
 
 def test_import_and_parser_leave_dataclasses_typing_decimal_fractions_unloaded():
-    # -S: site's .pth hooks may import typing before any user code runs.
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import growingtrees.cli; "
-            "growingtrees.cli.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect', 'typing', 'decimal', 'fractions'} & set(sys.modules)))")
+    # The parser needs none of the submodules, json or random: each command
+    # imports its own. A bare package import loads no submodule at all.
+    statements = "import growingtrees.cli; growingtrees.cli.build_parser()"
+    assert _loaded_modules(statements) == "['growingtrees', 'growingtrees.cli']\n"
+    assert _loaded_modules("import growingtrees") == "['growingtrees']\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--nmax", "4"],
+    ["height-table", "--h", "3", "--format", "json"],
+    ["seq", "a", "--nmax", "8", "--format", "json"],
+    ["domain", "area", "--h", "5"],
+    ["profile", "validate", "--profile", "0,1,2"],
+    ["sample", "--profile", "0,0,2,4", "--count", "2", "--seed", "7"],
+    ["sample", "--profile", "0,0,2,4", "--seed", "7", "--format", "dot"],
+    ["oracle", "catalan", "--nmax", "5"],
+    ["bench-bits", "--profile", "0,0,2,4", "--samples", "3", "--seed", "1"],
+    ["--help"],
+], ids=" ".join)
+def test_each_command_runs_alone_in_a_fresh_interpreter(argv, capsys, monkeypatch):
+    # Each command imports its own submodules. In this process earlier tests
+    # have loaded them all, so only a fresh one shows a missing import.
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
+    code = "import sys; sys.path.insert(0, sys.argv.pop(1)); from growingtrees.cli import main; main()"
     src = str(Path(growingtrees.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    done = subprocess.run([sys.executable, "-I", "-c", code, src, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (run(argv), *capsys.readouterr())
