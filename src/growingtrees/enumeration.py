@@ -35,23 +35,26 @@ every binary tree with n internal nodes exactly once.
 
 Generating-function layer: with the anchor-marking series T(x,z) the growth
 step is the substitution x -> 1 + z*x^2, so the height iterates satisfy
-p_0(x,z) = x and p_{h+1}(x,z) = p_h(1 + z*x^2, z). Evaluated at x = 1 these
-are computed here as truncated integer power series, along with
+p_0(x,z) = x and p_{h+1}(x,z) = p_h(1 + z*x^2, z). At x = 1 they are computed
+here as truncated integer power series u_h = p_h(1,z), through differences
 
-    M_h(z) = z * p_h(1,z),
+    d_h = u_h - u_{h-1},   u_{-1} = 0,   d_{h+1} = z * d_h * (u_h + u_{h-1}),
 
-which are the shifted iterates of the quadratic map w -> w^2 + z: M_0 = z and
-M_{h+1} = M_h^2 + z (the Mandelbrot polynomials). The cumulative anchor
-series 1 + sum_{i>=1} 2^i * prod_{j<i} M_j(z) has z^n coefficient equal to
-the 2k-weighted column sum sum_k 2k * t_{n,2k}. On the real axis the map's
-fixed-point iteration x -> 1 + z*x^2 converges below the critical parameter
-z = 1/4 and escapes beyond it; fixed_point_probe measures that numerically.
+where the z^n coefficient of d_h counts binary trees with n internal nodes and
+height exactly h (so d_h has valuation h). M_h(z) = z * u_h are the shifted
+iterates of the quadratic map w -> w^2 + z: M_0 = z and M_{h+1} = M_h^2 + z
+(the Mandelbrot polynomials). The cumulative anchor series 1 + sum_{i>=1}
+2^i * prod_{j<i} M_j(z) has z^n coefficient equal to the 2k-weighted column
+sum sum_k 2k * t_{n,2k}. On the real axis the map's fixed-point iteration
+x -> 1 + z*x^2 converges below the critical parameter z = 1/4 and escapes
+beyond it; fixed_point_probe measures that numerically.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from math import comb
+from collections.abc import Iterator
+from itertools import islice, zip_longest
+from math import comb, isnan
 
 from ._record import Record
 
@@ -179,8 +182,8 @@ def t_height_table(h: int, n_cap: int | None = None) -> CountTable:
     n_cap, when given, prunes cells with n > n_cap during the iteration; the
     transfer only ever increases n, so retained cells keep their exact
     values. Useful for marginal checks at heights whose full tables are
-    astronomically large. Every table has its n = 1 cell, so n_cap is at
-    least 1.
+    astronomically large. The iteration starts from the height-1 seed cell
+    n = 1, which n_cap must keep, so n_cap is at least 1.
     """
     if h < 1:
         raise ValueError("h must be at least 1")
@@ -268,6 +271,7 @@ class PolySeries(Record):
         return PolySeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.trunc)
 
     def __mul__(self, other: "PolySeries") -> "PolySeries":
+        """Skips zero coefficients of self: put a sparse or high-valuation factor left."""
         self._check(other)
         out = [0] * (self.trunc + 1)
         for i, a in enumerate(self.coeffs):
@@ -293,6 +297,16 @@ class PolySeries(Record):
 DEFAULT_TRUNC = 64
 
 
+def _iterates(trunc: int) -> Iterator[PolySeries]:
+    """Yield u_0, u_1, ... truncated at z^trunc, by the module docstring's d_h step."""
+    prev = PolySeries.of([], trunc)
+    u = delta = PolySeries.of([1], trunc)
+    while True:
+        yield u
+        delta = delta.shifted(1) * (u + prev)  # valuation h + 1: the left factor
+        prev, u = u, u + delta
+
+
 def iterate_p(h: int, trunc: int = DEFAULT_TRUNC) -> PolySeries:
     """The height iterate p_h(1,z): apply x -> 1 + z*x^2 h times, then x = 1.
 
@@ -303,11 +317,8 @@ def iterate_p(h: int, trunc: int = DEFAULT_TRUNC) -> PolySeries:
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
-    one = PolySeries.of([1], trunc)
-    u = one
-    for _ in range(min(h, trunc)):
-        u = one + (u * u).shifted(1)
-    return u
+    steps = min(h, trunc)
+    return next(u for j, u in enumerate(_iterates(trunc)) if j == steps)
 
 
 def mandelbrot(h: int, trunc: int = DEFAULT_TRUNC) -> PolySeries:
@@ -329,16 +340,10 @@ def cumulative_anchor_series(trunc: int = DEFAULT_TRUNC) -> PolySeries:
     """
     if trunc < 1:
         raise ValueError("trunc must be at least 1")
-    one = PolySeries.of([1], trunc)
-    total = one
-    product = one
-    p_iter = one
-    for i in range(1, trunc + 1):
-        product = product * p_iter.shifted(1)  # append the factor M_{i-1}
-        if product.is_zero():
-            break
+    total = product = PolySeries.of([1], trunc)
+    for i, u in enumerate(islice(_iterates(trunc), trunc), 1):
+        product = product * u.shifted(1)  # append the factor M_{i-1}
         total = total + product.scaled(1 << i)
-        p_iter = one + (p_iter * p_iter).shifted(1)
     return total
 
 
@@ -379,8 +384,8 @@ def fixed_point_probe(z: float, max_iters: int = DEFAULT_MAX_ITERS,
     runs out, which happens in a slow-passage window around the critical
     parameter z = 1/4.
     """
-    if max_iters < 1 or blow_up <= 0:
-        raise ValueError("thresholds must be positive")
+    if isnan(z) or max_iters < 1 or not blow_up > 0:
+        raise ValueError("z must be a number and the thresholds positive")
     x = 1.0
     for iteration in range(1, max_iters + 1):
         x_next = 1.0 + z * x * x

@@ -256,7 +256,7 @@ def test_height_iterate_stabilizes_to_catalan():
 def test_height_iterate_past_the_truncation_order():
     # iterate_p stops after trunc steps; the uncapped recurrence, written
     # out, gives the same series for every h.
-    for trunc in range(13):
+    for trunc in range(25):
         one = PolySeries.of([1], trunc)
         u = one
         for h in range(2 * trunc + 3):
@@ -324,6 +324,19 @@ def test_cumulative_anchor_series(table14):
         cumulative_anchor_series(0)
 
 
+def test_cumulative_anchor_series_against_the_quadratic_map():
+    # M_j built by M_0 = z, M_{j+1} = M_j^2 + z, a route that shares nothing
+    # with iterate_p; the sum 1 + sum_i 2^i * prod_{j<i} M_j is written out.
+    for trunc in range(1, 41):
+        z = PolySeries.of([0, 1], trunc)
+        m, product, total = z, PolySeries.of([1], trunc), PolySeries.of([1], trunc)
+        for i in range(1, trunc + 1):
+            product = product * m
+            total = total + product.scaled(2 ** i)
+            m = m * m + z
+        assert cumulative_anchor_series(trunc) == total
+
+
 def test_probe_converges_below_critical():
     result = fixed_point_probe(0.2)
     assert result.converged and not result.diverged
@@ -350,4 +363,10 @@ def test_probe_undecided_at_critical_budget():
 def test_probe_threshold_guard():
     with pytest.raises(ValueError, match="positive"):
         fixed_point_probe(0.1, max_iters=0)
+    # NaN fails every comparison, so it must not slip past the checks and
+    # spend the whole budget on an "undecided" answer.
+    with pytest.raises(ValueError, match="positive"):
+        fixed_point_probe(0.5, blow_up=float("nan"))
+    with pytest.raises(ValueError, match="number"):
+        fixed_point_probe(float("nan"))
     assert ProbeResult(status="diverged", iterations=3).diverged
