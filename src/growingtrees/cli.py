@@ -249,11 +249,12 @@ def cmd_bench_bits(args: argparse.Namespace) -> int:
 
     p = profiles.Profile(args.profile)
     seed = args.seed if args.seed is not None else _fresh_seed()
-    # One setup of the profile serves the draws, the rank splits and,
-    # through its count, the entropy bound.
+    # One setup of the profile gives N to the draws and the entropy bound.
+    # Only the ranks are drawn: a rank names its tree one-to-one, and the
+    # split and the build that would turn it into the tree draw no bit.
     setup = sampler.Setup(p)
     src = sampler.BitSource(seed)
-    for _ in sampler.samples(setup, src, args.samples):
+    for _ in sampler.ranks(setup.count, src, args.samples):
         pass
     mean_bits = src.bits_consumed / args.samples
     bound = math.log2(setup.count)
@@ -370,8 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench-bits",
         help="random-bit cost of sampling against the entropy floor",
-        description="Sample a profile repeatedly and report mean bits consumed "
-                    "per tree next to the information-theoretic lower bound.",
+        description="Draw the ranks of --samples uniform trees of a profile and "
+                    "report mean bits consumed per tree next to the "
+                    "information-theoretic lower bound. A rank names its tree "
+                    "one-to-one, so its bits are the tree's.",
     )
     p_bench.add_argument("--profile", type=_levels_arg, required=True,
                          metavar="L0,L1,...", help="leaf counts per level")

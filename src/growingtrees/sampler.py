@@ -16,7 +16,9 @@ it mixed-radix into one digit per level with that level's word count as the
 base (deepest level least significant), and builds the tree by looking each
 digit up in its depth's row: the words of that depth, indexed by rank.
 Distinct ranks give distinct trees, so a uniform rank gives a uniform tree;
-rank_tree is the inverse.
+rank_tree is the inverse. The split and the build draw no bit: ranks(n,
+src, count) is the stream of drawn ranks on its own, and a caller that only
+counts bits (bench-bits) drains it and builds no tree.
 
 The setup belongs to the profile, not to the sample: samples(p, src, count),
 the one sampling call, validates p and sets it up once, in one pass over its
@@ -43,7 +45,7 @@ keeps a uniform state (c, v), c uniform on [0, v), and recycles both what a
 draw rejects and what it leaves unused (the interval algorithm of Han and
 Hoshi; randomness recycling). draw_below is one draw from a fresh state: it
 costs under log2(n) + 2 bits on average, never less than log2(n), and a
-single-outcome draw costs none. samples draws all its trees from one state,
+single-outcome draw costs none. ranks draws all its ranks from one state,
 so k trees cost close to k * log2(N) bits: only the last draw pays the
 rounding up to whole bits.
 """
@@ -428,31 +430,33 @@ def rank_tree(p: Profile, tree: Tree) -> int:
     return rank
 
 
-def samples(p: Profile | Setup, src: BitSource, count: int) -> Iterator[Tree]:
-    """count uniform, independent trees with profile p drawn from src.
+def ranks(n: int, src: BitSource, count: int) -> Iterator[int]:
+    """count uniform, independent ranks in [0, n) drawn from src, each when
+    it is asked for.
+
+    Every rank is one _draw below n from a state shared by the whole stream.
+    A draw keeps up to 16 spare bits in the state, never more than the later
+    draws use, and the last draw asks for none, so the stream draws a few
+    bits over count * log2(n) in all. n = 1 draws no bit.
+    """
+    state = [0, 1]
+    for later in range(count - 1, -1, -1):
+        # The later draws surely use bit_length(n) - 1 bits each.
+        yield _draw(src, state, n, min(16, later * (n.bit_length() - 1)))
+
+
+def samples(p: Profile, src: BitSource, count: int) -> Iterator[Tree]:
+    """count uniform, independent trees with profile p drawn from src: the
+    trees of the ranks(N, src, count) stream.
 
     An invalid profile is rejected here, at the call, before any bit is
     drawn, with count_trees's error. The profile is set up once, in one pass
-    (Setup; a caller that also needs N passes its Setup as p): the product
-    tree of the unit bases, whose root N is the count, splits each sample
-    rank into unit digits, and each tree is one lookup per unit row.
-
-    Each tree's rank is one _draw below N, made when the tree is asked for,
-    from a state shared by the whole call. A draw keeps up to 16 spare bits
-    in the state, never more than the later draws use, and the last draw
-    asks for none, so the call draws a few bits over count * log2(N) in all.
+    (Setup): the product tree of the unit bases, whose root N is the count,
+    splits each rank into unit digits, and each tree is one lookup per unit
+    row. Each tree's rank is drawn when the tree is asked for.
     """
-    setup = p if isinstance(p, Setup) else Setup(p)
-    n = setup.count
-
-    def stream() -> Iterator[Tree]:
-        state = [0, 1]
-        for later in range(count - 1, -1, -1):
-            # The later draws surely use bit_length(n) - 1 bits each.
-            rank = _draw(src, state, n, min(16, later * (n.bit_length() - 1)))
-            yield _build(setup, _mixed_radix(rank, setup.tree))
-
-    return stream()
+    setup = Setup(p)
+    return (_build(setup, _mixed_radix(rank, setup.tree)) for rank in ranks(setup.count, src, count))
 
 
 # Kept for benchmark/tracing.py and calibrate.py only; ROADMAP.md item 4 deletes it.

@@ -1,5 +1,6 @@
 """Bit source, bounded uniform draws, merge unranking, and tree sampling."""
 
+import json
 import math
 import random
 from collections import defaultdict
@@ -9,7 +10,7 @@ from math import comb, prod
 import pytest
 from hypothesis import example, given, strategies as st
 
-from growingtrees import cli, profiles, sampler
+from growingtrees import cli, profiles, sampler, tree_core
 from growingtrees.oracle import all_binary_trees, trees_with_profile
 from growingtrees.profiles import Profile, _comb, _product_tree, count_trees, internal_profile, level_choices
 from growingtrees.sampler import (
@@ -27,6 +28,7 @@ from growingtrees.sampler import (
     draw_below,
     entropy_bound,
     rank_tree,
+    ranks,
     samples,
     unrank_merge,
 )
@@ -598,6 +600,38 @@ def test_one_product_tree_per_sampling_command(monkeypatch, capsys):
         assert built == [bases], argv
         assert math.prod(bases) == count_trees(p)
     capsys.readouterr()
+
+
+def test_bench_bits_builds_no_tree(monkeypatch, capsys):
+    def no_tree(*args):
+        raise AssertionError("bench-bits turned a rank into a tree")
+
+    for module, name in ((sampler, "_build"), (sampler, "_mixed_radix"),
+                         (tree_core, "to_json"), (tree_core, "to_dot")):
+        monkeypatch.setattr(module, name, no_tree)
+    deep = narrow_profile(random.Random(97), 2000)
+    profiles_drawn = [levels for levels, argv in _SAMPLING_COMMANDS if argv[0] == "bench-bits"]
+    assert len(profiles_drawn) == 2
+    for levels in profiles_drawn + [deep.levels]:
+        argv = ["bench-bits", "--samples", "5", "--seed", "1", "--profile", ",".join(map(str, levels))]
+        assert cli.run(argv) == 0, levels
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["samples"] == 5
+
+
+def test_ranks_replay_the_draws_of_samples():
+    rng = random.Random(101)
+    for make in (random_split_profile, narrow_profile):
+        for _ in range(30):
+            p = make(rng, rng.randint(1, 80))
+            count, seed = rng.randint(1, 20), rng.randrange(1 << 32)
+            src, trees_src = BitSource(seed), BitSource(seed)
+            drawn = list(ranks(count_trees(p), src, count))
+            assert drawn == [rank_tree(p, tree) for tree in samples(p, trees_src, count)]
+            assert src.bits_consumed == trees_src.bits_consumed
+    # One outcome: five zeros, no bit.
+    src = BitSource(103)
+    assert list(ranks(1, src, 5)) == [0] * 5
+    assert src.bits_consumed == 0
 
 
 def test_batch_ranks_split_one_to_one_into_sample_ranks():
