@@ -2,10 +2,11 @@
 
 Output conventions: machine-readable results on stdout, diagnostics on
 stderr. Exit codes: 0 success, 1 domain errors (invalid profile, out-of-range
-sizes), 2 usage errors. Commands that draw randomness take --seed and echo
-the seed in every record, so a rerun with the same arguments and seed is
-byte-identical. CSV tables use the grid layout: header row "n,<n values>",
-then one row per anchor count 2k with blank cells for zeros.
+sizes) and running out of memory, 2 usage errors. Commands that draw
+randomness take --seed and echo the seed in every record, so a rerun with
+the same arguments and seed is byte-identical. CSV tables use the grid
+layout: header row "n,<n values>", then one row per anchor count 2k with
+blank cells for zeros.
 """
 
 from __future__ import annotations
@@ -175,6 +176,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _fresh_seed()
     src, drawn = sampler.BitSource(seed), 0
     node_count = 2 * p.total_leaves - 1
+    # The profile's text is the same in every record: written once.
+    head = f'{{"seed":{seed},"profile":"{p}","index":'
     for index, tree in enumerate(sampler.samples(p, src, args.count)):
         # What this tree's next() drew; it may use bits an earlier tree drew.
         bits, drawn = src.bits_consumed - drawn, src.bits_consumed
@@ -183,8 +186,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
                   f"bits_consumed={bits} node_count={node_count}")
             print(tree_core.to_dot(tree), end="")
         else:
-            print(f'{{"seed":{seed},"profile":"{p}","index":{index},'
-                  f'"bits_consumed":{bits},"node_count":{node_count},'
+            print(f'{head}{index},"bits_consumed":{bits},"node_count":{node_count},'
                   f'"tree":{tree_core.to_json(tree)}}}')
     return 0
 
@@ -249,15 +251,17 @@ def cmd_bench_bits(args: argparse.Namespace) -> int:
 
     p = profiles.Profile(args.profile)
     seed = args.seed if args.seed is not None else _fresh_seed()
-    # One setup of the profile gives N to the draws and the entropy bound.
-    # Only the ranks are drawn: a rank names its tree one-to-one, and the
-    # split and the build that would turn it into the tree draw no bit.
-    setup = sampler.Setup(p)
+    # N comes from one validating walk of the profile's levels, before the
+    # source, so a profile error comes before a seed error. Only the ranks
+    # are drawn: a rank names its tree one-to-one, and the split and the
+    # build that would turn it into the tree draw no bit, so the profile is
+    # not set up for them.
+    n = profiles.count_trees(p)
     src = sampler.BitSource(seed)
-    for _ in sampler.ranks(setup.count, src, args.samples):
+    for _ in sampler.ranks(n, src, args.samples):
         pass
     mean_bits = src.bits_consumed / args.samples
-    bound = math.log2(setup.count)
+    bound = math.log2(n)
     print(json.dumps({
         "profile": str(p),
         "samples": args.samples,
@@ -408,6 +412,11 @@ def run(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # Unwinding has freed what the command held, so the line can be
+        # written. Records already written stay written.
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

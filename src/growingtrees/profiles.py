@@ -219,18 +219,37 @@ def _comb(n: int, k: int) -> int:
 
 def level_choices(p: Profile) -> list[int]:
     """binom(2*i_k, l_{k+1}) for k = 0..h-1: the number of ways level k+1's
-    leaves can sit among the 2*i_k child slots of depth k, for a valid p.
+    leaves can sit among the 2*i_k child slots of depth k. An invalid p
+    raises ValueError naming its Kraft sum, exactly when is_valid(p) fails.
 
-    The internal-node counts come top-down (i_0 = 1, i_k = 2*i_{k-1} - l_k),
-    which a valid profile forces; callers check validity first.
+    The walk validates as it goes. The internal-node counts come top-down,
+    i_0 = 1 (0 for the profile (1)) and i_k = 2*i_{k-1} - l_k, so that
+    i_k = 2^k * (1 - sum_{j<=k} l_j / 2^j) and p is valid iff i_h = 0. A
+    count below 0 stays below 0, and one above the leaf total L never comes
+    back down to 0, so the walk stops at the first such depth and its
+    integers never exceed 2L. Binomials of more than _COMB_DIRECT slots are
+    formed only once the walk has passed, so an invalid p is rejected in
+    O(h) steps, as is_valid rejects it.
     """
-    choices = []
-    internals = 1
-    for l in p.levels[1:]:
+    levels = p.levels
+    top = p.total_leaves
+    choices, wide = [], []
+    internals = 1 if len(levels) > 1 else 0
+    for l in levels[1:]:
         slots = 2 * internals
-        # Narrow levels skip the call: _comb would hand them to math.comb.
-        choices.append(comb(slots, l) if slots <= _COMB_DIRECT else _comb(slots, l))
         internals = slots - l
+        if not 0 <= internals <= top:
+            raise _invalid_profile(p)
+        # Narrow levels skip the call: _comb would hand them to math.comb.
+        if slots <= _COMB_DIRECT:
+            choices.append(comb(slots, l))
+        else:
+            wide.append((len(choices), slots, l))
+            choices.append(0)
+    if internals:
+        raise _invalid_profile(p)
+    for k, slots, l in wide:
+        choices[k] = _comb(slots, l)
     return choices
 
 
@@ -254,10 +273,8 @@ def _invalid_profile(p: Profile) -> ValueError:
 
 def count_trees(p: Profile) -> int:
     """Exact number of binary trees with profile p: the product of its
-    level_choices, taken in a balanced product tree. The Kraft test is the
-    only validation; an invalid p raises ValueError naming its Kraft sum."""
-    if not is_valid(p):
-        raise _invalid_profile(p)
+    level_choices, taken in a balanced product tree. That one walk is the
+    validation; an invalid p raises ValueError naming its Kraft sum."""
     return _product_tree(level_choices(p))[-1][0]
 
 

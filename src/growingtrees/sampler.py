@@ -140,7 +140,12 @@ def unrank_merge(rank: int, p: int, q: int) -> tuple[int, ...]:
     """
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
-    total = comb(p + q, q)
+    return _merge_word(rank, p, q, comb(p + q, q))
+
+
+def _merge_word(rank: int, p: int, q: int, total: int) -> tuple[int, ...]:
+    """unrank_merge(rank, p, q) for a caller that already holds its total =
+    binom(p+q, q), with the same range check."""
     if not 0 <= rank < total:
         raise ValueError(f"rank {exact_text(rank)} out of range for binom({p + q},{q}) = {exact_text(total)}")
     word = []
@@ -204,27 +209,28 @@ def _blocks(w1: int, w2: int, q: int) -> Iterator[tuple[int, int, int]]:
     return itertools.chain([(j0, size, right)], filter(None, itertools.chain.from_iterable(both)))
 
 
-def _unrank_wide(rank: int, p: int, q: int) -> bytes:
+def _unrank_wide(rank: int, p: int, q: int, total: int) -> bytes:
     """The rank-th merge word of p INTERNAL and q LEAF codes in split order;
-    rank runs over [0, binom(p+q, q)).
+    rank runs over [0, total), total = binom(p+q, q).
 
     A word of at most _WIDE_SLOTS slots is unrank_merge's, in kind codes. A
     wider one is split after its first w1 = (p+q) // 2 slots: its block
     (_blocks) fixes the leaves j in the left half, and within the block the
     rank is left_rank * binom(w2, q - j) + right_rank, each half ranked in
-    split order again. The halves wait on an explicit stack. A split walks
-    O(sqrt(w)) blocks of w-bit steps and makes one divmod, against the w
-    steps of a running binomial across the whole word.
+    split order again. The halves wait on an explicit stack, each with its
+    word count, which the block has already formed, so no binomial is formed
+    twice. A split walks O(sqrt(w)) blocks of w-bit steps and makes one
+    divmod, against the w steps of a running binomial across the whole word.
     """
     if rank < 0:
         raise ValueError(f"rank {exact_text(rank)} out of range: negative")
     words = []
-    stack = [(rank, p, q)]
+    stack = [(rank, p, q, total)]
     while stack:
-        rank, p, q = stack.pop()
+        rank, p, q, total = stack.pop()
         w = p + q
         if w <= _WIDE_SLOTS:
-            words.append(bytes(unrank_merge(rank, p, q)).translate(_KIND_OF_LETTER))
+            words.append(bytes(_merge_word(rank, p, q, total)).translate(_KIND_OF_LETTER))
             continue
         w1 = w // 2
         for j, size, right in _blocks(w1, w - w1, q):
@@ -234,7 +240,7 @@ def _unrank_wide(rank: int, p: int, q: int) -> bytes:
         else:
             raise ValueError(f"rank out of range for binom({w},{q})")
         left, rest = divmod(rank, right)
-        stack += ((rest, w - w1 - q + j, q - j), (left, w1 - j, j))
+        stack += ((rest, w - w1 - q + j, q - j, right), (left, w1 - j, j, size // right))
     return b"".join(words)
 
 
@@ -291,15 +297,16 @@ def _narrow_row(p: int, q: int) -> tuple[bytes, ...]:
 class _WideRow:
     """The row of a depth of more than _NARROW_SLOTS slots: row[rank] is the
     rank-th merge word of p INTERNAL and q LEAF codes in split order,
-    unranked when asked for. A rank out of range raises ValueError."""
+    unranked when asked for. base = binom(p+q, q) is its word count, formed
+    once. A rank out of range raises ValueError."""
 
-    __slots__ = ("p", "q")
+    __slots__ = ("p", "q", "base")
 
     def __init__(self, p: int, q: int):
-        self.p, self.q = p, q
+        self.p, self.q, self.base = p, q, _comb(p + q, q)
 
     def __getitem__(self, rank: int) -> bytes:
-        return _unrank_wide(rank, self.p, self.q)
+        return _unrank_wide(rank, self.p, self.q, self.base)
 
 
 @cache
@@ -350,7 +357,7 @@ class Setup:
                 waiting = (internal, leaves)
         if waiting:
             rows.append(_narrow_row(*waiting))
-        bases = [len(row) if type(row) is tuple else _comb(row.p + row.q, row.q) for row in reversed(rows)]
+        bases = [len(row) if type(row) is tuple else row.base for row in reversed(rows)]
         self.profile, self.rows = p, rows
         self.tree = _product_tree(bases)
         self.count = self.tree[-1][0]

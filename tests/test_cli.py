@@ -365,6 +365,24 @@ def test_closed_output_pipe_is_one_error_line():
         assert err == "error: output pipe closed\n"
 
 
+def test_running_out_of_memory_is_one_error_line():
+    # A complete profile of 2^22 leaves has one tree, of 8,388,607 nodes,
+    # which peaks near 580 MiB; the child may map 256 MiB. The limit acts
+    # on the child alone.
+    resource = pytest.importorskip("resource")
+    cap = 256 << 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    levels = ",".join(["0"] * 22 + [str(1 << 22)])
+    code = "import sys; sys.path.insert(0, sys.argv.pop(1)); from growingtrees.cli import main; main()"
+    src = str(Path(growingtrees.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-I", "-c", code, src, "sample", "--profile", levels, "--seed", "1"],
+                          capture_output=True, text=True, preexec_fn=limit_memory, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: out of memory\n")
+
+
 def test_usage_errors_and_help(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()

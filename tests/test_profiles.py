@@ -1,15 +1,17 @@
 """Leaf-profile validity, internal profiles, counting, and truncation."""
 
+import itertools
 import json
 import math
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from growingtrees import tree_core
+from growingtrees import profiles, tree_core
 from growingtrees.oracle import all_binary_trees
 from growingtrees.profiles import (
     Profile,
@@ -21,6 +23,7 @@ from growingtrees.profiles import (
     level_choices,
     truncate_profile,
 )
+from random_profiles import narrow_profile, random_split_profile
 
 
 def test_kraft_sum_examples():
@@ -158,6 +161,61 @@ def test_count_rejects_invalid():
         count_trees(Profile((0, 4)))
     with pytest.raises(ValueError, match=r"kraft sum 3/4 != 1"):
         count_trees(Profile((0, 1, 1)))
+
+
+def _raised(f, p):
+    """The message of the ValueError f(p) raises, or None if it returns."""
+    try:
+        f(p)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_the_counting_walk_raises_iff_the_profile_is_invalid(monkeypatch):
+    # Random profiles, valid and with one level moved off, name their Kraft
+    # sum in the error.
+    rng = random.Random(113)
+    drawn = [make(rng, rng.randint(1, 300)) for make in (narrow_profile, random_split_profile) for _ in range(40)]
+    for p in [Profile((1,))] + drawn:
+        levels = list(p.levels)
+        if p.height:
+            k = rng.randint(1, p.height)
+            levels[k] += 1 if k == p.height or levels[k] == 0 else rng.choice((-1, 1, 2))
+        for q in (p, Profile(levels)):
+            expected = None if is_valid(q) else f"invalid profile, kraft sum {exact_text(kraft_sum(q))} != 1"
+            assert _raised(level_choices, q) == _raised(count_trees, q) == expected, q
+    # Every profile of height <= 6 with entries <= 8. The error holds the
+    # profile instead of naming its Kraft sum, whose text costs more than
+    # the walk.
+    monkeypatch.setattr(profiles, "_invalid_profile", ValueError)
+    for h in range(1, 7):
+        for tail in itertools.product(range(9), repeat=h):
+            if tail[-1]:
+                p = Profile((0,) + tail)
+                valid = is_valid(p)
+                for f in (level_choices, count_trees):
+                    try:
+                        f(p)
+                    except ValueError as exc:
+                        assert not valid and exc.args == (p,), (f.__name__, p)
+                    else:
+                        assert valid, (f.__name__, p)
+
+
+def test_the_counting_walk_rejects_invalid_profiles_early():
+    # 0,...,0,1: the walk stops at depth 1, where i_1 = 2 is above the leaf
+    # total, rather than doubling for 100,000 levels.
+    lone = Profile((0,) * 100_000 + (1,))
+    # 2^21 slots at depth 21 hold 2^20 leaves, then the tail leaves one
+    # internal node open: no binomial of that depth is formed.
+    wide = Profile((0,) * 21 + (1 << 20, (1 << 21) - 1, 1))
+    for p in (lone, wide):
+        for f in (level_choices, count_trees):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="invalid profile, kraft sum"):
+                f(p)
+            assert time.perf_counter() - start < 0.1, (f.__name__, p.height)
 
 
 def test_truncate_examples():

@@ -425,7 +425,7 @@ def test_split_order_is_a_bijection(monkeypatch):
     for p in range(9):
         for q in range(9):
             total = comb(p + q, q)
-            words = [_unrank_wide(r, p, q) for r in range(total)]
+            words = [_unrank_wide(r, p, q, total) for r in range(total)]
             assert len(set(words)) == total, (p, q)
             # Kind bytes: p INTERNAL and q LEAF codes, nothing else.
             assert all(len(word) == p + q and word.count(LEAF) == q and word.count(INTERNAL) == p
@@ -436,7 +436,7 @@ def test_split_order_is_a_bijection(monkeypatch):
             assert [_rank_wide(word) for word in words] == list(range(total)), (p, q)
             for rank in (-1, total):
                 with pytest.raises(ValueError, match="out of range"):
-                    _unrank_wide(rank, p, q)
+                    _unrank_wide(rank, p, q, total)
 
 
 def test_rank_tree_inverts_wide_rows():
@@ -551,7 +551,8 @@ _SAMPLING_COMMANDS = [
 
 
 def test_one_setup_walk_per_sampling_command(monkeypatch, capsys):
-    setups, validated = [], []
+    setups, validated, walked = [], [], []
+    real_is_valid, real_walk = profiles.is_valid, profiles.level_choices
 
     class Counted(Setup):
         __slots__ = ()
@@ -562,22 +563,28 @@ def test_one_setup_walk_per_sampling_command(monkeypatch, capsys):
 
     def counted_is_valid(p):
         validated.append(p)
-        return profiles.is_valid(p)
+        return real_is_valid(p)
 
-    def second_walk(p):
-        raise AssertionError("the levels are walked again")
+    def counted_walk(p):
+        walked.append(p)
+        return real_walk(p)
 
     monkeypatch.setattr(sampler, "Setup", Counted)
     # The sampler validates through its own name, the one the benchmark's
     # tracer wraps.
-    monkeypatch.setattr(sampler, "is_valid", counted_is_valid)
-    monkeypatch.setattr(profiles, "level_choices", second_walk)
-    monkeypatch.setattr(sampler, "level_choices", second_walk)
+    for module in (profiles, sampler):
+        monkeypatch.setattr(module, "is_valid", counted_is_valid)
+        monkeypatch.setattr(module, "level_choices", counted_walk)
     for levels, argv in _SAMPLING_COMMANDS:
         setups.clear()
         validated.clear()
+        walked.clear()
         assert cli.run(argv) == 0
-        assert setups == validated == [Profile(levels)], argv
+        if argv[0] == "bench-bits":
+            # count_trees: one walk of the levels, which is the validation.
+            assert (setups, validated, walked) == ([], [], [Profile(levels)]), argv
+        else:
+            assert (setups, validated, walked) == ([Profile(levels)], [Profile(levels)], []), argv
     capsys.readouterr()
 
 
@@ -592,13 +599,14 @@ def test_one_product_tree_per_sampling_command(monkeypatch, capsys):
     monkeypatch.setattr(sampler, "_product_tree", counted)
     for levels, argv in _SAMPLING_COMMANDS:
         p = Profile(levels)
-        bases = Setup(p).tree[0]
+        # sample splits every tree's rank down the tree of the unit bases;
+        # bench-bits only needs the count, the root of the level binomials'.
+        factors = level_choices(p) if argv[0] == "bench-bits" else Setup(p).tree[0]
         built.clear()
         assert cli.run(argv) == 0
-        # The unit bases, once: every tree's rank is split down that tree,
-        # whose root is the count.
-        assert built == [bases], argv
-        assert math.prod(bases) == count_trees(p)
+        # One product tree per command, whose root is the count.
+        assert built == [factors], argv
+        assert math.prod(factors) == count_trees(p)
     capsys.readouterr()
 
 
