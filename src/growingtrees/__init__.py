@@ -17,19 +17,17 @@ DOT serialization (tree_core), and brute-force cross-check enumerators
 # they use.
 _EXPORTS = {
     "enumeration": (
-        "CountTable", "PolySeries", "ProbeResult", "catalan", "catalan_column_check",
-        "cumulative_anchor_series", "fixed_point_probe", "iterate_p", "mandelbrot",
-        "t_height_table", "t_table",
+        "CountTable", "PolySeries", "ProbeResult", "catalan", "cumulative_anchor_series",
+        "fixed_point_probe", "iterate_p", "mandelbrot", "t_height_table", "t_table",
     ),
     "profiles": (
         "Profile", "count_trees", "internal_profile", "is_valid", "kraft_sum",
         "truncate_profile",
     ),
-    "sampler": ("BitSource", "draw_below", "entropy_bound", "rank_tree", "samples", "unrank_merge"),
+    "sampler": ("BitSource", "entropy_bound", "rank_tree", "samples", "unrank_merge"),
     "sequences": (
-        "CellSet", "a_gf_check", "a_hat_seq", "a_seq", "a_seq_meta", "b_formula", "b_seq",
-        "gamma", "lambda_upper", "ruler", "s_area_formula", "s_domain",
-        "scaling_limit_deviation",
+        "CellSet", "a_hat_seq", "a_seq", "b_formula", "b_seq", "gamma", "lambda_upper",
+        "ruler", "s_area_formula", "s_domain", "scaling_limit_deviation",
     ),
     "tree_core": (
         "GrowthChoice", "NodeKind", "Tree", "TreeStats", "freeze", "from_json",

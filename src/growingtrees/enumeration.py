@@ -211,18 +211,6 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def catalan_column_check(table: CountTable) -> bool:
-    """Check the per-column Catalan identity on a count table.
-
-    Every plane binary tree with n internal nodes is the frozen image of
-    exactly one active growing tree, so each column n of a complete count
-    table sums to C_n (see the module docstring). True iff column_sum(n) ==
-    catalan(n) for every n up to n_max; a table with a cell missing or
-    inflated fails.
-    """
-    return all(table.column_sum(n) == catalan(n) for n in range(1, table.n_max + 1))
-
-
 # ---------------------------------------------------------------------------
 # Truncated integer power series
 # ---------------------------------------------------------------------------

@@ -81,13 +81,17 @@ class Profile(Record):
 
 def exact_text(x: int | Fraction) -> str:
     """Exact decimal text of an int or a Fraction "p/q": unlike str(), Decimal
-    has no limit on the number of digits (str() stops at 4,300 by default).
-    decimal is imported here, on the first call, not with the package."""
-    from decimal import MAX_EMAX, MAX_PREC, Inexact, localcontext
+    has no limit on the number of digits (str() stops at 4,300 by default,
+    and a program may lower that limit). decimal is imported here, on the
+    first call, not with the package."""
+    from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 
     if x.denominator != 1:
         return f"{exact_text(x.numerator)}/{exact_text(x.denominator)}"
     n = int(x)
+    if n.bit_length() <= _DECIMAL_LEAF_BITS:
+        # Decimal(n) is exact in any context; only the split below needs one.
+        return str(Decimal(n))
     with localcontext() as ctx:
         ctx.prec, ctx.Emax, ctx.traps[Inexact] = MAX_PREC, MAX_EMAX, True
         return "-" * (n < 0) + str(_decimal(abs(n), n.bit_length(), {}))

@@ -43,9 +43,9 @@ Randomness flows through a BitSource, which hands out fair bits and counts
 every bit drawn. Every uniform integer comes from one routine, _draw, which
 keeps a uniform state (c, v), c uniform on [0, v), and recycles both what a
 draw rejects and what it leaves unused (the interval algorithm of Han and
-Hoshi; randomness recycling). draw_below is one draw from a fresh state: it
-costs under log2(n) + 2 bits on average, never less than log2(n), and a
-single-outcome draw costs none. ranks draws all its ranks from one state,
+Hoshi; randomness recycling). One draw, ranks(n, src, 1), starts from a
+fresh state: it costs under log2(n) + 2 bits on average, never less than
+log2(n), and nothing for n = 1. ranks draws all its ranks from one state,
 so k trees cost close to k * log2(N) bits: only the last draw pays the
 rounding up to whole bits.
 """
@@ -117,12 +117,6 @@ def _draw(src: BitSource, state: list[int], n: int, spare: int) -> int:
             state[:] = c, q
             return result
         c, v = c - (v - r), r
-
-
-def draw_below(src: BitSource, n: int) -> int:
-    """A uniform integer in [0, n), consuming expected <= log2(n) + 2 bits:
-    one _draw from a fresh state, with no spare. n = 1 consumes no bits."""
-    return _draw(src, [0, 1], n, 0)
 
 
 def unrank_merge(rank: int, p: int, q: int) -> tuple[int, ...]:
@@ -469,6 +463,11 @@ def samples(p: Profile, src: BitSource, count: int) -> Iterator[Tree]:
 # Kept for benchmark/tracing.py and calibrate.py only; ROADMAP.md item 4 deletes it.
 def sample_with_stats(p: Profile, src: BitSource) -> Tree:
     return next(samples(p, src, 1))
+
+
+# Kept for benchmark/tracing.py only; ROADMAP.md item 4 deletes it.
+def draw_below(src: BitSource, n: int) -> int:
+    return next(ranks(n, src, 1))
 
 
 def entropy_bound(p: Profile) -> float:

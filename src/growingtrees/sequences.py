@@ -6,13 +6,14 @@ The first,
     a_n = max{k : t_{n,2k} > 0},
 
 is the largest number of anchor pairs an active tree with n internal nodes
-can carry. It satisfies the inner recurrence a_n = max{k : k <= 2*a_{n-k}}
-with a_1 = 1, climbs by 0 or 1, and also obeys the nested (meta-Fibonacci)
-recurrence a_n = a_{n-1-a_{n-1}} + a_{n-2-a_{n-2}} with a_0 = a_1 = a_2 = 1.
-Its repetition counts b_n = #{k : a_k = n} follow the 2-adic valuation:
-b_n = p + 2 if n = 2^p, else p + 1 where p = v_2(n). The generating function
-z * sum_{n>=0} prod_{i=1..n} (z + z^{2^i}) reproduces a_n as its z^n
-coefficient for n >= 1. Asymptotically a_n / n -> 1/2.
+can carry. a_seq computes it by the inner recurrence a_n = max{k : k <=
+2*a_{n-k}} with a_1 = 1; it climbs by 0 or 1. Two identities give the same
+values, and the tests check a_seq against both: the nested (meta-Fibonacci)
+recurrence a_n = a_{n-1-a_{n-1}} + a_{n-2-a_{n-2}} with a_0 = a_1 = a_2 = 1,
+and the generating function z * sum_{n>=0} prod_{i=1..n} (z + z^{2^i}),
+whose z^n coefficient is a_n for n >= 1. Its repetition counts b_n = #{k :
+a_k = n} follow the 2-adic valuation: b_n = p + 2 if n = 2^p, else p + 1
+where p = v_2(n). Asymptotically a_n / n -> 1/2.
 
 At a fixed height h the nonzero cells S_h = {(n,k) : t_{n,2k,h} != 0} form a
 staircase-shaped region, reachable by iterating the one-step image
@@ -74,16 +75,6 @@ def a_seq(n_max: int) -> list[int]:
     return [1, *itertools.islice(_a_values(), n_max)]
 
 
-def a_seq_meta(n_max: int) -> list[int]:
-    """Values a_0..a_n_max by the nested recurrence a_n = a_{n-1-a_{n-1}} + a_{n-2-a_{n-2}}."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    vals = [1, 1, 1]
-    for n in range(3, n_max + 1):
-        vals.append(vals[n - 1 - vals[n - 1]] + vals[n - 2 - vals[n - 2]])
-    return vals[: n_max + 1]
-
-
 def b_seq(n_max: int) -> list[int]:
     """Repetition counts b_1..b_n_max of a_n, with b[0] = 0 padding.
 
@@ -101,33 +92,6 @@ def b_seq(n_max: int) -> list[int]:
 def b_formula(n: int) -> int:
     """Closed form of b_n = v_2(n) + 1 (the ruler function), plus 1 when n is a power of 2."""
     return ruler(n) + (n & (n - 1) == 0)
-
-
-def a_gf_check(trunc: int) -> bool:
-    """Check a_n against the product generating function up to order trunc.
-
-    The series z * sum_{n>=0} prod_{i=1}^{n} (z + z^{2^i}) has z^n
-    coefficient a_n for every n >= 1 (the z^0 coefficient of the series is 0
-    and lies outside the identity; a_0 = 1 is a convention of the
-    recurrences, not of this series). The n-th product has valuation n, so
-    terms beyond n = trunc cannot contribute.
-    """
-    from .enumeration import PolySeries
-
-    if trunc < 1:
-        raise ValueError("trunc must be at least 1")
-    total = PolySeries.of([], trunc)
-    one = product = PolySeries.of([1], trunc)
-    z = one.shifted(1)
-    i = 0
-    while not product.is_zero():
-        total = total + product.shifted(1)
-        i += 1
-        # Sparse factor on the left: multiplication skips zero coefficients
-        # of the left operand, and the factor has only two terms.
-        product = (z + one.shifted(1 << i)) * product
-    expected = a_seq(trunc)
-    return all(total.coeff(n) == expected[n] for n in range(1, trunc + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +157,6 @@ class CellSet(Record):
     def cells(self) -> set[tuple[int, int]]:
         """Materialize as a plain set; only sensible for small instances."""
         return set(iter(self))
-
-    @classmethod
-    def from_cells(cls, cells, h: int) -> "CellSet":
-        """Build from explicit cells, which must have contiguous columns."""
-        by_n: dict[int, list[int]] = {}
-        for n, k in cells:
-            by_n.setdefault(n, []).append(k)
-        columns = {}
-        for n, ks in by_n.items():
-            ks.sort()
-            if ks[-1] - ks[0] + 1 != len(set(ks)):
-                raise ValueError(f"column {n} is not a contiguous interval")
-            columns[n] = (ks[0], ks[-1])
-        return cls(columns=columns, h=h)
 
 
 def gamma(h: int) -> CellSet:

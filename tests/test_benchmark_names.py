@@ -11,6 +11,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import growingtrees
 from growingtrees import sampler
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -38,3 +39,12 @@ def test_every_sampler_name_calibrate_calls_exists():
     assert "sample_with_stats" in names
     for name in names:
         assert callable(getattr(sampler, name, None)), f"sampler.{name}"
+
+
+def test_names_kept_only_for_the_harness_are_not_exported():
+    # src/ keeps these for benchmark/ alone, so deleting them later changes
+    # no public name.
+    for owner, name in (("sampler", "draw_below"), ("sampler", "sample_with_stats"),
+                        ("enumeration", "HeightTable")):
+        assert name in vars(importlib.import_module(f"growingtrees.{owner}")), f"{owner}.{name}"
+        assert name not in growingtrees.__all__, name

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -122,13 +123,22 @@ def test_internal_profile_errors():
 
 
 def test_exact_text_is_the_decimal_text():
-    # Around the 4,096-bit pieces that exact_text converts directly, and far past them.
-    rng = random.Random(73)
-    for bits in (0, 1, 64, 4095, 4096, 4097, 8191, 8192, 8193, 50_001):
-        for n in (2**bits - 1, 2**bits, rng.getrandbits(bits) | 2**bits):
-            assert exact_text(n) == str(Decimal(n))
-            assert exact_text(-n) == str(Decimal(-n))
-    assert exact_text(Fraction(-3, 2**5000)) == f"-3/{Decimal(2**5000)}"
+    # Around the 4,096-bit pieces that exact_text converts directly, and far
+    # past them; also under the lowest int-to-str digit limit a program can
+    # set, which 4,096 bits (1,234 digits) exceeds.
+    limit = sys.get_int_max_str_digits()
+    for max_digits in (limit, 640):
+        sys.set_int_max_str_digits(max_digits)
+        try:
+            rng = random.Random(73)
+            for bits in (0, 1, 64, 4095, 4096, 4097, 8191, 8192, 8193, 50_001):
+                for n in (2**bits - 1, 2**bits, rng.getrandbits(bits) | 2**bits):
+                    assert exact_text(n) == str(Decimal(n))
+                    assert exact_text(-n) == str(Decimal(-n))
+            assert exact_text(Fraction(-3, 2**5000)) == f"-3/{Decimal(2**5000)}"
+            assert exact_text(Fraction(2**5000 + 1, 3)) == f"{Decimal(2**5000 + 1)}/3"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_bool_entries_are_rejected():

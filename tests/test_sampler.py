@@ -25,7 +25,6 @@ from growingtrees.sampler import (
     _pair_row,
     _rank_wide,
     _unrank_wide,
-    draw_below,
     entropy_bound,
     rank_tree,
     ranks,
@@ -51,9 +50,14 @@ def test_bit_source_is_seeded_and_counts():
         BitSource(-1)
 
 
+def _draw_below(src, n):
+    """One draw below n from a fresh state: a stream of one rank."""
+    return next(ranks(n, src, 1))
+
+
 def test_draw_below_one_is_free():
     src = BitSource(1)
-    assert draw_below(src, 1) == 0
+    assert _draw_below(src, 1) == 0
     assert src.bits_consumed == 0
 
 
@@ -61,30 +65,30 @@ def test_draw_below_two_costs_one_bit():
     src = BitSource(5)
     for _ in range(100):
         before = src.bits_consumed
-        assert draw_below(src, 2) in (0, 1)
+        assert _draw_below(src, 2) in (0, 1)
         assert src.bits_consumed == before + 1
 
 
 def test_draw_below_range_and_guard():
     src = BitSource(9)
-    values = [draw_below(src, 5) for _ in range(2000)]
+    values = [_draw_below(src, 5) for _ in range(2000)]
     assert set(values) <= set(range(5))
     counts = [values.count(v) for v in range(5)]
     assert chi_square(counts).passed
     with pytest.raises(ValueError, match="positive"):
-        draw_below(src, 0)
+        _draw_below(src, 0)
 
 
 def test_draw_below_expected_bits():
     src = BitSource(11)
     draws = 4000
     for _ in range(draws):
-        draw_below(src, 5)
+        _draw_below(src, 5)
     assert src.bits_consumed / draws <= math.log2(5) + 2
 
 
 def _draw_below_bit_by_bit(src, n):
-    """draw_below as first written: one single-bit draw per doubling."""
+    """One draw below n as first written: one single-bit draw per doubling."""
     v, c = 1, 0
     while True:
         while v < n:
@@ -111,7 +115,7 @@ def test_draw_below_takes_each_shortfall_in_one_block():
     for n in (2, 3, 5, 6, 7, 100, 2**61 - 1, 3**200, 2**300 + 1):
         blocks, single = _OneBitAtATime(n % 1000), BitSource(n % 1000)
         for _ in range(50):
-            assert draw_below(blocks, n) == _draw_below_bit_by_bit(single, n)
+            assert _draw_below(blocks, n) == _draw_below_bit_by_bit(single, n)
             assert blocks.bits_consumed == single.bits_consumed
 
 
@@ -128,7 +132,7 @@ def test_draw_below_long_run_stays_under_fast_dice_roller_bound():
     src = BitSource(59)
     draws = 1000
     for _ in range(draws):
-        assert 0 <= draw_below(src, n) < n
+        assert 0 <= _draw_below(src, n) < n
     assert src.bits_consumed / draws <= math.log2(n) + 2
 
 
@@ -505,7 +509,7 @@ def test_samples_build_the_trees_of_their_drawn_ranks():
             assert rank_tree(p, tree) == rank
             # One tree at a time: one draw below N each.
             alone = next(samples(p, one_by_one, 1))
-            assert rank_tree(p, alone) == draw_below(again, n)
+            assert rank_tree(p, alone) == _draw_below(again, n)
             assert one_by_one.bits_consumed == again.bits_consumed
         assert src.bits_consumed == replay.bits_consumed
 
@@ -706,6 +710,16 @@ def test_invalid_profile_rejected_before_bits_flow():
     assert src.bits_consumed == 0
 
 
+def test_zero_count_streams_are_empty_and_draw_nothing():
+    src = BitSource(43)
+    assert list(ranks(5, src, 0)) == []
+    assert list(samples(Profile((0, 1, 2)), src, 0)) == []
+    assert src.bits_consumed == 0
+    # The profile is still checked at the call, with nothing to draw.
+    with pytest.raises(ValueError, match=r"invalid profile, kraft sum 3/4 != 1"):
+        samples(Profile((0, 1, 1)), src, 0)
+
+
 def test_sample_stats_record():
     # What the deleted per-tree record held, read from the tree and the source.
     p = Profile((0, 1, 2))
@@ -715,7 +729,7 @@ def test_sample_stats_record():
     assert profile(tree) == p
     assert len(tree.nodes) == 2 * 3 - 1
     # The source counted exactly the bits of one draw below the count.
-    draw_below(check, count_trees(p))
+    _draw_below(check, count_trees(p))
     assert src.bits_consumed == check.bits_consumed
 
 
