@@ -32,9 +32,13 @@ MAX_CLI_AREA_H = 100_000
 
 
 def _levels_arg(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; structural profile checks happen later."""
+    """Comma-separated integers, each read as int() reads it but at any
+    length, and each distinct one once (profiles.read_levels); structural
+    profile checks happen later."""
+    from . import profiles
+
     try:
-        return tuple(map(int, text.split(",")))  # int() skips surrounding spaces
+        return profiles.read_levels(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
@@ -160,7 +164,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(profiles.exact_text(profiles.count_trees(p)))
         return 0
     if args.which == "internal":
-        print(",".join(map(str, profiles.internal_profile(p))))
+        print(profiles.write_levels(profiles.internal_profile(p)))
         return 0
     if args.level is None:
         print("error: truncate requires --level", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism, seed echo."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -195,6 +196,118 @@ def test_profile_numbers_past_the_str_digit_limit(capsys):
     assert err.startswith("error: invalid profile, kraft sum ") and err.endswith(" != 1\n")
     assert run(["sample", "--profile", deep]) == 1
     assert capsys.readouterr().err == err
+
+
+def _int_list(text):
+    """The reference reading of a profile: int() on each comma-separated
+    entry, with the digit limit lifted; the error line where it fails."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError:
+        return f"not a comma-separated integer list: {text!r}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _levels_arg_or_error(text):
+    try:
+        return cli._levels_arg(text)
+    except argparse.ArgumentTypeError as exc:
+        return str(exc)
+
+
+def test_levels_arg_reads_as_int_does():
+    # Every entry reads as int() reads it, at any length: 4,301 digits is
+    # past the default limit and 641 past the lowest a program can set.
+    huge = str(Decimal(2**14300))
+    corpus = ["0,0,2,4", " 0, 1 ,\t2\n", "+1", "0,+1,2", "007", "0,01,02", "1_0", "1__0",
+              "_1", "1_", "١٢", "0,٣_٣", "", ",", "0,,1", "-1", "0,-1,3",
+              "1.0", "x", "0,x", "1e3", "0x1", "+ 1", "+-1", "1 2", " 3 ", "3\x00",
+              "\x1c3", "3\x1c", huge, f"0,{huge}", f" +{huge} ", f"-{huge}", f"0{huge}",
+              f"{huge}x", f"x{huge}", f"{huge}_", f"{huge[:99]}_{huge[99:]}", f"{huge} 1",
+              f"{huge}.0", "9" * 4301, "9" * 641, "١" * 5000]
+    limit = sys.get_int_max_str_digits()
+    for max_digits in (limit, 640):
+        sys.set_int_max_str_digits(max_digits)
+        try:
+            for text in corpus:
+                assert _levels_arg_or_error(text) == _int_list(text), text[:40]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_levels_arg_converts_each_distinct_entry_once(monkeypatch):
+    calls = []
+
+    def counting(token):
+        calls.append(token)
+        return int(token)
+
+    monkeypatch.setattr(profiles, "_read_int", counting)
+    levels = narrow_profile(random.Random(2000), 1999).levels
+    text = ",".join(map(str, levels))
+    assert cli._levels_arg(text) == levels
+    assert sorted(calls) == sorted(set(text.split(",")))
+    # Nothing is kept between calls.
+    calls.clear()
+    assert cli._levels_arg(text) == levels
+    assert len(calls) == len(set(levels))
+
+
+def test_a_failed_entry_is_converted_again(monkeypatch):
+    calls = []
+
+    def counting(token):
+        calls.append(token)
+        return int(token)
+
+    monkeypatch.setattr(profiles, "_read_int", counting)
+    for _ in range(2):
+        with pytest.raises(argparse.ArgumentTypeError, match="integer list"):
+            cli._levels_arg("0,1,x")
+    assert calls == ["0", "1", "x"] * 2
+    memo = profiles._Memo(counting)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            memo["x"]
+    assert "x" not in memo and calls[-2:] == ["x", "x"]
+
+
+def test_profile_entries_past_the_str_digit_limit(capsys):
+    # 14,300 empty levels, then all 2^14300 leaves at the bottom: one tree,
+    # whose last entry has 4,305 digits.
+    huge = ",".join(["0"] * 14300 + [str(Decimal(2**14300))])
+    assert run(["profile", "count", "--profile", huge]) == 0
+    assert capsys.readouterr() == ("1\n", "")
+    assert run(["bench-bits", "--profile", huge, "--samples", "2", "--seed", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["profile"], doc["mean_bits"], doc["entropy_bound"]) == (huge, 0, 0)
+    # Under the lowest limit a program can set, 2^2200 (663 digits) is past
+    # it, and so are the internal counts 2^2127 and up.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        levels = (0,) * 2200 + (2**2200,)
+        text = ",".join(map(str, map(Decimal, levels)))
+        assert run(["profile", "internal", "--profile", text]) == 0
+        assert capsys.readouterr().out == ",".join(str(Decimal(2**k)) for k in range(2200)) + "\n"
+        assert run(["profile", "truncate", "--profile", text, "--level", "2198"]) == 0
+        assert capsys.readouterr().out == ",".join(["0"] * 2199 + [str(Decimal(2**2199))]) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_records_write_the_profile_back_canonical(capsys):
+    # Spaces, a plus sign and leading zeros are read as int() reads them;
+    # the records name the profile as Profile writes it.
+    assert run(["bench-bits", "--profile", " 0, 01,+2", "--samples", "2", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["profile"] == "0,1,2"
+    assert run(["sample", "--profile", " 0, 01,+2", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.startswith('{"seed":3,"profile":"0,1,2","index":0,')
+    assert run(["profile", "truncate", "--profile", "0, 0,+02, 004", "--level", "1"]) == 0
+    assert capsys.readouterr().out == "0,0,4\n"
 
 
 def test_sample_json_records(capsys):
@@ -524,6 +637,7 @@ def test_import_and_parser_leave_dataclasses_typing_decimal_fractions_unloaded()
     ["sample", "--profile", "0,0,2,4", "--seed", "7", "--format", "dot"],
     ["oracle", "catalan", "--nmax", "5"],
     ["bench-bits", "--profile", "0,0,2,4", "--samples", "3", "--seed", "1"],
+    ["bench-bits", "--profile", " 0, 01,+2", "--samples", "3", "--seed", "1"],
     ["--help"],
 ], ids=" ".join)
 def test_each_command_runs_alone_in_a_fresh_interpreter(argv, capsys, monkeypatch):

@@ -96,6 +96,51 @@ def test_parse_and_str():
     assert p.total_leaves == 6
 
 
+def test_str_is_str_of_each_entry():
+    # Also under the lowest int-to-str digit limit a program can set.
+    limit = sys.get_int_max_str_digits()
+    for max_digits in (limit, 640):
+        sys.set_int_max_str_digits(max_digits)
+        try:
+            rng = random.Random(max_digits)
+            for _ in range(20):
+                for p in (narrow_profile(rng, rng.randint(1, 2000)),
+                          random_split_profile(rng, rng.randint(1, 5000))):
+                    assert str(p) == ",".join(map(str, p.levels))
+                    assert profiles.read_levels(str(p)) == p.levels
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_str_writes_each_distinct_entry_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return str(n)
+
+    monkeypatch.setattr(profiles, "_write_int", counting)
+    p = narrow_profile(random.Random(2000), 1999)
+    assert str(p) == ",".join(map(str, p.levels))
+    assert sorted(calls) == sorted(set(p.levels))
+    calls.clear()
+    assert str(p) == ",".join(map(str, p.levels))  # nothing kept between calls
+    assert len(calls) == len(set(p.levels))
+
+
+def test_entries_past_the_str_digit_limit_are_written_exactly():
+    limit = sys.get_int_max_str_digits()
+    for max_digits in (limit, 640):
+        sys.set_int_max_str_digits(max_digits)
+        try:
+            for bits in (2200, 14300, 50_001):
+                p = Profile((0,) * bits + (2**bits,))
+                assert str(p) == "0," * bits + str(Decimal(2**bits))
+                assert profiles.read_levels(str(p)) == p.levels
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_levels_given_as_a_list_are_the_same_profile():
     p = Profile([0, 2])
     assert p.levels == (0, 2)
