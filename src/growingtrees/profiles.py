@@ -8,10 +8,8 @@ its Kraft sum
     sum_{i=0}^{h} l_i / 2^i  =  1
 
 holds with equality (the Kraft-McMillan condition for complete prefix codes).
-A valid profile forces the number i_k of internal nodes at each depth k:
-top-down, i_0 = 1 and i_k = 2*i_{k-1} - l_k; bottom-up, i_{h-1} = l_h / 2 and
-i_k = (i_{k+1} + l_{k+1}) / 2, where a halving that is not integral or an
-i_0 other than 1 shows the profile invalid.
+A valid profile forces the number i_k of internal nodes at each depth k,
+top-down: i_0 = 1 and i_k = 2*i_{k-1} - l_k.
 
 The number of binary trees realizing a valid profile is the product
 
@@ -20,17 +18,20 @@ The number of binary trees realizing a valid profile is the product
 one independent choice per level: the l_{k+1} leaves at depth k+1 pick their
 positions among the 2*i_k children slots of the depth-k internal nodes.
 
-The validity test is exact integer arithmetic; kraft_sum reports the exact
-sum as a fractions.Fraction for messages, and exact_text writes big numbers
-through decimal. Both modules are imported inside those functions only, so
-importing the package loads neither. Counts are exact big integers.
-read_levels and write_levels turn a profile's comma-separated text into its
-levels and back, exactly at any size, converting each distinct entry once.
+The validity test is exact integer arithmetic, and every operation that
+needs a valid profile rejects an invalid one with the same error, which
+names its Kraft sum. kraft_sum reports the exact sum as a
+fractions.Fraction for messages, and exact_text writes numbers past str()'s
+digit limit through decimal. Each module is imported only where it is
+needed, so importing the package loads neither. Counts are exact big
+integers. read_levels and write_levels turn a profile's comma-separated
+text into its levels and back, exactly at any size, converting each
+distinct entry once.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import accumulate, compress
 from math import comb, isqrt
 
 from ._record import Record
@@ -85,8 +86,9 @@ class Profile(Record):
 class _Memo(dict):
     """convert(key) for each key looked up, kept: a miss calls convert once
     (__missing__), a hit is one dict lookup in C, and a conversion that
-    raises keeps nothing. Each call of read_levels or write_levels makes a
-    fresh one, so it holds one text's distinct entries and nothing more."""
+    raises keeps nothing. Each use makes a fresh one (per call of
+    read_levels, write_levels or exact_text's decimal route, and per tree
+    that tree_core writes), so it holds one call's keys and nothing more."""
 
     __slots__ = ("convert",)
 
@@ -108,9 +110,9 @@ def read_levels(text: str) -> tuple[int, ...]:
 
 
 def write_levels(levels: tuple[int, ...]) -> str:
-    """Comma-separated decimal text of integers, exact at any size: str() of
-    each distinct value once, and exact_text past str()'s digit limit."""
-    return ",".join(map(_Memo(_write_int).__getitem__, levels))
+    """Comma-separated decimal text of integers, exact at any size:
+    exact_text of each distinct value once."""
+    return ",".join(map(_Memo(exact_text).__getitem__, levels))
 
 
 def _read_int(token: str) -> int:
@@ -149,30 +151,26 @@ def _digits_value(digits: str) -> int:
     return _digits_value(digits[:half]) * 10 ** (len(digits) - half) + _digits_value(digits[half:])
 
 
-def _write_int(n: int) -> str:
-    """str(n), through exact_text past str()'s digit limit."""
-    try:
-        return str(n)
-    except ValueError:
-        return exact_text(n)
-
-
 def exact_text(x: int | Fraction) -> str:
-    """Exact decimal text of an int or a Fraction "p/q": unlike str(), Decimal
-    has no limit on the number of digits (str() stops at 4,300 by default,
-    and a program may lower that limit). decimal is imported here, on the
-    first call, not with the package."""
-    from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
-
+    """Exact decimal text of an int or a Fraction "p/q": str() of each int,
+    and where str() refuses it (past 4,300 digits by default, and a program
+    may lower that limit to 640) the text of Decimal, which has no such
+    limit. decimal is imported only then, not with the package."""
     if x.denominator != 1:
         return f"{exact_text(x.numerator)}/{exact_text(x.denominator)}"
     n = int(x)
-    if n.bit_length() <= _DECIMAL_LEAF_BITS:
-        # Decimal(n) is exact in any context; only the split below needs one.
-        return str(Decimal(n))
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
+
     with localcontext() as ctx:
         ctx.prec, ctx.Emax, ctx.traps[Inexact] = MAX_PREC, MAX_EMAX, True
-        return "-" * (n < 0) + str(_decimal(abs(n), n.bit_length(), {}))
+        # 2^w, also built by halving w, in the same context as _decimal.
+        powers = _Memo(lambda w: Decimal(2) ** w if w <= _DECIMAL_LEAF_BITS
+                       else powers[w >> 1] * powers[w - (w >> 1)])
+        return "-" * (n < 0) + str(_decimal(abs(n), n.bit_length(), powers))
 
 
 # Decimal(n) takes time quadratic in the digits (37 ms at 140,000 bits, 1.9 s
@@ -180,11 +178,11 @@ def exact_text(x: int | Fraction) -> str:
 _DECIMAL_LEAF_BITS = 4096
 
 
-def _decimal(n: int, bits: int, powers: dict[int, Decimal]) -> Decimal:
+def _decimal(n: int, bits: int, powers: _Memo) -> Decimal:
     """Decimal(n) for 0 <= n < 2^bits, as lo + hi * 2^half with both halves
     converted the same way, so the work lands in Decimal's fast big multiply
-    (8 ms at 140,000 bits). Needs an exact, unbounded context; `powers`
-    keeps the 2^w it builds, also by halving w. The depth is log2 of
+    (8 ms at 140,000 bits). Needs an exact, unbounded context; `powers[w]`
+    is the Decimal 2^w, made in that context. The depth is log2 of
     bits / 4096."""
     from decimal import Decimal
 
@@ -193,19 +191,7 @@ def _decimal(n: int, bits: int, powers: dict[int, Decimal]) -> Decimal:
     half = bits >> 1
     hi = n >> half
     lo = _decimal(n - (hi << half), half, powers)
-    return lo + _decimal(hi, bits - half, powers) * _power_of_two(half, powers)
-
-
-def _power_of_two(w: int, powers: dict[int, Decimal]) -> Decimal:
-    """Decimal 2^w, kept in `powers`; under the same context as _decimal."""
-    from decimal import Decimal
-
-    if w not in powers:
-        if w <= _DECIMAL_LEAF_BITS:
-            powers[w] = Decimal(2) ** w
-        else:
-            powers[w] = _power_of_two(w >> 1, powers) * _power_of_two(w - (w >> 1), powers)
-    return powers[w]
+    return lo + _decimal(hi, bits - half, powers) * powers[half]
 
 
 def kraft_sum(p: Profile) -> Fraction:
@@ -240,31 +226,14 @@ def is_valid(p: Profile) -> bool:
 
 def internal_profile(p: Profile) -> tuple[int, ...]:
     """Internal-node counts (i_0, ..., i_{h-1}), i_0 = 1, forced by a valid
-    profile of height >= 1.
-
-    Computed bottom-up (i_{h-1} = l_h / 2, then i_k = (i_{k+1} + l_{k+1}) / 2);
-    on a valid profile every entry is a positive integer.
-
-    Raises ValueError "parity violation" when a bottom-up halving step is not
-    integral, and "kraft violation" when the steps are integral but the
-    profile is still invalid (the bottom-up pass then ends at i_0 != 1).
-    Either error implies the profile is invalid.
-    """
-    h = p.height
-    if h < 1:
+    profile of height >= 1, computed top-down (i_k = 2*i_{k-1} - l_k) once
+    is_valid has passed; every entry is then a positive integer. An invalid
+    p raises count_trees's ValueError, naming its Kraft sum."""
+    if p.height < 1:
         raise ValueError("a height-0 profile has no internal levels")
-    l = p.levels
-    internals = [0] * h
-    carry = l[h]
-    # carry holds i_{k+1} + l_{k+1} while walking k = h-1 down to 0.
-    for k in range(h - 1, -1, -1):
-        if carry % 2 != 0:
-            raise ValueError(f"parity violation at level {k}: i_{k} = {carry}/2 is not integral")
-        internals[k] = carry // 2
-        carry = internals[k] + l[k]
-    if internals[0] != 1:
-        raise ValueError(f"kraft violation: bottom-up pass gives i_0 = {internals[0]}, kraft sum {exact_text(kraft_sum(p))}")
-    return tuple(internals)
+    if not is_valid(p):
+        raise _invalid_profile(p)
+    return tuple(accumulate(p.levels[1:-1], lambda i, l: 2 * i - l, initial=1))
 
 
 # math.comb divides big numbers, so its time grows with the square of its

@@ -48,7 +48,7 @@ from enum import Enum, IntEnum
 from itertools import accumulate
 
 from ._record import Record
-from .profiles import Profile
+from .profiles import Profile, _Memo
 
 
 class NodeKind(IntEnum):
@@ -315,24 +315,14 @@ _STEP_HEAD = '{"step":'
 _TREE_KEY = ',"tree":'
 
 
-class _LeafPieces(dict):
-    """closes -> the text to_json writes for a leaf of one kind: the kind's
-    object, a '}' for each of the closes objects the leaf ends, and the
-    ',"r":' that opens the next right child. Built on first use."""
-
-    def __init__(self, kind_text: str):
-        super().__init__()
-        self.kind_text = kind_text
-
-    def __missing__(self, closes: int) -> str:
-        piece = self[closes] = self.kind_text + "}" * closes + _RIGHT_KEY
-        return piece
-
-
 def _leaf_pieces(table: tuple) -> list:
-    """Per kind code: the leaf pieces of that kind, or None for the codes
-    that are no leaf of table's trees."""
-    return [None if kind == INTERNAL or text is None else _LeafPieces(text) for kind, text in enumerate(table)]
+    """Per kind code: None for the codes that are no leaf of table's trees,
+    else closes -> the text to_json writes for a leaf of that kind: the
+    kind's object, a '}' for each of the closes objects the leaf ends, and
+    the ',"r":' that opens the next right child. Built on first use."""
+    return [None if kind == INTERNAL or text is None
+            else _Memo(lambda closes, text=text: text + "}" * closes + _RIGHT_KEY)
+            for kind, text in enumerate(table)]
 
 
 def to_json(tree: Tree) -> str:

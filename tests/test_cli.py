@@ -627,6 +627,29 @@ def test_import_and_parser_leave_dataclasses_typing_decimal_fractions_unloaded()
     assert _loaded_modules("import growingtrees") == "['growingtrees']\n"
 
 
+def test_profile_commands_leave_decimal_and_fractions_unloaded():
+    # exact_text tries str() before it imports decimal, and only an invalid
+    # profile's message needs fractions.
+    for argv in (["sample", "--seed", "1"], ["bench-bits", "--samples", "3", "--seed", "1"],
+                 ["profile", "count"], ["profile", "internal"]):
+        statements = f"import growingtrees.cli; growingtrees.cli.run({argv + ['--profile', '0,0,2,4']!r})"
+        loaded = _loaded_modules(statements).splitlines()[-1]
+        assert "growingtrees.profiles" in loaded
+        assert "decimal" not in loaded and "fractions" not in loaded, (argv, loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample"],
+    ["bench-bits", "--samples", "3"],
+    ["profile", "count"],
+    ["profile", "internal"],
+    ["profile", "truncate", "--level", "0"],
+], ids=" ".join)
+def test_every_profile_command_gives_the_one_invalid_profile_error(argv, capsys):
+    assert run(argv + ["--profile", "0,1,1"]) == 1
+    assert capsys.readouterr() == ("", "error: invalid profile, kraft sum 3/4 != 1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["table", "--nmax", "4"],
     ["height-table", "--h", "3", "--format", "json"],

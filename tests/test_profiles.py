@@ -119,7 +119,7 @@ def test_str_writes_each_distinct_entry_once(monkeypatch):
         calls.append(n)
         return str(n)
 
-    monkeypatch.setattr(profiles, "_write_int", counting)
+    monkeypatch.setattr(profiles, "exact_text", counting)
     p = narrow_profile(random.Random(2000), 1999)
     assert str(p) == ",".join(map(str, p.levels))
     assert sorted(calls) == sorted(set(p.levels))
@@ -159,9 +159,10 @@ def test_internal_profile_examples():
 
 
 def test_internal_profile_errors():
-    with pytest.raises(ValueError, match="parity violation"):
+    # An invalid profile raises what count_trees raises.
+    with pytest.raises(ValueError, match="^invalid profile, kraft sum 3/4 != 1$"):
         internal_profile(Profile((0, 1, 1)))
-    with pytest.raises(ValueError, match="kraft violation"):
+    with pytest.raises(ValueError, match="^invalid profile, kraft sum 2 != 1$"):
         internal_profile(Profile((0, 4)))
     with pytest.raises(ValueError, match="no internal levels"):
         internal_profile(Profile((1,)))
@@ -229,7 +230,7 @@ def _raised(f, p):
 
 def test_the_counting_walk_raises_iff_the_profile_is_invalid(monkeypatch):
     # Random profiles, valid and with one level moved off, name their Kraft
-    # sum in the error.
+    # sum in the error; internal_profile and truncate_profile raise the same.
     rng = random.Random(113)
     drawn = [make(rng, rng.randint(1, 300)) for make in (narrow_profile, random_split_profile) for _ in range(40)]
     for p in [Profile((1,))] + drawn:
@@ -240,6 +241,9 @@ def test_the_counting_walk_raises_iff_the_profile_is_invalid(monkeypatch):
         for q in (p, Profile(levels)):
             expected = None if is_valid(q) else f"invalid profile, kraft sum {exact_text(kraft_sum(q))} != 1"
             assert _raised(level_choices, q) == _raised(count_trees, q) == expected, q
+            if q.height:
+                assert _raised(internal_profile, q) == expected, q
+                assert _raised(lambda q: truncate_profile(q, q.height // 2), q) == expected, q
     # Every profile of height <= 6 with entries <= 8. The error holds the
     # profile instead of naming its Kraft sum, whose text costs more than
     # the walk.
@@ -299,8 +303,8 @@ def _level_tuples(length, budget):
 
 
 def test_validity_iff_internal_profile_succeeds():
-    # Exhaustive over heights 1..5 and total leaf count <= 12: the bottom-up
-    # halving pass succeeds exactly on the Kraft-valid profiles.
+    # Exhaustive over heights 1..5 and total leaf count <= 12:
+    # internal_profile succeeds exactly on the Kraft-valid profiles.
     for h in range(1, 6):
         for tail in _level_tuples(h, 12):
             if tail[-1] == 0:
@@ -318,6 +322,8 @@ def test_validity_iff_internal_profile_succeeds():
                 assert 2 * internal[-1] == p.levels[-1]
                 # The top-down recurrence i_k = 2*i_{k-1} - l_k holds too.
                 assert all(internal[k] == 2 * internal[k - 1] - p.levels[k] for k in range(1, h)), p
+                # So does the bottom-up one, i_k = (i_{k+1} + l_{k+1}) / 2.
+                assert all(2 * internal[k] == internal[k + 1] + p.levels[k + 1] for k in range(h - 1)), p
 
 
 @given(st.lists(st.integers(0, 8), min_size=1, max_size=11))
