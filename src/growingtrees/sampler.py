@@ -21,19 +21,15 @@ src, count) is the stream of drawn ranks on its own, and a caller that only
 counts bits (bench-bits) drains it and builds no tree.
 
 The setup belongs to the profile, not to the sample: samples(p, src, count),
-the one sampling call, validates p and sets it up once, in one pass over its
-depths (Setup). The pass groups the depths into units: two consecutive
-depths of at most 8 slots each make one unit, whose row is a table of their
-joined words (the pair's digit a * base_lower + b is exactly the two level
-digits of the per-level radix, so ranks name the same trees), and every
-other depth is a unit of its own. It then builds the product tree of the
-unit bases, whose root is N. Every rank is split down that product tree,
-one pass of divmod per tree level, and the build is one join of the unit
-rows' words, so a command that draws k trees of one profile pays for the
-profile once and a sample runs no Python loop per level. A row of at most 8
-slots is a table of all its words in combinadic (lex) order, built on first
-use and shared by every profile (510 words in all; the pair tables hold
-28,016). A wider row unranks its word when asked: in lex order with a
+the one sampling call, validates p and sets it up once (Setup). Each depth
+1..h-1 gets one row, and its base, the word count, comes from the walk of
+profiles.level_choices, which is also the validation. The product tree of
+those bases, whose root is N, splits every rank, one pass of divmod per tree
+level, and the build is one join of the rows' words, so a command that draws
+k trees of one profile pays for the profile once and a sample runs no Python
+loop per level. A row of at most 8 slots is a table of all its words in
+combinadic (lex) order, built on first use and shared by every profile (510
+words in all). A wider row unranks its word when asked: in lex order with a
 running binomial up to 1,024 slots (unrank_merge), in split order above
 (_unrank_wide), where a word is cut in halves whose ranks are combined by
 blocks, so a wide level costs well under the O(W^2) bit operations of one
@@ -60,7 +56,8 @@ from functools import cache
 from math import comb
 from operator import getitem
 
-from .profiles import Profile, _comb, _invalid_profile, _product_tree, count_trees, exact_text, is_valid, level_choices
+from .profiles import Profile, _comb, _product_tree, count_trees, exact_text, level_choices
+from .profiles import is_valid  # kept for benchmark/tracing.py only; ROADMAP.md item 4 deletes it
 from .tree_core import INTERNAL, LEAF, Tree, freeze, profile
 
 
@@ -291,69 +288,42 @@ def _narrow_row(p: int, q: int) -> tuple[bytes, ...]:
 class _WideRow:
     """The row of a depth of more than _NARROW_SLOTS slots: row[rank] is the
     rank-th merge word of p INTERNAL and q LEAF codes in split order,
-    unranked when asked for. base = binom(p+q, q) is its word count, formed
-    once. A rank out of range raises ValueError."""
+    unranked when asked for. base = binom(p+q, q), its word count, is handed
+    in by the level walk that formed it. A rank out of range raises
+    ValueError."""
 
     __slots__ = ("p", "q", "base")
 
-    def __init__(self, p: int, q: int):
-        self.p, self.q, self.base = p, q, _comb(p + q, q)
+    def __init__(self, p: int, q: int, base: int):
+        self.p, self.q, self.base = p, q, base
 
     def __getitem__(self, rank: int) -> bytes:
         return _unrank_wide(rank, self.p, self.q, self.base)
 
 
-@cache
-def _pair_row(upper: tuple[int, int], lower: tuple[int, int]) -> tuple[bytes, ...]:
-    """The row of a unit of two consecutive narrow depths, each given as
-    (INTERNAL, LEAF) code counts: every joined word _narrow_row(*upper)[a] +
-    _narrow_row(*lower)[b], at index a * len(_narrow_row(*lower)) + b. The
-    lower depth has 2 * upper[0] slots, so there are 80 such rows, 28,016
-    words in all."""
-    lower_words = _narrow_row(*lower)
-    return tuple(a + b for a in _narrow_row(*upper) for b in lower_words)
-
-
 class Setup:
-    """A valid profile p set up for sampling, in one pass over its depths.
+    """A valid profile p set up for sampling, one row per depth.
 
-    The depths 1..h-1 are grouped top-down into units: two consecutive
-    depths of at most _NARROW_SLOTS slots each make one unit, whose row is
-    their _pair_row, and every other depth is a unit of its own, with its
-    _narrow_row or a _WideRow. `rows` lists the unit rows top-down; a unit's
-    base is its word count. `tree` is the product tree of the unit bases,
-    deepest unit first (profiles._product_tree), and `count`, its root, is
-    N. A pair's digit is a * base_lower + b for the level digits a and b of
-    its depths, exactly what the mixed radix of the level bases gives, so a
-    rank names the same tree through either radix. An invalid p raises
-    ValueError naming its Kraft sum.
+    `rows` holds one row per depth 1..h-1, top-down: its _narrow_row, or a
+    _WideRow past _NARROW_SLOTS slots. The bases, the rows' word counts, are
+    level_choices(p)[:-1] (the last choice, binom(l_h, l_h), is 1), and that
+    walk is the validation: an invalid p raises ValueError naming its Kraft
+    sum. `tree` is the product tree of the bases, deepest depth first
+    (profiles._product_tree), and `count`, its root, is N.
     """
 
     __slots__ = ("profile", "rows", "tree", "count")
 
     def __init__(self, p: Profile):
-        if not is_valid(p):
-            raise _invalid_profile(p)
+        bases = level_choices(p)[:-1]
         rows: list[tuple[bytes, ...] | _WideRow] = []
-        waiting = None  # an unpaired narrow depth's (internal, leaves)
         internal = 1
-        for leaves in p.levels[1:-1]:
+        for leaves, base in zip(p.levels[1:-1], bases):
             slots, internal = 2 * internal, 2 * internal - leaves
-            if slots > _NARROW_SLOTS:
-                if waiting:
-                    rows.append(_narrow_row(*waiting))
-                rows.append(_WideRow(internal, leaves))
-                waiting = None
-            elif waiting:
-                rows.append(_pair_row(waiting, (internal, leaves)))
-                waiting = None
-            else:
-                waiting = (internal, leaves)
-        if waiting:
-            rows.append(_narrow_row(*waiting))
-        bases = [len(row) if type(row) is tuple else row.base for row in reversed(rows)]
+            rows.append(_narrow_row(internal, leaves) if slots <= _NARROW_SLOTS
+                        else _WideRow(internal, leaves, base))
         self.profile, self.rows = p, rows
-        self.tree = _product_tree(bases)
+        self.tree = _product_tree(bases[::-1])
         self.count = self.tree[-1][0]
 
 
@@ -382,18 +352,18 @@ def _mixed_radix(rank: int, tree: list[list[int]]) -> list[int]:
 
 
 def _build(setup: Setup, digits: list[int]) -> Tree:
-    """The tree of setup.profile whose unit digits are `digits`, deepest unit
-    first: a rank's digits in the bases setup.tree[0]. Distinct digits give
-    distinct trees; a digit list of another length, or a digit outside its
-    unit's row, raises ValueError.
+    """The tree of setup.profile whose level digits are `digits`, deepest
+    depth first: a rank's digits in the bases setup.tree[0]. Distinct digits
+    give distinct trees; a digit list of another length, or a digit outside
+    its depth's row, raises ValueError.
 
-    The tree is written top-down in level order: the root, then the words of
-    the units looked up in their rows, then the l_h deepest leaves. That is
-    its kind string, the whole of a tree_core.Tree.
+    The tree is written top-down in level order: the root, then each depth's
+    word looked up in its row, then the l_h deepest leaves. That is its kind
+    string, the whole of a tree_core.Tree.
     """
     p, rows = setup.profile, setup.rows
     if len(digits) != len(rows):
-        raise ValueError(f"{len(digits)} digits for {len(rows)} merge units")
+        raise ValueError(f"{len(digits)} digits for {len(rows)} depths")
     # A negative index would read a narrow row from its end.
     if min(digits, default=0) < 0:
         raise ValueError(f"digit {min(digits)} out of range: negative")
@@ -451,10 +421,10 @@ def samples(p: Profile, src: BitSource, count: int) -> Iterator[Tree]:
     trees of the ranks(N, src, count) stream.
 
     An invalid profile is rejected here, at the call, before any bit is
-    drawn, with count_trees's error. The profile is set up once, in one pass
-    (Setup): the product tree of the unit bases, whose root N is the count,
-    splits each rank into unit digits, and each tree is one lookup per unit
-    row. Each tree's rank is drawn when the tree is asked for.
+    drawn, by the walk and with the error of count_trees. The profile is set
+    up once (Setup): the product tree of the depth bases, whose root N is
+    the count, splits each rank into one digit per depth, and each tree is
+    one lookup per row. Each tree's rank is drawn when it is asked for.
     """
     setup = Setup(p)
     return (_build(setup, _mixed_radix(rank, setup.tree)) for rank in ranks(setup.count, src, count))

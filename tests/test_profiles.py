@@ -10,7 +10,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from growingtrees import profiles, tree_core
 from growingtrees.oracle import all_binary_trees
@@ -327,6 +327,8 @@ def test_validity_iff_internal_profile_succeeds():
 
 
 @given(st.lists(st.integers(0, 8), min_size=1, max_size=11))
+@example([1] * 9 + [2]).via("valid, of height 10: few random lists are valid")
+@example([0, 1, 3, 6]).via("valid, with an odd leaf count at a middle depth")
 def test_validity_equivalence_random_tall(tail):
     while tail and tail[-1] == 0:
         tail = tail[:-1]
@@ -334,11 +336,15 @@ def test_validity_equivalence_random_tall(tail):
         return
     p = Profile((0, *tail))
     try:
-        internal_profile(p)
-        succeeded = True
+        internal = internal_profile(p)
     except ValueError:
-        succeeded = False
-    assert succeeded == is_valid(p)
+        internal = None
+    # Checked against the exact Kraft sum and the bottom-up relation, not
+    # against is_valid, which internal_profile calls itself.
+    assert (internal is not None) == (kraft_sum(p) == 1), p
+    if internal is not None:
+        below = internal[1:] + (0,)
+        assert all(2 * i == i_next + l for i, i_next, l in zip(internal, below, p.levels[1:], strict=True)), p
 
 
 def test_counting_matches_enumeration_small():

@@ -22,7 +22,6 @@ from growingtrees.sampler import (
     _draw,
     _mixed_radix,
     _narrow_row,
-    _pair_row,
     _rank_wide,
     _unrank_wide,
     entropy_bound,
@@ -255,13 +254,13 @@ def test_words_read_off_built_trees_give_back_the_rank():
 
 
 def test_build_rejects_a_digit_list_of_another_length():
-    # Depths 1 and 2 (2 slots each) make one unit, depth 3 another.
+    # Depths 1, 2 and 3 have one row each.
     p = Profile((0, 1, 0, 2, 4))
     setup = Setup(p)
     digits = _mixed_radix(0, setup.tree)
-    assert len(digits) == 2
-    for wrong in (digits[:-1], digits + [0], [0] * (p.height - 1)):
-        with pytest.raises(ValueError, match=f"{len(wrong)} digits for 2 merge units"):
+    assert len(digits) == p.height - 1 == 3
+    for wrong in (digits[:-1], digits + [0], [0] * p.height):
+        with pytest.raises(ValueError, match=f"{len(wrong)} digits for 3 depths"):
             _build(setup, wrong)
 
 
@@ -336,57 +335,29 @@ def test_narrow_rows_are_unrank_merge():
     assert _narrow_row(3, 1) is _narrow_row(3, 1)
 
 
-def _narrow_pairs():
-    """Every (upper, lower) shape of two consecutive narrow depths, each as
-    (internal, leaves): the upper depth has 2-8 slots and 1-4 internal
-    nodes, whose 2-8 child slots the lower depth splits in any way."""
-    return [((internal, slots - internal), (2 * internal - leaves, leaves))
-            for slots in range(2, _NARROW_SLOTS + 1, 2)
-            for internal in range(1, min(slots, _NARROW_SLOTS // 2) + 1)
-            for leaves in range(2 * internal + 1)]
-
-
-def test_pair_rows_join_the_narrow_rows_of_their_depths():
-    pairs = _narrow_pairs()
-    assert len(pairs) == 80
-    words = 0
-    for upper, lower in pairs:
-        above, below = _narrow_row(*upper), _narrow_row(*lower)
-        row = _pair_row(upper, lower)
-        assert row == tuple(above[a] + below[b] for a in range(len(above)) for b in range(len(below)))
-        assert row[len(below) * (len(above) - 1)] == above[-1] + below[0]
-        words += len(row)
-    assert words == 28_016
-    # Setting profiles up builds no other pair: the cache keeps its 80 rows.
-    rng = random.Random(5)
-    for _ in range(40):
-        Setup(narrow_profile(rng, rng.randint(1, 300)))
-        Setup(random_split_profile(rng, rng.randint(1, 300)))
-    assert _pair_row.cache_info().currsize == 80
-
-
-def test_rank_tree_inverts_the_unit_path():
+def test_rank_tree_inverts_the_depth_path():
     rng = random.Random(101)
-    # Each profile with the slots its units' words cover, top-down: a pair
-    # of narrow depths covers the slots of both.
+    # Each profile with the slots of its depths' words, top-down.
     cases = [
-        # Height 0, 1 and 2: no unit, and one unit of one depth.
+        # Height 0, 1 and 2: no depth row, and one row.
         ((1,), []),
         ((0, 2), []),
         ((0, 1, 2), [2]),
         ((0, 0, 4), [2]),
         # Narrow runs of odd length: 3 and 5 depths.
-        ((0, 0, 0, 1, 14), [2 + 4, 8]),
-        ((0, 1, 1, 1, 1, 1, 2), [2 + 2, 2 + 2, 2]),
+        ((0, 0, 0, 1, 14), [2, 4, 8]),
+        ((0, 1, 1, 1, 1, 1, 2), [2, 2, 2, 2, 2]),
         # Narrow depths on both sides of a 16-slot depth ...
-        ((0, 0, 0, 0, 14, 2, 3, 0, 4), [2 + 4, 8, 16, 4 + 4, 2]),
+        ((0, 0, 0, 0, 14, 2, 3, 0, 4), [2, 4, 8, 16, 4, 4, 2]),
         # ... and on both sides of 16- to 2048-slot depths.
-        ((0,) + (0,) * 10 + (2046, 1, 4, 4), [2 + 4, 8] + [2 ** d for d in range(4, 12)] + [4 + 6]),
+        ((0,) + (0,) * 10 + (2046, 1, 4, 4), [2, 4, 8] + [2 ** d for d in range(4, 12)] + [4, 6]),
     ]
     for levels, slots in cases:
         p = Profile(levels)
         setup = Setup(p)
         assert [len(row[0]) for row in setup.rows] == slots, levels
+        # The row bases, deepest first, are the level walk's choices.
+        assert setup.tree[0] == level_choices(p)[-2::-1], levels
         assert setup.count == count_trees(p) == math.prod(setup.tree[0])
         count = setup.count
         ranks = range(count) if count <= 500 else [0, count - 1] + [rng.randrange(count) for _ in range(20)]
@@ -394,30 +365,32 @@ def test_rank_tree_inverts_the_unit_path():
             tree = _build(setup, _mixed_radix(rank, setup.tree))
             assert profile(tree) == p
             assert rank_tree(p, tree) == rank
-    # 1,999 narrow depths: 999 pairs and one depth alone.
+    # 1,999 narrow depths, one row each.
     deep = narrow_profile(rng, 2000)
     setup = Setup(deep)
-    assert len(setup.rows) == 1000
+    assert len(setup.rows) == 1999
+    assert setup.tree[0] == level_choices(deep)[-2::-1]
     for rank in [0, setup.count - 1] + [rng.randrange(setup.count) for _ in range(10)]:
         tree = _build(setup, _mixed_radix(rank, setup.tree))
         assert rank_tree(deep, tree) == _rank_tree(deep, tree) == rank
 
 
 def test_build_rejects_digits_outside_their_row():
-    # Depths 1 and 2 of this profile (2 slots each, 2 and 1 words) make a
-    # narrow pair of 2 words, depths 3 and 4 (4 and 8 slots) another; depth
-    # 12 has a wide row (2048 slots, binom(2048, 1000) words).
+    # Depths 1 and 2 of this profile have 2 slots each (2 and 1 words),
+    # depths 3 and 4 have 4 and 8 slots (1 word each); depth 12 has a wide
+    # row (2048 slots, binom(2048, 1000) words).
     p = Profile((0, 1) + (0,) * 10 + (1000, 2 * 1048))
     setup = Setup(p)
     rows = setup.rows
-    assert rows[0] is _pair_row((1, 1), (2, 0)) and len(rows[0]) == 2
-    assert rows[1] is _pair_row((4, 0), (8, 0)) and len(rows[1]) == 1
-    assert rows[-1].p + rows[-1].q == 2048 > _WIDE_SLOTS and len(rows) == 10
+    assert rows[0] is _narrow_row(1, 1) and len(rows[0]) == 2
+    assert rows[1] is _narrow_row(2, 0) and len(rows[1]) == 1
+    assert rows[3] is _narrow_row(8, 0) and len(rows[3]) == 1
+    assert rows[-1].p + rows[-1].q == 2048 > _WIDE_SLOTS and len(rows) == 12
     base = comb(2048, 1000)
-    assert setup.tree[0][0] == base
-    for row, wrong in ((0, -1), (0, 2), (1, 1), (-1, -1), (-1, base)):
+    assert rows[-1].base == setup.tree[0][0] == base
+    for row, wrong in ((0, -1), (0, 2), (1, 1), (3, 1), (-1, -1), (-1, base)):
         digits = [0] * len(rows)
-        digits[-1 - row] = wrong  # digits run deepest unit first
+        digits[-1 - row] = wrong  # digits run deepest depth first
         with pytest.raises(ValueError, match="out of range"):
             _build(setup, digits)
 
@@ -574,8 +547,6 @@ def test_one_setup_walk_per_sampling_command(monkeypatch, capsys):
         return real_walk(p)
 
     monkeypatch.setattr(sampler, "Setup", Counted)
-    # The sampler validates through its own name, the one the benchmark's
-    # tracer wraps.
     for module in (profiles, sampler):
         monkeypatch.setattr(module, "is_valid", counted_is_valid)
         monkeypatch.setattr(module, "level_choices", counted_walk)
@@ -584,11 +555,10 @@ def test_one_setup_walk_per_sampling_command(monkeypatch, capsys):
         validated.clear()
         walked.clear()
         assert cli.run(argv) == 0
-        if argv[0] == "bench-bits":
-            # count_trees: one walk of the levels, which is the validation.
-            assert (setups, validated, walked) == ([], [], [Profile(levels)]), argv
-        else:
-            assert (setups, validated, walked) == ([Profile(levels)], [Profile(levels)], []), argv
+        # One walk of the levels, which is the validation: count_trees's for
+        # bench-bits, Setup's for sample.
+        sets_up = [Profile(levels)] if argv[0] == "sample" else []
+        assert (setups, validated, walked) == (sets_up, [], [Profile(levels)]), argv
     capsys.readouterr()
 
 
@@ -603,7 +573,7 @@ def test_one_product_tree_per_sampling_command(monkeypatch, capsys):
     monkeypatch.setattr(sampler, "_product_tree", counted)
     for levels, argv in _SAMPLING_COMMANDS:
         p = Profile(levels)
-        # sample splits every tree's rank down the tree of the unit bases;
+        # sample splits every tree's rank down the tree of the depth bases;
         # bench-bits only needs the count, the root of the level binomials'.
         factors = level_choices(p) if argv[0] == "bench-bits" else Setup(p).tree[0]
         built.clear()
