@@ -282,6 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="growingtrees",
         description="Exact enumeration, boundary sequences, and uniform sampling "
                     "of growing binary trees.",
+        # @path stands for the file's lines, one argument each: a profile past
+        # Linux's 131,072 bytes per argument comes in as --profile @path.
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,9 +18,11 @@ The number of binary trees realizing a valid profile is the product
 one independent choice per level: the l_{k+1} leaves at depth k+1 pick their
 positions among the 2*i_k children slots of the depth-k internal nodes.
 
-The validity test is exact integer arithmetic, and every operation that
-needs a valid profile rejects an invalid one with the same error, which
-names its Kraft sum. kraft_sum reports the exact sum as a
+One walk of the levels (_level_walk) forms those counts in small exact
+integers, and it is the validity test. is_valid, internal_profile,
+truncate_profile, level_choices, count_trees and the sampler derive from
+it, and each that needs a valid profile rejects an invalid one with the
+same error, which names its Kraft sum. kraft_sum reports the exact sum as a
 fractions.Fraction for messages, and exact_text writes numbers past str()'s
 digit limit through decimal. Each module is imported only where it is
 needed, so importing the package loads neither. Counts are exact big
@@ -31,7 +33,8 @@ distinct entry once.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from collections import Counter
+from itertools import compress
 from math import comb, isqrt
 
 from ._record import Record
@@ -208,32 +211,21 @@ def kraft_sum(p: Profile) -> Fraction:
 
 
 def is_valid(p: Profile) -> bool:
-    """True iff the profile is realized by some binary tree (Kraft sum = 1).
-
-    Bottom-up carry test in O(h) with small integers: carry starts at l_h
-    and, level by level going up, must be even before it halves and takes
-    in l_k; the profile is valid iff the carry ends at 1. The carry at depth
-    k is the node count i_k + l_k of the forced internal profile.
-    """
-    levels = p.levels
-    carry = levels[-1]
-    for l in reversed(levels[:-1]):
-        if carry & 1:
-            return False
-        carry = (carry >> 1) + l
-    return carry == 1
+    """True iff some binary tree realizes p (Kraft sum = 1): iff the level
+    walk closes, which forms no binomial of more than _COMB_DIRECT slots."""
+    return _level_walk(p) is not None
 
 
 def internal_profile(p: Profile) -> tuple[int, ...]:
     """Internal-node counts (i_0, ..., i_{h-1}), i_0 = 1, forced by a valid
-    profile of height >= 1, computed top-down (i_k = 2*i_{k-1} - l_k) once
-    is_valid has passed; every entry is then a positive integer. An invalid
-    p raises count_trees's ValueError, naming its Kraft sum."""
+    profile of height >= 1: the level walk's, all positive. An invalid p
+    raises count_trees's ValueError, naming its Kraft sum."""
     if p.height < 1:
         raise ValueError("a height-0 profile has no internal levels")
-    if not is_valid(p):
+    walk = _level_walk(p)
+    if walk is None:
         raise _invalid_profile(p)
-    return tuple(accumulate(p.levels[1:-1], lambda i, l: 2 * i - l, initial=1))
+    return tuple(walk[0])
 
 
 # math.comb divides big numbers, so its time grows with the square of its
@@ -268,40 +260,46 @@ def _comb(n: int, k: int) -> int:
     return _product_tree(powers)[-1][0]
 
 
-def level_choices(p: Profile) -> list[int]:
-    """binom(2*i_k, l_{k+1}) for k = 0..h-1: the number of ways level k+1's
-    leaves can sit among the 2*i_k child slots of depth k. An invalid p
-    raises ValueError naming its Kraft sum, exactly when is_valid(p) fails.
+def _level_walk(p: Profile) -> tuple[list[int], list[int]] | None:
+    """The internal-node counts [i_0, ..., i_{h-1}] of p and its binomials
+    binom(2*i_k, l_{k+1}), with 0 for those of more than _COMB_DIRECT slots,
+    which level_choices forms; None if p is invalid.
 
-    The walk validates as it goes. The internal-node counts come top-down,
-    i_0 = 1 (0 for the profile (1)) and i_k = 2*i_{k-1} - l_k, so that
-    i_k = 2^k * (1 - sum_{j<=k} l_j / 2^j) and p is valid iff i_h = 0. A
-    count below 0 stays below 0, and one above the leaf total L never comes
-    back down to 0, so the walk stops at the first such depth and its
-    integers never exceed 2L. Binomials of more than _COMB_DIRECT slots are
-    formed only once the walk has passed, so an invalid p is rejected in
-    O(h) steps, as is_valid rejects it.
+    The counts come top-down, i_0 = 1 (none for the profile (1)) and
+    i_k = 2*i_{k-1} - l_k, so that i_k = 2^k * (1 - sum_{j<=k} l_j / 2^j)
+    and p is valid iff i_h = 0. A count below 0 stays below 0, and one above
+    the leaf total L never comes back down to 0, so the walk stops at the
+    first such depth and its integers never exceed 2L.
     """
     levels = p.levels
     top = p.total_leaves
-    choices, wide = [], []
-    internals = 1 if len(levels) > 1 else 0
+    internals, choices = [], []
+    internal = 1 if len(levels) > 1 else 0
     for l in levels[1:]:
-        slots = 2 * internals
-        internals = slots - l
-        if not 0 <= internals <= top:
-            raise _invalid_profile(p)
+        internals.append(internal)
+        slots = 2 * internal
+        internal = slots - l
+        if not 0 <= internal <= top:
+            return None
         # Narrow levels skip the call: _comb would hand them to math.comb.
-        if slots <= _COMB_DIRECT:
-            choices.append(comb(slots, l))
-        else:
-            wide.append((len(choices), slots, l))
-            choices.append(0)
-    if internals:
+        choices.append(comb(slots, l) if slots <= _COMB_DIRECT else 0)
+    return None if internal else (internals, choices)
+
+
+def level_choices(p: Profile) -> tuple[list[int], list[int]]:
+    """The internal-node counts [i_0, ..., i_{h-1}] and the choices
+    binom(2*i_k, l_{k+1}), k = 0..h-1, the ways level k+1's leaves can sit
+    among the 2*i_k child slots of depth k: the level walk with its wide
+    binomials formed. An invalid p raises ValueError naming its Kraft sum."""
+    walk = _level_walk(p)
+    if walk is None:
         raise _invalid_profile(p)
-    for k, slots, l in wide:
-        choices[k] = _comb(slots, l)
-    return choices
+    internals, choices = walk
+    if not all(choices):
+        for k, choice in enumerate(choices):
+            if not choice:
+                choices[k] = _comb(2 * internals[k], p.levels[k + 1])
+    return walk
 
 
 def _product_tree(factors: list[int]) -> list[list[int]]:
@@ -324,9 +322,9 @@ def _invalid_profile(p: Profile) -> ValueError:
 
 def count_trees(p: Profile) -> int:
     """Exact number of binary trees with profile p: the product of its
-    level_choices, taken in a balanced product tree. That one walk is the
-    validation; an invalid p raises ValueError naming its Kraft sum."""
-    return _product_tree(level_choices(p))[-1][0]
+    level_choices, as powers of the distinct ones in a balanced product
+    tree. That walk is the validation: an invalid p raises ValueError."""
+    return _product_tree([c ** e for c, e in Counter(level_choices(p)[1]).items()])[-1][0]
 
 
 def truncate_profile(p: Profile, k: int) -> Profile:

@@ -22,18 +22,18 @@ counts bits (bench-bits) drains it and builds no tree.
 
 The setup belongs to the profile, not to the sample: samples(p, src, count),
 the one sampling call, validates p and sets it up once (Setup). Each depth
-1..h-1 gets one row, and its base, the word count, comes from the walk of
-profiles.level_choices, which is also the validation. The product tree of
-those bases, whose root is N, splits every rank, one pass of divmod per tree
-level, and the build is one join of the rows' words, so a command that draws
-k trees of one profile pays for the profile once and a sample runs no Python
-loop per level. A row of at most 8 slots is a table of all its words in
-combinadic (lex) order, built on first use and shared by every profile (510
-words in all). A wider row unranks its word when asked: in lex order with a
-running binomial up to 1,024 slots (unrank_merge), in split order above
-(_unrank_wide), where a word is cut in halves whose ranks are combined by
-blocks, so a wide level costs well under the O(W^2) bit operations of one
-running binomial across W slots.
+1..h-1 gets one row, whose counts and base, the word count, come from the
+one walk of profiles.level_choices, which is also the validation. The
+product tree of those bases, whose root is N, splits every rank, one pass
+of divmod per tree level, and the build is one join of the rows' words, so
+a command that draws k trees of one profile pays for the profile once and a
+sample runs no Python loop per level. A row of at most 8 slots is a table
+of all its words in combinadic (lex) order, built on first use and shared
+by every profile (510 words in all). A wider row unranks its word when
+asked: in lex order with a running binomial up to 1,024 slots
+(unrank_merge), in split order above (_unrank_wide), where a word is cut in
+halves whose ranks are combined by blocks, so a wide level costs well under
+the O(W^2) bit operations of one running binomial across W slots.
 
 Randomness flows through a BitSource, which hands out fair bits and counts
 every bit drawn. Every uniform integer comes from one routine, _draw, which
@@ -305,24 +305,23 @@ class Setup:
     """A valid profile p set up for sampling, one row per depth.
 
     `rows` holds one row per depth 1..h-1, top-down: its _narrow_row, or a
-    _WideRow past _NARROW_SLOTS slots. The bases, the rows' word counts, are
-    level_choices(p)[:-1] (the last choice, binom(l_h, l_h), is 1), and that
-    walk is the validation: an invalid p raises ValueError naming its Kraft
-    sum. `tree` is the product tree of the bases, deepest depth first
-    (profiles._product_tree), and `count`, its root, is N.
+    _WideRow past _NARROW_SLOTS slots. Their counts and bases, the word
+    counts, are level_choices(p) (the last choice, binom(l_h, l_h), is 1),
+    and that walk is the validation: an invalid p raises ValueError naming
+    its Kraft sum. `tree` is the product tree of the bases, deepest depth
+    first (profiles._product_tree), and `count`, its root, is N.
     """
 
     __slots__ = ("profile", "rows", "tree", "count")
 
     def __init__(self, p: Profile):
-        bases = level_choices(p)[:-1]
-        rows: list[tuple[bytes, ...] | _WideRow] = []
-        internal = 1
-        for leaves, base in zip(p.levels[1:-1], bases):
-            slots, internal = 2 * internal, 2 * internal - leaves
-            rows.append(_narrow_row(internal, leaves) if slots <= _NARROW_SLOTS
-                        else _WideRow(internal, leaves, base))
-        self.profile, self.rows = p, rows
+        internals, choices = level_choices(p)
+        bases = choices[:-1]
+        # Depth k's i_k + l_k slots are the 2 * i_{k-1} children above it.
+        self.profile, self.rows = p, [
+            _narrow_row(internal, leaves) if internal + leaves <= _NARROW_SLOTS
+            else _WideRow(internal, leaves, base)
+            for internal, leaves, base in zip(internals[1:], p.levels[1:-1], bases)]
         self.tree = _product_tree(bases[::-1])
         self.count = self.tree[-1][0]
 
@@ -385,19 +384,19 @@ def rank_tree(p: Profile, tree: Tree) -> int:
     growing tree is ranked by its shape; a tree of another profile raises
     ValueError.
 
-    Depth i's word is the slice of the frozen kind string after the rows
-    above it, ranked in its row's order (lex up to _WIDE_SLOTS slots, split
-    order above), and the digits are combined mixed-radix, depth 1 most
-    significant.
+    Depth k's word is the 2*i_{k-1} slots of the frozen kind string after
+    the rows above it (level_choices), ranked in its row's order (lex up to
+    _WIDE_SLOTS slots, split order above), and the digits are combined
+    mixed-radix, depth 1 most significant.
     """
     if profile(tree) != p:
         raise ValueError(f"tree of profile {profile(tree)}, not {p}")
     nodes = freeze(tree).nodes
-    rank, start, width = 0, 1, 2
-    for base in level_choices(p)[:-1]:
-        word = nodes[start:start + width]
-        rank = rank * base + _rank_wide(word)
-        start, width = start + width, 2 * word.count(INTERNAL)
+    internals, choices = level_choices(p)
+    rank, start = 0, 1
+    for internal, base in zip(internals, choices[:-1]):
+        rank = rank * base + _rank_wide(nodes[start:start + 2 * internal])
+        start += 2 * internal
     return rank
 
 

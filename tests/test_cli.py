@@ -346,6 +346,28 @@ def test_sample_deep_profile(capsys):
     )
 
 
+def test_a_profile_past_the_argument_limit_reads_from_a_file(tmp_path, capsys):
+    # 150,000 narrow levels are 300,002 bytes of text: more than Linux
+    # passes as one argument (131,072 bytes), so it comes as --profile @path,
+    # which reads the same as the text given in place.
+    p = Profile((0,) + (1,) * 149_999 + (2,))
+    path = tmp_path / "profile.txt"
+    path.write_text(f"{p}\n")
+    for argv in (["sample", "--seed", "1"], ["bench-bits", "--samples", "3", "--seed", "1"],
+                 ["profile", "count"]):
+        assert run(argv + ["--profile", f"@{path}"]) == 0, argv
+        from_file = capsys.readouterr()
+        assert run(argv + ["--profile", str(p)]) == 0, argv
+        assert capsys.readouterr() == from_file, argv
+        if argv[0] == "profile":
+            assert from_file.out == profiles.exact_text(1 << 149_999) + "\n"
+        if argv[0] == "bench-bits":
+            assert json.loads(from_file.out)["overhead_bits"] == 0
+    assert run(["sample", "--profile", f"@{tmp_path / 'missing.txt'}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: growingtrees") and "missing.txt" in err
+
+
 def test_sample_records_and_bench_bits_account_the_source_bits(capsys):
     rng = random.Random(89)
     cases = 0

@@ -199,7 +199,7 @@ def test_count_is_the_product_of_level_choices():
     rng = random.Random(71)
     for height in (1, 2, 3, 5, 8, 13):
         p = Profile(tuple(_random_split(rng, height)))
-        assert count_trees(p) == math.prod(level_choices(p))
+        assert count_trees(p) == math.prod(level_choices(p)[1])
     for height in (64, 65, 1001):
         # A caterpillar: each of its h - 1 single leaves picks one of two slots.
         assert count_trees(Profile((0,) + (1,) * (height - 1) + (2,))) == 2 ** (height - 1)
@@ -239,20 +239,21 @@ def test_the_counting_walk_raises_iff_the_profile_is_invalid(monkeypatch):
             k = rng.randint(1, p.height)
             levels[k] += 1 if k == p.height or levels[k] == 0 else rng.choice((-1, 1, 2))
         for q in (p, Profile(levels)):
-            expected = None if is_valid(q) else f"invalid profile, kraft sum {exact_text(kraft_sum(q))} != 1"
+            kraft = kraft_sum(q)
+            expected = None if kraft == 1 else f"invalid profile, kraft sum {exact_text(kraft)} != 1"
             assert _raised(level_choices, q) == _raised(count_trees, q) == expected, q
             if q.height:
                 assert _raised(internal_profile, q) == expected, q
                 assert _raised(lambda q: truncate_profile(q, q.height // 2), q) == expected, q
-    # Every profile of height <= 6 with entries <= 8. The error holds the
-    # profile instead of naming its Kraft sum, whose text costs more than
-    # the walk.
+    # Every profile of height <= 6 with entries <= 8, valid iff its Kraft
+    # sum, an integer over 2^h, is 2^h. The error holds the profile instead
+    # of naming its Kraft sum, whose text costs more than the walk.
     monkeypatch.setattr(profiles, "_invalid_profile", ValueError)
     for h in range(1, 7):
         for tail in itertools.product(range(9), repeat=h):
             if tail[-1]:
                 p = Profile((0,) + tail)
-                valid = is_valid(p)
+                valid = sum(l << (h - k) for k, l in enumerate(tail, 1)) == 1 << h
                 for f in (level_choices, count_trees):
                     try:
                         f(p)
@@ -275,6 +276,22 @@ def test_the_counting_walk_rejects_invalid_profiles_early():
             with pytest.raises(ValueError, match="invalid profile, kraft sum"):
                 f(p)
             assert time.perf_counter() - start < 0.1, (f.__name__, p.height)
+
+
+def test_the_validity_queries_form_no_wide_binomial(monkeypatch):
+    # Depth 21 splits 2^21 slots into 2^20 leaves and 2^20 internal nodes,
+    # whose 2^21 children are the last level's leaves. Only count_trees and
+    # level_choices need binom(2^21, 2^20); the validity queries form none.
+    def no_comb(n, k):
+        raise AssertionError(f"binom({n}, {k}) formed")
+
+    monkeypatch.setattr(profiles, "_comb", no_comb)
+    p = Profile((0,) * 21 + (1 << 20, 1 << 21))
+    assert is_valid(p)
+    assert internal_profile(p) == tuple(1 << k for k in range(21)) + (1 << 20,)
+    assert truncate_profile(p, 20) == Profile((0,) * 21 + (1 << 21,))
+    with pytest.raises(AssertionError, match="formed"):
+        count_trees(p)
 
 
 def test_truncate_examples():
@@ -315,7 +332,7 @@ def test_validity_iff_internal_profile_succeeds():
                 succeeded = True
             except ValueError:
                 succeeded = False
-            assert succeeded == is_valid(p), p
+            assert succeeded == (kraft_sum(p) == 1), p
             if succeeded:
                 assert internal[0] == 1
                 assert all(i >= 1 for i in internal)
@@ -340,7 +357,7 @@ def test_validity_equivalence_random_tall(tail):
     except ValueError:
         internal = None
     # Checked against the exact Kraft sum and the bottom-up relation, not
-    # against is_valid, which internal_profile calls itself.
+    # against is_valid, which is the same level walk.
     assert (internal is not None) == (kraft_sum(p) == 1), p
     if internal is not None:
         below = internal[1:] + (0,)

@@ -3,7 +3,7 @@
 import json
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb, prod
 
@@ -208,7 +208,7 @@ def _rank_tree(p, tree):
     (0 = internal, 1 = leaf), ranked, and the digits recombined, depth 1
     most significant."""
     rank, start, width = 0, 1, 2
-    for base in level_choices(p)[:-1]:
+    for base in level_choices(p)[1][:-1]:
         word = [0 if kind == INTERNAL else 1 for kind in tree.nodes[start:start + width]]
         rank = rank * base + _rank_word(word)
         start, width = start + width, 2 * word.count(0)
@@ -313,7 +313,7 @@ def test_mixed_radix_on_long_random_ranks():
     rng = random.Random(71)
     for height in (300, 3000):
         p = narrow_profile(rng, height)
-        bases = level_choices(p)[-2::-1]
+        bases = level_choices(p)[1][-2::-1]
         tree = _product_tree(bases)
         n = prod(bases)
         for _ in range(3):
@@ -357,7 +357,7 @@ def test_rank_tree_inverts_the_depth_path():
         setup = Setup(p)
         assert [len(row[0]) for row in setup.rows] == slots, levels
         # The row bases, deepest first, are the level walk's choices.
-        assert setup.tree[0] == level_choices(p)[-2::-1], levels
+        assert setup.tree[0] == level_choices(p)[1][-2::-1], levels
         assert setup.count == count_trees(p) == math.prod(setup.tree[0])
         count = setup.count
         ranks = range(count) if count <= 500 else [0, count - 1] + [rng.randrange(count) for _ in range(20)]
@@ -369,7 +369,7 @@ def test_rank_tree_inverts_the_depth_path():
     deep = narrow_profile(rng, 2000)
     setup = Setup(deep)
     assert len(setup.rows) == 1999
-    assert setup.tree[0] == level_choices(deep)[-2::-1]
+    assert setup.tree[0] == level_choices(deep)[1][-2::-1]
     for rank in [0, setup.count - 1] + [rng.randrange(setup.count) for _ in range(10)]:
         tree = _build(setup, _mixed_radix(rank, setup.tree))
         assert rank_tree(deep, tree) == _rank_tree(deep, tree) == rank
@@ -529,7 +529,7 @@ _SAMPLING_COMMANDS = [
 
 def test_one_setup_walk_per_sampling_command(monkeypatch, capsys):
     setups, validated, walked = [], [], []
-    real_is_valid, real_walk = profiles.is_valid, profiles.level_choices
+    real_is_valid, real_walk = profiles.is_valid, profiles._level_walk
 
     class Counted(Setup):
         __slots__ = ()
@@ -547,18 +547,32 @@ def test_one_setup_walk_per_sampling_command(monkeypatch, capsys):
         return real_walk(p)
 
     monkeypatch.setattr(sampler, "Setup", Counted)
+    monkeypatch.setattr(profiles, "_level_walk", counted_walk)
     for module in (profiles, sampler):
         monkeypatch.setattr(module, "is_valid", counted_is_valid)
-        monkeypatch.setattr(module, "level_choices", counted_walk)
-    for levels, argv in _SAMPLING_COMMANDS:
+    drawn = list(dict.fromkeys(levels for levels, _ in _SAMPLING_COMMANDS))
+    profile_commands = [
+        (levels, ["profile", which, "--profile", ",".join(map(str, levels))] + extra)
+        for levels in drawn
+        for which, extra in (("count", []), ("internal", []), ("truncate", ["--level", "0"]))
+    ]
+    for levels, argv in _SAMPLING_COMMANDS + profile_commands:
         setups.clear()
         validated.clear()
         walked.clear()
         assert cli.run(argv) == 0
         # One walk of the levels, which is the validation: count_trees's for
-        # bench-bits, Setup's for sample.
+        # bench-bits and profile count, Setup's for sample, internal_profile's
+        # for profile internal and truncate.
         sets_up = [Profile(levels)] if argv[0] == "sample" else []
         assert (setups, validated, walked) == (sets_up, [], [Profile(levels)]), argv
+    # rank_tree walks the profile once more, on its own.
+    for levels in drawn:
+        p = Profile(levels)
+        tree = next(samples(p, BitSource(1), 1))
+        walked.clear()
+        rank_tree(p, tree)
+        assert (validated, walked) == ([], [p]), levels
     capsys.readouterr()
 
 
@@ -574,8 +588,10 @@ def test_one_product_tree_per_sampling_command(monkeypatch, capsys):
     for levels, argv in _SAMPLING_COMMANDS:
         p = Profile(levels)
         # sample splits every tree's rank down the tree of the depth bases;
-        # bench-bits only needs the count, the root of the level binomials'.
-        factors = level_choices(p) if argv[0] == "bench-bits" else Setup(p).tree[0]
+        # bench-bits only needs the count, the root of the powers of the
+        # distinct level binomials.
+        choices = Counter(level_choices(p)[1])
+        factors = [c ** e for c, e in choices.items()] if argv[0] == "bench-bits" else Setup(p).tree[0]
         built.clear()
         assert cli.run(argv) == 0
         # One product tree per command, whose root is the count.
