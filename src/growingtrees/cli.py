@@ -214,7 +214,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             print("error: profile-count requires --profile", file=sys.stderr)
             return 2
         p = profiles.Profile(args.profile)
-        formula = profiles.count_trees(p) if profiles.is_valid(p) else 0
+        try:
+            formula = profiles.count_trees(p)  # its walk is the validation
+        except ValueError:  # an invalid profile: no tree has it
+            formula = 0
         checks.append((f"trees with profile {p}", formula, len(oracle.trees_with_profile(p))))
     else:
         steps = args.steps if args.steps is not None else 3

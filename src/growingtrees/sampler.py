@@ -13,8 +13,9 @@ words, so the product of the word counts is the tree count N.
 
 A tree is therefore named by one rank r in [0, N). A sample draws r, splits
 it mixed-radix into one digit per level with that level's word count as the
-base (deepest level least significant), and builds the tree by looking each
-digit up in its depth's row: the words of that depth, indexed by rank.
+base (depth 1 most significant, so the digits come in depth order), and
+builds the tree by looking each digit up in its depth's row: the words of
+that depth, indexed by rank.
 Distinct ranks give distinct trees, so a uniform rank gives a uniform tree;
 rank_tree is the inverse. The split and the build draw no bit: ranks(n,
 src, count) is the stream of drawn ranks on its own, and a caller that only
@@ -308,8 +309,8 @@ class Setup:
     _WideRow past _NARROW_SLOTS slots. Their counts and bases, the word
     counts, are level_choices(p) (the last choice, binom(l_h, l_h), is 1),
     and that walk is the validation: an invalid p raises ValueError naming
-    its Kraft sum. `tree` is the product tree of the bases, deepest depth
-    first (profiles._product_tree), and `count`, its root, is N.
+    its Kraft sum. `tree` is the product tree of the bases in the same depth
+    order (profiles._product_tree), and `count`, its root, is N.
     """
 
     __slots__ = ("profile", "rows", "tree", "count")
@@ -322,39 +323,39 @@ class Setup:
             _narrow_row(internal, leaves) if internal + leaves <= _NARROW_SLOTS
             else _WideRow(internal, leaves, base)
             for internal, leaves, base in zip(internals[1:], p.levels[1:-1], bases)]
-        self.tree = _product_tree(bases[::-1])
+        self.tree = _product_tree(bases)
         self.count = self.tree[-1][0]
 
 
 def _mixed_radix(rank: int, tree: list[list[int]]) -> list[int]:
-    """The digits of rank, least significant first, in the mixed radix of the
-    bases at the leaves of their product tree `tree` (profiles._product_tree).
+    """The digits of rank, most significant first, in the mixed radix of the
+    bases at the leaves of their product tree `tree` (profiles._product_tree),
+    each digit in the place of its base.
 
     The rank is split top-down: a node's value is divided by the product of
-    its lower half, the remainder going to that half and the quotient to the
-    upper one, so every division is between numbers of comparable size and
-    none divides the whole rank by a small base. Each level of the tree is
-    one pass of divmod over its values.
+    its right, less significant, half, the quotient going to the left half
+    and the remainder to the right one, so every division is between numbers
+    of comparable size and none divides the whole rank by a small base. Each
+    level of the tree is one pass of divmod over its values.
     """
     if not 0 <= rank < tree[-1][0]:
         raise ValueError(f"rank out of range for {exact_text(tree[-1][0])} trees")
     values = [rank]
     for below in reversed(tree[:-1]):
-        # Value c splits by below[2c]; an odd last value is carried as it is.
-        split = list(itertools.chain.from_iterable(map(divmod, values, below[:len(below) & ~1:2])))
-        split[::2], split[1::2] = split[1::2], split[::2]  # (high, low) -> (low, high)
+        # Value c splits by below[2c + 1]; an odd last value is carried as it
+        # is (map stops at the shorter input), and no bases leave no value.
+        split = list(itertools.chain.from_iterable(map(divmod, values, below[1::2])))
         if len(below) & 1:
             split.append(values[-1])
         values = split
-    # No bases: the root 1 stands above an empty level and yields no digit.
-    return values[:len(tree[0])]
+    return values
 
 
 def _build(setup: Setup, digits: list[int]) -> Tree:
-    """The tree of setup.profile whose level digits are `digits`, deepest
-    depth first: a rank's digits in the bases setup.tree[0]. Distinct digits
-    give distinct trees; a digit list of another length, or a digit outside
-    its depth's row, raises ValueError.
+    """The tree of setup.profile whose level digits are `digits`, in depth
+    order, most significant first: a rank's digits in the bases
+    setup.tree[0]. Distinct digits give distinct trees; a digit list of
+    another length, or a digit outside its depth's row, raises ValueError.
 
     The tree is written top-down in level order: the root, then each depth's
     word looked up in its row, then the l_h deepest leaves. That is its kind
@@ -368,7 +369,7 @@ def _build(setup: Setup, digits: list[int]) -> Tree:
         raise ValueError(f"digit {min(digits)} out of range: negative")
     root = bytes((INTERNAL,)) if p.height else b""
     try:
-        nodes = b"".join(itertools.chain((root,), map(getitem, rows, reversed(digits)),
+        nodes = b"".join(itertools.chain((root,), map(getitem, rows, digits),
                                          (bytes((LEAF,)) * p.levels[-1],)))
     except IndexError:
         raise ValueError("digit out of range: past the word count of its depth") from None

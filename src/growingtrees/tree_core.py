@@ -43,7 +43,6 @@ Serialization formats:
 
 from __future__ import annotations
 
-from collections import deque
 from enum import Enum, IntEnum
 from itertools import accumulate
 
@@ -133,7 +132,8 @@ def _right_children(nodes: bytes) -> list[int]:
 def _depth_bounds(nodes: bytes) -> list[int]:
     """Where each depth starts, from the root down, then where the tree ends,
     len(nodes); ValueError naming the node at fault when the kind string
-    does not close.
+    does not close. This is the one place those errors are worded: a writer
+    whose walk finds the string open calls it to raise them.
 
     Depth d + 1 holds the two children of each internal node of depth d, so
     its size is twice the internal count of depth d's slice. The walk stops
@@ -148,18 +148,10 @@ def _depth_bounds(nodes: bytes) -> list[int]:
         bounds.append(bounds[-1] + below)
     size, end = len(nodes), bounds[-1]
     if end < size:
-        raise _past_the_end(end)
+        raise ValueError(f"node {end}: past the end of the tree, which closes at node {end - 1}")
     if end > size:
-        raise _open_slots(size)
+        raise ValueError(f"node {size}: missing, the kind string ends with child slots open")
     return bounds
-
-
-def _past_the_end(end: int) -> ValueError:
-    return ValueError(f"node {end}: past the end of the tree, which closes at node {end - 1}")
-
-
-def _open_slots(size: int) -> ValueError:
-    return ValueError(f"node {size}: missing, the kind string ends with child slots open")
 
 
 _FROZEN_KINDS = bytes((INTERNAL, LEAF))
@@ -328,8 +320,8 @@ def _leaf_pieces(table: tuple) -> list:
 def to_json(tree: Tree) -> str:
     """Compact JSON text of any depth; see the module docstring for the
     schema. A kind code the tree cannot hold (_check_kinds) or a kind string
-    that does not close raises ValueError, naming the node at fault as
-    _depth_bounds does."""
+    that does not close raises ValueError, naming the node at fault: the
+    walk notices the string does not close, and _depth_bounds words why."""
     _check_kinds(tree)
     table = _JSON_FROZEN if tree.step is None else _JSON_GROWING
     opener, pieces = table[INTERNAL], _leaf_pieces(table)
@@ -352,10 +344,10 @@ def to_json(tree: Tree) -> str:
                 stack.append(r)
                 i, c = r - 1, 0
             out.append(pieces[nodes[i]][c])
-    except IndexError:
-        raise _open_slots(len(nodes)) from None
-    if len(out) != len(nodes):
-        raise _past_the_end(len(out))
+    except IndexError:  # a child slot past the end of nodes
+        out = None
+    if out is None or len(out) != len(nodes):
+        _depth_bounds(nodes)  # which raises, naming the node at fault
     out[-1] = out[-1][:-len(_RIGHT_KEY)]  # the last leaf closes the root
     body = "".join(out)
     return body if tree.step is None else f'{_STEP_HEAD}{tree.step}{_TREE_KEY}{body}}}'
@@ -456,21 +448,25 @@ def _canonical_tree(text: str) -> Tree | None:
 
 def _json_tree(text: str) -> Tree:
     """Read any tree document through the standard json parser; growth
-    invariants are left to validate_growing."""
+    invariants are left to validate_growing.
+
+    The document's form picks the top node object, the kind check and the
+    step; one loop then numbers the parsed nodes in level order, checking
+    each as it is numbered, and one count of the text's quotes finds a key
+    repeated within an object.
+    """
     import json
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number past int's digit limit
         raise ValueError(f"malformed tree document: {exc}") from None
     except RecursionError:
         raise ValueError("tree document nested too deeply for the json parser") from None
     if not isinstance(doc, dict):
         raise ValueError("malformed tree document: top level must be an object")
     if "step" not in doc:
-        tree = _tree_from_obj(doc, _frozen_kind, None)
-        # "leaf" per leaf, "l" and "r" per internal node
-        strings = len(tree.nodes) + tree.nodes.count(INTERNAL)
+        top, kind_of, step = doc, _frozen_kind, None
     else:
         step = doc.get("step")
         if type(step) is not int or step < 0:  # bool is an int subclass
@@ -479,15 +475,25 @@ def _json_tree(text: str) -> Tree:
             raise ValueError("growing tree: missing tree field")
         if len(doc) != 2:
             raise ValueError("growing tree: extra keys besides step and tree")
-        tree = _tree_from_obj(doc["tree"], _growing_kind, step)
-        # "kind" and its name per node, "l" and "r" per internal node, "step" and "tree"
-        strings = 2 * len(tree.nodes) + 2 * tree.nodes.count(INTERNAL) + 2
+        top, kind_of = doc["tree"], _growing_kind
+    objs = [top]  # the loop reaches the children it appends, in level order
+    kinds = bytearray()
+    for index, obj in enumerate(objs):
+        if not isinstance(obj, dict):
+            raise ValueError(f"node {index}: expected an object")
+        kind = kind_of(obj, index)
+        kinds.append(kind)
+        if kind == INTERNAL:
+            objs += (obj["l"], obj["r"])
     # Past the checks above every string of the text is a key or a kind name
-    # without an escaped quote. json.loads keeps the last value of a repeated
-    # key, whose text only adds quotes.
-    if text.count('"') != 2 * strings:
+    # without an escaped quote: "leaf" per leaf, "l" and "r" per internal
+    # node; a growing node adds "kind" and its name, which doubles that, and
+    # its document "step" and "tree". json.loads keeps the last value of a
+    # repeated key, whose text only adds quotes.
+    strings = len(kinds) + kinds.count(INTERNAL)
+    if text.count('"') != 2 * (strings if step is None else 2 * strings + 2):
         raise ValueError("malformed tree document: a key is repeated within an object")
-    return tree
+    return Tree(bytes(kinds), step)
 
 
 def _frozen_kind(obj: dict, index: int) -> int:
@@ -515,22 +521,6 @@ def _growing_kind(obj: dict, index: int) -> int:
     if len(obj) != (3 if kind == INTERNAL else 1):
         raise ValueError(f"node {index}: {name} node with extra keys")
     return kind
-
-
-def _tree_from_obj(top: object, kind_of, step: int | None) -> Tree:
-    """Number parsed nodes in level order, checking each as it is numbered."""
-    queue = deque([top])  # parsed, not yet numbered; they take the next ids in order
-    kinds = bytearray()
-    while queue:
-        obj = queue.popleft()
-        index = len(kinds)
-        if not isinstance(obj, dict):
-            raise ValueError(f"node {index}: expected an object")
-        kind = kind_of(obj, index)
-        kinds.append(kind)
-        if kind == INTERNAL:
-            queue += (obj["l"], obj["r"])
-    return Tree(bytes(kinds), step)
 
 
 _SQUARE = 'shape=square, style=filled, fillcolor=black, label="", width=0.18'
@@ -564,10 +554,10 @@ def to_dot(tree: Tree) -> str:
                 stack.append(r)
                 i = r - 1
             lines.append(f"  n{i} [{_DOT_STYLES[nodes[i]]}];")
-    except IndexError:
-        raise _open_slots(len(nodes)) from None
-    if len(lines) - 2 != len(nodes):
-        raise _past_the_end(len(lines) - 2)
+    except IndexError:  # a child slot past the end of nodes
+        lines = None
+    if lines is None or len(lines) - 2 != len(nodes):
+        _depth_bounds(nodes)  # which raises, naming the node at fault
     lines += edges
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,13 @@ CATALAN = (
     129644790, 477638700, 1767263190, 6564120420,
 )
 
+# Valid leaf profiles with L leaves, L = 1..20 (OEIS A002572): the complete
+# binary prefix codes of L words, by their length distributions.
+VALID_PROFILES_BY_LEAVES = (
+    1, 1, 1, 2, 3, 5, 9, 16, 28, 50,
+    89, 159, 285, 510, 914, 1639, 2938, 5269, 9451, 16952,
+)
+
 
 def _row(k, n_start, values):
     return {(n_start + i, k): v for i, v in enumerate(values)}

@@ -1,7 +1,9 @@
 """Second routes to library results, kept in the tests as evidence.
 
 The library computes each quantity one way. These helpers compute a_n by
-two independent identities, so the tests can check a_seq against both.
+two independent identities, so the tests can check a_seq against both, and
+list the valid profiles by a walk that shares no code with the library's, so
+the tests can check the counts and the sampler against the list.
 """
 
 from growingtrees.enumeration import PolySeries
@@ -34,3 +36,30 @@ def a_gf_coeffs(trunc):
         # of the left operand, and the factor has only two terms.
         product = (z + one.shifted(1 << i)) * product
     return list(total.coeffs)
+
+
+def valid_profiles(leaves):
+    """Every valid profile with the given number of leaves, as level tuples
+    in lex order: the length distributions of the complete binary prefix
+    codes (the Kraft equality), the level-number sequences of Flajolet and
+    Prodinger.
+
+    The walk goes down the depths: below i internal nodes lie 2*i slots, of
+    which l_{k+1} <= 2*i are leaves and the rest internal. Each internal node
+    still open holds at least two leaves, so a branch that cannot place them
+    in the leaves left stops; a profile ends where no internal node is left.
+    """
+    if leaves == 1:
+        return [(1,)]
+    found = []
+    stack = [((0,), 1, leaves)]  # levels so far, internal nodes at the last depth, leaves left
+    while stack:
+        levels, internal, left = stack.pop()
+        slots = 2 * internal
+        for l in range(min(slots, left) + 1):
+            below = slots - l
+            if below == 0 and l == left:
+                found.append(levels + (l,))
+            elif below and left - l >= 2 * below:
+                stack.append((levels + (l,), below, left - l))
+    return sorted(found)

@@ -24,7 +24,9 @@ from growingtrees.profiles import (
     level_choices,
     truncate_profile,
 )
+import reference_data as ref
 from random_profiles import narrow_profile, random_split_profile
+from reference_routes import valid_profiles
 
 
 def test_kraft_sum_examples():
@@ -373,6 +375,16 @@ def test_counting_matches_enumeration_small():
         for p, observed in buckets.items():
             assert count_trees(p) == observed
         assert sum(buckets.values()) == len(all_binary_trees(leaves))
+
+
+def test_counts_over_the_swept_profiles_sum_to_catalan():
+    # Each tree with L leaves has one valid profile, so the counts of the
+    # valid profiles with L leaves, listed by a walk of reference_routes
+    # that shares no code with count_trees, sum to catalan(L - 1).
+    for leaves in range(1, 21):
+        swept = valid_profiles(leaves)
+        assert len(swept) == ref.VALID_PROFILES_BY_LEAVES[leaves - 1], leaves
+        assert sum(count_trees(Profile(levels)) for levels in swept) == ref.CATALAN[leaves - 1], leaves
 
 
 def test_truncation_preserves_validity():

@@ -32,6 +32,7 @@ from growingtrees.sampler import (
 )
 from growingtrees.tree_core import INTERNAL, LEAF, Tree, profile, to_json
 from random_profiles import narrow_profile, random_split_profile
+from reference_routes import valid_profiles
 from uniformity import chi_square
 
 
@@ -216,24 +217,30 @@ def _rank_tree(p, tree):
 
 
 def test_build_is_a_bijection_from_ranks_to_trees():
-    # The oracle's trees of n leaves grouped by profile: trees_with_profile
-    # for every valid profile with n leaves at once.
-    checked = 0
+    # Every valid profile with n leaves, listed by the sweep of
+    # reference_routes, against the oracle's trees of n leaves grouped by
+    # profile: trees_with_profile for all of them at once. The sweep and the
+    # oracle agree on the profiles, and each rank builds a distinct tree of
+    # its profile (its group), every tree of the group once.
+    checked = trees = 0
     for leaves in range(1, 11):
         by_profile = defaultdict(set)
         for tree in all_binary_trees(leaves):
             by_profile[profile(tree)].add(tree)
-        for p, support in by_profile.items():
+        swept = [Profile(levels) for levels in valid_profiles(leaves)]
+        assert len(swept) == len(by_profile) and set(swept) == set(by_profile), leaves
+        for p in swept:
             setup = Setup(p)
             count = setup.count
             assert count == count_trees(p)
             built = [_build(setup, _mixed_radix(r, setup.tree)) for r in range(count)]
             assert len(set(built)) == count, p
-            assert set(built) == support, p
+            assert set(built) == by_profile[p], p
             assert [_rank_tree(p, tree) for tree in built] == list(range(count)), p
             assert [rank_tree(p, tree) for tree in built] == list(range(count)), p
             checked += 1
-    assert checked == 116
+            trees += count
+    assert (checked, trees) == (116, 6918)
 
 
 def test_words_read_off_built_trees_give_back_the_rank():
@@ -274,12 +281,14 @@ def test_mixed_radix_rejects_ranks_out_of_range():
 
 
 def _digits_one_by_one(rank, bases):
+    """rank's digits in the bases, most significant first: one divmod per
+    base, from the last, least significant one."""
     digits = []
-    for base in bases:
+    for base in reversed(bases):
         rank, digit = divmod(rank, base)
         digits.append(digit)
     assert rank == 0
-    return digits
+    return digits[::-1]
 
 
 @given(st.lists(st.integers(1, 1 << 70), max_size=40))
@@ -313,7 +322,7 @@ def test_mixed_radix_on_long_random_ranks():
     rng = random.Random(71)
     for height in (300, 3000):
         p = narrow_profile(rng, height)
-        bases = level_choices(p)[1][-2::-1]
+        bases = level_choices(p)[1][:-1]
         tree = _product_tree(bases)
         n = prod(bases)
         for _ in range(3):
@@ -356,8 +365,8 @@ def test_rank_tree_inverts_the_depth_path():
         p = Profile(levels)
         setup = Setup(p)
         assert [len(row[0]) for row in setup.rows] == slots, levels
-        # The row bases, deepest first, are the level walk's choices.
-        assert setup.tree[0] == level_choices(p)[1][-2::-1], levels
+        # The row bases, in depth order, are the level walk's choices.
+        assert setup.tree[0] == level_choices(p)[1][:-1], levels
         assert setup.count == count_trees(p) == math.prod(setup.tree[0])
         count = setup.count
         ranks = range(count) if count <= 500 else [0, count - 1] + [rng.randrange(count) for _ in range(20)]
@@ -369,7 +378,7 @@ def test_rank_tree_inverts_the_depth_path():
     deep = narrow_profile(rng, 2000)
     setup = Setup(deep)
     assert len(setup.rows) == 1999
-    assert setup.tree[0] == level_choices(deep)[1][-2::-1]
+    assert setup.tree[0] == level_choices(deep)[1][:-1]
     for rank in [0, setup.count - 1] + [rng.randrange(setup.count) for _ in range(10)]:
         tree = _build(setup, _mixed_radix(rank, setup.tree))
         assert rank_tree(deep, tree) == _rank_tree(deep, tree) == rank
@@ -387,10 +396,10 @@ def test_build_rejects_digits_outside_their_row():
     assert rows[3] is _narrow_row(8, 0) and len(rows[3]) == 1
     assert rows[-1].p + rows[-1].q == 2048 > _WIDE_SLOTS and len(rows) == 12
     base = comb(2048, 1000)
-    assert rows[-1].base == setup.tree[0][0] == base
+    assert rows[-1].base == setup.tree[0][-1] == base
     for row, wrong in ((0, -1), (0, 2), (1, 1), (3, 1), (-1, -1), (-1, base)):
         digits = [0] * len(rows)
-        digits[-1 - row] = wrong  # digits run deepest depth first
+        digits[row] = wrong  # digits run in depth order
         with pytest.raises(ValueError, match="out of range"):
             _build(setup, digits)
 
@@ -556,14 +565,18 @@ def test_one_setup_walk_per_sampling_command(monkeypatch, capsys):
         for levels in drawn
         for which, extra in (("count", []), ("internal", []), ("truncate", ["--level", "0"]))
     ]
-    for levels, argv in _SAMPLING_COMMANDS + profile_commands:
+    # The oracle's formula on a valid profile and on an invalid one, whose
+    # count is 0 on both sides.
+    oracle_commands = [(levels, ["oracle", "profile-count", "--profile", ",".join(map(str, levels))])
+                       for levels in ((0, 1, 2), (0, 1, 1))]
+    for levels, argv in _SAMPLING_COMMANDS + profile_commands + oracle_commands:
         setups.clear()
         validated.clear()
         walked.clear()
         assert cli.run(argv) == 0
         # One walk of the levels, which is the validation: count_trees's for
-        # bench-bits and profile count, Setup's for sample, internal_profile's
-        # for profile internal and truncate.
+        # bench-bits, profile count and oracle profile-count, Setup's for
+        # sample, internal_profile's for profile internal and truncate.
         sets_up = [Profile(levels)] if argv[0] == "sample" else []
         assert (setups, validated, walked) == (sets_up, [], [Profile(levels)]), argv
     # rank_tree walks the profile once more, on its own.

@@ -250,6 +250,11 @@ def test_json_document_errors():
         from_json('{"step":true,"tree":{"kind":"internal","l":{"kind":"anchor"},"r":{"kind":"anchor"}}}')
     with pytest.raises(ValueError, match="missing tree field"):
         from_json('{"step":1}')
+    # A number past int's 4,300-digit limit is malformed, as a step or as any
+    # other value.
+    for text in ('{"step":' + "9" * 5000 + ',"tree":{"kind":"anchor"}}', '{"leaf":' + "9" * 5000 + "}"):
+        with pytest.raises(ValueError, match="^malformed tree document: .*4300"):
+            from_json(text)
     # Growing documents carry no extra keys either, at any node or around it.
     with pytest.raises(ValueError, match="node 0: anchor node with extra keys"):
         from_json('{"step":0,"tree":{"kind":"anchor","foo":1}}')
