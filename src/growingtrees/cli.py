@@ -26,9 +26,8 @@ import sys
 MAX_CLI_TABLE_NMAX = 300
 MAX_CLI_HEIGHT_TABLE = 10
 MAX_CLI_SEQ_NMAX = 100_000
-MAX_CLI_CELLS = 10
-MAX_CLI_BOUNDARY = 16
-MAX_CLI_AREA_H = 100_000
+# domain's --h bound, one per region.
+_MAX_CLI_DOMAIN_H = {"cells": 10, "gamma": 16, "lambda": 16, "area": 100_000}
 
 
 def _levels_arg(text: str) -> tuple[int, ...]:
@@ -53,6 +52,13 @@ def _positive_arg(text: str) -> int:
     return value
 
 
+def _check_size(name: str, value: int, top: int, hint: str = "") -> None:
+    """The command line's one size guard: value above top exits 1. The
+    parser's _positive_arg has already checked value >= 1."""
+    if value > top:
+        raise ValueError(f"{name} out of range 1..{top} for the command line{hint}")
+
+
 def _fresh_seed() -> int:
     """63 bits from the operating system's generator: secrets.randbits,
     without the hmac and hashlib imports that loading secrets costs."""
@@ -62,13 +68,13 @@ def _fresh_seed() -> int:
 
 
 def _emit_cells(cells: "sequences.CellSet", fmt: str) -> None:
-    pairs = sorted(cells)
+    # A CellSet yields its cells in (n, k) order.
     if fmt == "json":
         import json
 
-        print(json.dumps([[n, k] for n, k in pairs], separators=(",", ":")))
+        print(json.dumps([[n, k] for n, k in cells], separators=(",", ":")))
     else:
-        for n, k in pairs:
+        for n, k in cells:
             print(f"{n},{k}")
 
 
@@ -85,11 +91,7 @@ def _emit_table(table: "enumeration.CountTable", header: tuple[str, int], fmt: s
 def cmd_table(args: argparse.Namespace) -> int:
     from . import enumeration
 
-    if args.nmax > MAX_CLI_TABLE_NMAX:
-        raise ValueError(
-            f"nmax out of range 1..{MAX_CLI_TABLE_NMAX} for the command line; "
-            "use the library for larger tables"
-        )
+    _check_size("nmax", args.nmax, MAX_CLI_TABLE_NMAX, "; use the library for larger tables")
     _emit_table(enumeration.t_table(args.nmax), ("n_max", args.nmax), args.format)
     return 0
 
@@ -97,11 +99,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_height_table(args: argparse.Namespace) -> int:
     from . import enumeration
 
-    if not 1 <= args.h <= MAX_CLI_HEIGHT_TABLE:
-        raise ValueError(
-            f"h out of range 1..{MAX_CLI_HEIGHT_TABLE} for the command line; "
-            "use the library for larger heights"
-        )
+    _check_size("h", args.h, MAX_CLI_HEIGHT_TABLE, "; use the library for larger heights")
     _emit_table(enumeration.t_height_table(args.h), ("h", args.h), args.format)
     return 0
 
@@ -110,8 +108,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
     from . import sequences
 
     n_max = args.nmax
-    if n_max > MAX_CLI_SEQ_NMAX:
-        raise ValueError(f"nmax out of range 1..{MAX_CLI_SEQ_NMAX} for the command line")
+    _check_size("nmax", n_max, MAX_CLI_SEQ_NMAX)
     if args.which == "a":
         values = sequences.a_seq(n_max)[1:]
     elif args.which == "b":
@@ -133,22 +130,15 @@ def cmd_domain(args: argparse.Namespace) -> int:
     from . import sequences
 
     h = args.h
+    _check_size("h", h, _MAX_CLI_DOMAIN_H[args.which])
     if args.which == "area":
-        if h > MAX_CLI_AREA_H:
-            raise ValueError(f"h out of range 1..{MAX_CLI_AREA_H} for the command line")
         from . import profiles
 
         print(profiles.exact_text(sequences.s_area_formula(h)))
         return 0
-    if args.which == "cells":
-        if h > MAX_CLI_CELLS:
-            raise ValueError(f"h out of range 1..{MAX_CLI_CELLS} for the command line")
-        _emit_cells(sequences.s_domain(h), args.format)
-        return 0
-    if h > MAX_CLI_BOUNDARY:
-        raise ValueError(f"h out of range 1..{MAX_CLI_BOUNDARY} for the command line")
-    cells = sequences.gamma(h) if args.which == "gamma" else sequences.lambda_upper(h)
-    _emit_cells(cells, args.format)
+    region = {"cells": sequences.s_domain, "gamma": sequences.gamma,
+              "lambda": sequences.lambda_upper}[args.which]
+    _emit_cells(region(h), args.format)
     return 0
 
 
@@ -157,8 +147,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     p = profiles.Profile(args.profile)
     if args.which == "validate":
-        q = profiles.kraft_sum(p)
-        print(f"{'valid' if q == 1 else 'invalid'}, kraft={profiles.exact_text(q)}")
+        # The level walk decides. A valid profile's Kraft sum is 1, so only
+        # an invalid one's line computes it.
+        if profiles.is_valid(p):
+            print("valid, kraft=1")
+        else:
+            print(f"invalid, kraft={profiles.exact_text(profiles.kraft_sum(p))}")
         return 0
     if args.which == "count":
         print(profiles.exact_text(profiles.count_trees(p)))
@@ -197,6 +191,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     import json
+    from collections import Counter
 
     from . import enumeration, oracle, profiles
 
@@ -204,8 +199,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     # so a size out of range prints nothing.
     checks: list[tuple[str, object, object]] = []
     if args.which == "catalan":
-        n_max = args.nmax if args.nmax is not None else 8
-        for leaves in range(1, n_max + 1):
+        for leaves in range(1, args.nmax + 1):
             checks.append((f"binary trees with {leaves} leaves",
                            enumeration.catalan(leaves - 1),
                            len(oracle.all_binary_trees(leaves))))
@@ -220,30 +214,28 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             formula = 0
         checks.append((f"trees with profile {p}", formula, len(oracle.trees_with_profile(p))))
     else:
-        steps = args.steps if args.steps is not None else 3
-        by_height: dict[int, dict[tuple[int, int], int]] = {}
-        by_column_total: dict[int, int] = {}
-        for _, st in oracle.all_growth_histories(steps):
+        # One pass over the states, counting as they stream by: active
+        # states by (height, (n, anchors)), and every state by its column n.
+        active, by_column = Counter(), Counter()
+        for _, st in oracle.all_growth_histories(args.steps):
             if st.m:
-                bucket = by_height.setdefault(st.h, {})
-                cell = (st.n, st.m)
-                bucket[cell] = bucket.get(cell, 0) + 1
-            by_column_total[st.n] = by_column_total.get(st.n, 0) + 1
+                active[st.h, (st.n, st.m)] += 1
+            by_column[st.n] += 1
         # Cell counts as sorted ((n, anchors), count) pairs, which json
         # writes as [[n, anchors], count].
-        for h in range(1, steps + 1):
+        for h in range(1, args.steps + 1):
             expected = sorted(((n, 2 * k), v)
                               for (n, k), v in enumeration.t_height_table(h).entries.items())
             checks.append((f"active states at step {h} by (n, anchors)",
                            expected,
-                           sorted(by_height.get(h, {}).items())))
+                           sorted((cell, v) for (g, cell), v in active.items() if g == h)))
         # Columns whose histories all finish within the step budget (shapes
         # with n internal nodes die by step n+1): every shape appears once
         # active and once fully dead.
-        for n in range(1, steps):
+        for n in range(1, args.steps):
             checks.append((f"column {n} states vs 2*catalan",
                            2 * enumeration.catalan(n),
-                           by_column_total.get(n, 0)))
+                           by_column[n]))
     for checked, expected, actual in checks:
         print(json.dumps({"checked": checked, "expected": expected, "actual": actual,
                           "pass": expected == actual}, separators=(",", ":")))
@@ -374,11 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "buckets against the height tables).",
     )
     p_oracle.add_argument("which", choices=("catalan", "profile-count", "histories"))
-    p_oracle.add_argument("--nmax", type=_positive_arg, default=None,
+    p_oracle.add_argument("--nmax", type=_positive_arg, default=8,
                           help="leaf bound for catalan (default 8)")
     p_oracle.add_argument("--profile", type=_levels_arg, default=None,
                           metavar="L0,L1,...")
-    p_oracle.add_argument("--steps", type=_positive_arg, default=None,
+    p_oracle.add_argument("--steps", type=_positive_arg, default=3,
                           help="growth steps for histories (default 3)")
     p_oracle.set_defaults(handler=cmd_oracle)
 

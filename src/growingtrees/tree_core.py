@@ -559,5 +559,6 @@ def to_dot(tree: Tree) -> str:
     if lines is None or len(lines) - 2 != len(nodes):
         _depth_bounds(nodes)  # which raises, naming the node at fault
     lines += edges
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # The closing line carries the final newline, so the text is copied once.
+    lines.append("}\n")
+    return "\n".join(lines)

@@ -80,6 +80,13 @@ LAMBDA_4 = ((4, 1), (5, 2), (6, 2), (7, 3), (8, 4), (9, 4),
 # obey e_{h+1} = e_h^2 + 1.
 TREES_BY_MAX_HEIGHT = (1, 2, 5, 26, 677, 458330)
 
+# Binary trees of height exactly h, h = 1..6 (OEIS A001699): the differences
+# of TREES_BY_MAX_HEIGHT, and 458330^2 + 1 - 458330 at h = 6.
+TREES_OF_HEIGHT = (1, 3, 21, 651, 457653, 210065930571)
+
+# Valid leaf profiles of height h, h = 1..6.
+VALID_PROFILES_BY_HEIGHT = (1, 2, 6, 26, 166, 1626)
+
 # A five-step growth history ("B" = branch, "D" = die, one letter per
 # anchor, left to right) and the tree statistics (n, m, ell, height) after
 # each step.

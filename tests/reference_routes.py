@@ -2,8 +2,8 @@
 
 The library computes each quantity one way. These helpers compute a_n by
 two independent identities, so the tests can check a_seq against both, and
-list the valid profiles by a walk that shares no code with the library's, so
-the tests can check the counts and the sampler against the list.
+list the valid profiles by walks that share no code with the library's, so
+the tests can check the counts and the sampler against the lists.
 """
 
 from growingtrees.enumeration import PolySeries
@@ -62,4 +62,25 @@ def valid_profiles(leaves):
                 found.append(levels + (l,))
             elif below and left - l >= 2 * below:
                 stack.append((levels + (l,), below, left - l))
+    return sorted(found)
+
+
+def valid_profiles_of_height(height):
+    """Every valid profile of the given height >= 1, as level tuples in lex
+    order: the same walk down the depths as valid_profiles', bounded by depth
+    in place of leaves.
+
+    Above the last level at least one of the 2*i slots stays internal
+    (l < 2*i), so the tree goes on; the last level takes all 2*i slots as
+    leaves, which closes it.
+    """
+    found = []
+    stack = [((0,), 1)]  # levels so far, internal nodes at the last depth
+    while stack:
+        levels, internal = stack.pop()
+        slots = 2 * internal
+        if len(levels) == height:
+            found.append(levels + (slots,))
+        else:
+            stack.extend((levels + (l,), slots - l) for l in range(slots))
     return sorted(found)

@@ -142,6 +142,37 @@ def test_domain_cli_bounds(capsys):
     assert capsys.readouterr().err.startswith("error: h out of range 1..100000")
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["table", "--nmax", "301"],
+     "nmax out of range 1..300 for the command line; use the library for larger tables"),
+    (["height-table", "--h", "11"],
+     "h out of range 1..10 for the command line; use the library for larger heights"),
+    (["seq", "a", "--nmax", "100001"], "nmax out of range 1..100000 for the command line"),
+    (["domain", "cells", "--h", "11"], "h out of range 1..10 for the command line"),
+    (["domain", "gamma", "--h", "17"], "h out of range 1..16 for the command line"),
+    (["domain", "lambda", "--h", "17"], "h out of range 1..16 for the command line"),
+    (["domain", "area", "--h", "100001"], "h out of range 1..100000 for the command line"),
+], ids=" ".join)
+def test_each_size_guard_writes_its_whole_line(argv, line, capsys):
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def test_oracle_sizes_default_to_their_help_text(capsys):
+    # --help says "default 8" for catalan's --nmax and "default 3" for
+    # histories' --steps; the parser holds those defaults.
+    assert run(["oracle", "catalan"]) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [doc["checked"] for doc in docs] == [f"binary trees with {n} leaves" for n in range(1, 9)]
+    assert all(doc["pass"] for doc in docs)
+    assert run(["oracle", "histories"]) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [doc["checked"] for doc in docs] == [
+        *(f"active states at step {h} by (n, anchors)" for h in (1, 2, 3)),
+        *(f"column {n} states vs 2*catalan" for n in (1, 2))]
+    assert all(doc["pass"] for doc in docs)
+
+
 def test_domain_area_past_the_str_digit_limit(capsys):
     # |S_20000| has 12,041 digits, past the default str() limit.
     assert run(["domain", "area", "--h", "20000"]) == 0
@@ -653,7 +684,7 @@ def test_profile_commands_leave_decimal_and_fractions_unloaded():
     # exact_text tries str() before it imports decimal, and only an invalid
     # profile's message needs fractions.
     for argv in (["sample", "--seed", "1"], ["bench-bits", "--samples", "3", "--seed", "1"],
-                 ["profile", "count"], ["profile", "internal"]):
+                 ["profile", "count"], ["profile", "internal"], ["profile", "validate"]):
         statements = f"import growingtrees.cli; growingtrees.cli.run({argv + ['--profile', '0,0,2,4']!r})"
         loaded = _loaded_modules(statements).splitlines()[-1]
         assert "growingtrees.profiles" in loaded

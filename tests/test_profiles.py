@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from growingtrees import profiles, tree_core
+from growingtrees.enumeration import t_height_table
 from growingtrees.oracle import all_binary_trees
 from growingtrees.profiles import (
     Profile,
@@ -26,7 +27,7 @@ from growingtrees.profiles import (
 )
 import reference_data as ref
 from random_profiles import narrow_profile, random_split_profile
-from reference_routes import valid_profiles
+from reference_routes import valid_profiles, valid_profiles_of_height
 
 
 def test_kraft_sum_examples():
@@ -385,6 +386,22 @@ def test_counts_over_the_swept_profiles_sum_to_catalan():
         swept = valid_profiles(leaves)
         assert len(swept) == ref.VALID_PROFILES_BY_LEAVES[leaves - 1], leaves
         assert sum(count_trees(Profile(levels)) for levels in swept) == ref.CATALAN[leaves - 1], leaves
+
+
+def test_counts_over_the_swept_profiles_of_a_height_sum_to_the_height_table():
+    # Each tree of height h has one valid profile of height h, so the counts
+    # of the valid profiles of height h, listed by a walk of reference_routes,
+    # sum to the trees of height h: t_height_table(h).total(), the sum over
+    # the cells of the Taylor-shift transfer, which shares no code with
+    # count_trees's binomials.
+    assert ref.TREES_OF_HEIGHT[:5] == tuple(
+        b - a for a, b in zip(ref.TREES_BY_MAX_HEIGHT, ref.TREES_BY_MAX_HEIGHT[1:]))
+    for h in range(1, 7):
+        swept = valid_profiles_of_height(h)
+        assert len(swept) == ref.VALID_PROFILES_BY_HEIGHT[h - 1], h
+        assert all(Profile(levels).height == h for levels in swept), h
+        total = sum(count_trees(Profile(levels)) for levels in swept)
+        assert total == t_height_table(h).total() == ref.TREES_OF_HEIGHT[h - 1], h
 
 
 def test_truncation_preserves_validity():
