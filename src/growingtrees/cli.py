@@ -26,8 +26,6 @@ import sys
 MAX_CLI_TABLE_NMAX = 300
 MAX_CLI_HEIGHT_TABLE = 10
 MAX_CLI_SEQ_NMAX = 100_000
-# domain's --h bound, one per region.
-_MAX_CLI_DOMAIN_H = {"cells": 10, "gamma": 16, "lambda": 16, "area": 100_000}
 
 
 def _levels_arg(text: str) -> tuple[int, ...]:
@@ -129,16 +127,17 @@ def cmd_seq(args: argparse.Namespace) -> int:
 def cmd_domain(args: argparse.Namespace) -> int:
     from . import sequences
 
-    h = args.h
-    _check_size("h", h, _MAX_CLI_DOMAIN_H[args.which])
+    # Each region's --h bound and builder.
+    top, build = {"cells": (10, sequences.s_domain), "gamma": (16, sequences.gamma),
+                  "lambda": (16, sequences.lambda_upper),
+                  "area": (100_000, sequences.s_area_formula)}[args.which]
+    _check_size("h", args.h, top)
     if args.which == "area":
         from . import profiles
 
-        print(profiles.exact_text(sequences.s_area_formula(h)))
-        return 0
-    region = {"cells": sequences.s_domain, "gamma": sequences.gamma,
-              "lambda": sequences.lambda_upper}[args.which]
-    _emit_cells(region(h), args.format)
+        print(profiles.exact_text(build(args.h)))
+    else:
+        _emit_cells(build(args.h), args.format)
     return 0
 
 
@@ -147,12 +146,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     p = profiles.Profile(args.profile)
     if args.which == "validate":
-        # The level walk decides. A valid profile's Kraft sum is 1, so only
-        # an invalid one's line computes it.
-        if profiles.is_valid(p):
-            print("valid, kraft=1")
-        else:
-            print(f"invalid, kraft={profiles.exact_text(profiles.kraft_sum(p))}")
+        q = profiles.kraft_sum(p)
+        print(f"{'valid' if q == 1 else 'invalid'}, kraft={profiles.exact_text(q)}")
         return 0
     if args.which == "count":
         print(profiles.exact_text(profiles.count_trees(p)))

@@ -84,7 +84,8 @@ TREES_BY_MAX_HEIGHT = (1, 2, 5, 26, 677, 458330)
 # of TREES_BY_MAX_HEIGHT, and 458330^2 + 1 - 458330 at h = 6.
 TREES_OF_HEIGHT = (1, 3, 21, 651, 457653, 210065930571)
 
-# Valid leaf profiles of height h, h = 1..6.
+# Valid leaf profiles of height h, h = 1..6 (OEIS A002449, the number of
+# different types of binary trees of height h).
 VALID_PROFILES_BY_HEIGHT = (1, 2, 6, 26, 166, 1626)
 
 # A five-step growth history ("B" = branch, "D" = die, one letter per

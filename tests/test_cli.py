@@ -684,7 +684,7 @@ def test_profile_commands_leave_decimal_and_fractions_unloaded():
     # exact_text tries str() before it imports decimal, and only an invalid
     # profile's message needs fractions.
     for argv in (["sample", "--seed", "1"], ["bench-bits", "--samples", "3", "--seed", "1"],
-                 ["profile", "count"], ["profile", "internal"], ["profile", "validate"]):
+                 ["profile", "count"], ["profile", "internal"]):
         statements = f"import growingtrees.cli; growingtrees.cli.run({argv + ['--profile', '0,0,2,4']!r})"
         loaded = _loaded_modules(statements).splitlines()[-1]
         assert "growingtrees.profiles" in loaded

@@ -589,24 +589,6 @@ def test_one_setup_walk_per_sampling_command(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_profile_validate_is_one_walk(monkeypatch, capsys):
-    # The level walk decides validity; only an invalid profile's line needs
-    # its Kraft sum.
-    walked, summed = [], []
-    real_walk, real_kraft_sum = profiles._level_walk, profiles.kraft_sum
-    monkeypatch.setattr(profiles, "_level_walk", lambda p: walked.append(p) or real_walk(p))
-    monkeypatch.setattr(profiles, "kraft_sum", lambda p: summed.append(p) or real_kraft_sum(p))
-    for levels, line in [((1,), "valid, kraft=1"), ((0, 1, 2), "valid, kraft=1"),
-                         ((0, 0, 0, 0, 14, 2, 3, 0, 4), "valid, kraft=1"),
-                         ((0, 1, 1), "invalid, kraft=3/4"), ((0, 1, 3), "invalid, kraft=5/4")]:
-        walked.clear()
-        summed.clear()
-        assert cli.run(["profile", "validate", "--profile", ",".join(map(str, levels))]) == 0
-        assert capsys.readouterr() == (line + "\n", "")
-        p = Profile(levels)
-        assert (walked, summed) == ([p], [] if line.startswith("valid") else [p]), levels
-
-
 def test_one_product_tree_per_sampling_command(monkeypatch, capsys):
     built = []
 
