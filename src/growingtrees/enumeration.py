@@ -23,9 +23,13 @@ Gerhard, ISSAC 1997): P(1 + y) is evaluated at y = 2^s by shifts and adds
 alone, and the cells are read off as s-bit digits. The digit width s is the
 fewest whole bytes with 2^s > sum_k v_k * 4^k, which is at most
 bitlen(sum_k v_k) + 2*top + 8 bits: no digit exceeds that sum, so digits
-never carry into one another. Under a column cap the packed value is masked
-to the digits kept after every step, which is exact since a low digit never
-depends on a higher one. No binomial coefficient is formed.
+never carry into one another. After i Horner steps the packed value has
+degree 2i in y, so under a column cap that keeps digits 0..d it cannot
+spill past digit d while 2i <= d: the first d // 2 steps run unmasked and
+only the later ones mask to the kept digits, which is exact since a low
+digit never depends on a higher one. An uncapped column never masks. The
+cells are read off in one pass: one to_bytes, one Struct.unpack into s-bit
+chunks, one map of int.from_bytes. No binomial coefficient is formed.
 
 Column sums over k recover the Catalan numbers: freezing gives a bijection
 between active trees at step h and binary trees of height h (in an active
@@ -53,8 +57,9 @@ beyond it; fixed_point_probe measures that numerically.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import islice, zip_longest
+from itertools import islice, repeat, zip_longest
 from math import comb, isnan
+from struct import Struct
 
 from ._record import Record
 
@@ -133,8 +138,11 @@ def _spread(n: int, column: list[int], target: dict[int, list[int]], n_cap: int 
     acc -> (acc + v) * (1 + y)^2 is two shifts and three adds. s is the
     fewest whole bytes with 2^s > sum_k v_k * 4^k (that bound has its own
     Horner pass), since no digit of any partial result exceeds the sum.
-    Under a cap acc keeps only digits 0..n_cap - n, masked after each step;
-    low digits never depend on high ones, so the kept digits stay exact.
+    Under a cap acc keeps only digits 0..n_cap - n: after i steps it has
+    degree 2i, so the first (n_cap - n) // 2 steps cannot spill and run
+    unmasked, and only the steps after them mask. Low digits never depend
+    on high ones, so the kept digits stay exact. The digits are unpacked in
+    one pass: one to_bytes, then the s-bit chunks by one Struct.unpack.
 
     Cell (m, j) gets mass from column m - j alone, so each target cell is
     written once. Columns must be spread in increasing n, each with a
@@ -150,18 +158,25 @@ def _spread(n: int, column: list[int], target: dict[int, list[int]], n_cap: int 
         bound = (bound + v) << 2
     width = (bound.bit_length() + 7) // 8
     s = 8 * width
-    mask = (1 << s * (digits + 1)) - 1
+    values = reversed(column)
     acc = 0
-    for v in reversed(column):
+    for v in islice(values, digits // 2):
+        acc += v
+        acc += (acc << s + 1) + (acc << 2 * s)
+    mask = (1 << s * (digits + 1)) - 1
+    for v in values:
         acc += v
         acc += (acc << s + 1) + (acc << 2 * s)
         acc &= mask
-    packed = acc.to_bytes(width * (digits + 1), "little")
-    for j in range(1, digits + 1):
-        cell = target.get(n + j)
+    # Digit 0 (the column's own mass) is skipped; digits 1..digits are cells.
+    # A Struct of its own: struct.unpack would keep each format compiled in its cache.
+    chunks = Struct(f"{width}x" + f"{width}s" * digits).unpack(acc.to_bytes(width * (digits + 1), "little"))
+    cells = map(int.from_bytes, chunks, repeat("little"))
+    for j, m, value in zip(range(digits), range(n + 1, n + digits + 1), cells):
+        cell = target.get(m)
         if cell is None:
-            cell = target[n + j] = [0] * j
-        cell[j - 1] = int.from_bytes(packed[j * width:(j + 1) * width], "little")
+            cell = target[m] = [0] * (j + 1)
+        cell[j] = value
 
 
 def t_table(n_max: int) -> CountTable:

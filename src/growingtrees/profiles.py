@@ -23,12 +23,12 @@ integers, and it is the validity test. is_valid, internal_profile,
 truncate_profile, level_choices, count_trees and the sampler derive from
 it, and each that needs a valid profile rejects an invalid one with the
 same error, which names its Kraft sum. kraft_sum reports the exact sum as a
-fractions.Fraction for messages, and exact_text writes numbers past str()'s
-digit limit through decimal. Each module is imported only where it is
-needed, so importing the package loads neither. Counts are exact big
-integers. read_levels and write_levels turn a profile's comma-separated
-text into its levels and back, exactly at any size, converting each
-distinct entry once.
+fractions.Fraction for messages, its numerator a balanced sum of shifted
+halves, and exact_text writes numbers past str()'s digit limit through
+decimal. Each module is imported only where it is needed, so importing the
+package loads neither. Counts are exact big integers. read_levels and
+write_levels turn a profile's comma-separated text into its levels and
+back, exactly at any size, converting each distinct entry once.
 """
 
 from __future__ import annotations
@@ -198,16 +198,24 @@ def _decimal(n: int, bits: int, powers: _Memo) -> Decimal:
 
 
 def kraft_sum(p: Profile) -> Fraction:
-    """Exact Kraft sum sum_i l_i / 2^i of a profile: sum_i l_i * 2^{h-i} by
-    Horner's rule, over 2^h. Its numerator grows to h bits, so it serves
-    messages only, not is_valid. fractions is imported here, on the first
-    call, not with the package."""
+    """Exact Kraft sum sum_i l_i / 2^i of a profile: sum_i l_i * 2^{h-i}
+    over 2^h. The numerator of levels a..b-1 is a balanced sum of shifted
+    halves, numer(a:b) = numer(a:m) * 2^{b-m} + numer(m:b), so each round of
+    pairs is linear in the bits it holds and the sum takes O(h log h) bit
+    operations, not Horner's O(h^2). It serves messages and profile
+    validate; is_valid is the level walk. fractions is imported here, on the
+    first call, not with the package."""
     from fractions import Fraction
 
-    numerator = 0
-    for l in p.levels:
-        numerator = 2 * numerator + l
-    return Fraction(numerator, 1 << p.height)
+    # Each term is the numerator of `width` consecutive levels; a zero term
+    # in front of an odd count stands for empty levels above level 0.
+    terms, width = list(p.levels), 1
+    while len(terms) > 1:
+        if len(terms) & 1:
+            terms.insert(0, 0)
+        terms = [(hi << width) + lo for hi, lo in zip(terms[::2], terms[1::2])]
+        width *= 2
+    return Fraction(terms[0], 1 << p.height)
 
 
 def is_valid(p: Profile) -> bool:

@@ -1,10 +1,13 @@
 """Second routes to library results, kept in the tests as evidence.
 
 The library computes each quantity one way. These helpers compute a_n by
-two independent identities, so the tests can check a_seq against both, and
-list the valid profiles by walks that share no code with the library's, so
-the tests can check the counts and the sampler against the lists.
+two independent identities, so the tests can check a_seq against both, list
+the valid profiles by walks that share no code with the library's, so the
+tests can check the counts and the sampler against the lists, and form the
+Kraft sum by Horner's rule, so the tests can check kraft_sum's balanced sum.
 """
+
+from fractions import Fraction
 
 from growingtrees.enumeration import PolySeries
 
@@ -84,3 +87,13 @@ def valid_profiles_of_height(height):
         else:
             stack.extend((levels + (l,), slots - l) for l in range(slots))
     return sorted(found)
+
+
+def kraft_sum_horner(levels):
+    """The Kraft sum sum_i l_i / 2^i of a profile's levels (l_0, ..., l_h):
+    the numerator sum_i l_i * 2^{h-i} by Horner's rule, one level at a time,
+    over 2^h."""
+    numerator = 0
+    for l in levels:
+        numerator = 2 * numerator + l
+    return Fraction(numerator, 1 << (len(levels) - 1))

@@ -173,6 +173,44 @@ def test_packed_transfer_at_every_cap_edge():
             assert max(packed, default=n) == n + min(edge, 2 * top)
 
 
+def _column_with_bound(bound, top, heavy):
+    # A column with sum_k v_k * 4^k == bound (a multiple of 4) and a nonzero
+    # last value: the mass greedily on the highest k when heavy, else all on
+    # k = 1 but for v_top = 1.
+    rest = bound >> 2
+    column = [0] * top
+    column[-1] = rest >> 2 * (top - 1) if heavy else 1
+    rest -= column[-1] << 2 * (top - 1)
+    for k in range(top - 1, 0, -1):
+        column[k - 1], rest = divmod(rest, 1 << 2 * (k - 1)) if heavy else (0, rest)
+    column[0] += rest
+    assert sum(v << 2 * k for k, v in enumerate(column, start=1)) == bound and column[-1]
+    return column
+
+
+def test_packed_transfer_at_the_digit_width_edge():
+    # The digit width is the fewest whole bytes w with 2^{8w} > sum_k v_k * 4^k.
+    # That bound is a multiple of 4, so 2^{8w} - 4 is the largest it can be at
+    # width w, and 2^{8w} the smallest at width w + 1. No digit exceeds half
+    # the bound (binom(2k, j) <= 4^k / 2), so the rule has one bit to spare:
+    # 2^{8w+1}, whose k = 1 digit is 2^{8w}, is the smallest bound that w
+    # bytes cannot hold. Each is spread uncapped (every step unmasked) and at
+    # every cap edge (the masked phase).
+    n = 7
+    for w in (1, 2, 3, 9, 40):
+        for bound in ((1 << 8 * w) - 4, 1 << 8 * w, 1 << 8 * w + 1):
+            for top in (1, 2, 3, 5, 8):
+                if 1 << 2 * top > bound:
+                    continue
+                for heavy in (True, False):
+                    column = _column_with_bound(bound, top, heavy)
+                    for n_cap in (None,) + tuple(n + e for e in (0, 1, 2 * top - 1, 2 * top, 2 * top + 1)):
+                        packed, by_comb = {}, {}
+                        _spread(n, column, packed, n_cap)
+                        _spread_by_comb(n, column, by_comb, n_cap)
+                        assert packed == by_comb, (w, bound, column, n_cap)
+
+
 def test_tables_match_the_binomial_formula(monkeypatch):
     def builds():
         return ([t_table(n) for n in range(1, 81)]

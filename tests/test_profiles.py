@@ -27,7 +27,7 @@ from growingtrees.profiles import (
 )
 import reference_data as ref
 from random_profiles import narrow_profile, random_split_profile
-from reference_routes import valid_profiles, valid_profiles_of_height
+from reference_routes import kraft_sum_horner, valid_profiles, valid_profiles_of_height
 
 
 def test_kraft_sum_examples():
@@ -53,6 +53,24 @@ def test_kraft_sum_equals_the_sum_by_level():
     for p in [Profile((1,))] + small + tall:
         assert kraft_sum(p) == _kraft_by_level(p), p
         assert is_valid(p) == (_kraft_by_level(p) == 1), p
+
+
+def test_kraft_sum_equals_the_horner_numerator():
+    # The balanced sum of shifted halves against Horner's rule: every valid
+    # profile of up to 12 leaves, seeded invalid ones of entries 0-3 (level
+    # counts odd, even and powers of two, so the pairing rounds pad a zero
+    # term in front or not), and the 150,000-level invalid profile 0,1,...,1,1.
+    rng = random.Random(7)
+    valid = [Profile(levels) for leaves in range(1, 13) for levels in valid_profiles(leaves)]
+    heights = [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1023, 1024, 1025, 2000] + rng.sample(range(1, 2001), 20)
+    drawn = [Profile((0,) + tuple(rng.randrange(4) for _ in range(h - 1)) + (rng.randrange(1, 4),))
+             for h in heights]
+    invalid = [p for p in drawn if kraft_sum_horner(p.levels) != 1]
+    assert len(valid) > 300 and len(invalid) >= len(drawn) - 2
+    deep = Profile((0,) + (1,) * 150000)
+    assert all(kraft_sum(p) == 1 for p in valid)
+    for p in valid + invalid + [deep]:
+        assert kraft_sum(p) == kraft_sum_horner(p.levels), p.levels[:20]
 
 
 def _random_split(rng, height):
