@@ -52,6 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from collections.abc import Iterator
 from functools import cache
 from math import comb
@@ -180,25 +181,21 @@ def _blocks(w1: int, w2: int, q: int) -> Iterator[tuple[int, int, int]]:
     j0 = (q + 1) * (w1 + 1) // (w1 + w2 + 2)  # the hypergeometric mode
     right = _comb(w2, q - j0)
     size = _comb(w1, j0) * right
-
-    def up(j: int, size: int, right: int) -> Iterator[tuple[int, int, int]]:
-        while j < hi:
-            a, b = w1 - j, q - j
-            j += 1
-            size = size * a * b // (j * (w2 - b + 1))
-            right = right * b // (w2 - b + 1)
-            yield j, size, right
-
-    def down(j: int, size: int, right: int) -> Iterator[tuple[int, int, int]]:
-        while j > lo:
-            a, b = j, w2 - q + j
-            j -= 1
-            size = size * a * b // ((w1 - j) * (q - j))
-            right = right * b // (q - j)
-            yield j, size, right
-
-    both = itertools.zip_longest(up(j0, size, right), down(j0, size, right))
-    return itertools.chain([(j0, size, right)], filter(None, itertools.chain.from_iterable(both)))
+    yield j0, size, right
+    up, up_size, up_right = down, down_size, down_right = j0, size, right
+    while up < hi or down > lo:
+        if up < hi:
+            a, b = w1 - up, q - up
+            up += 1
+            up_size = up_size * a * b // (up * (w2 - b + 1))
+            up_right = up_right * b // (w2 - b + 1)
+            yield up, up_size, up_right
+        if down > lo:
+            a, b = down, w2 - q + down
+            down -= 1
+            down_size = down_size * a * b // ((w1 - down) * (q - down))
+            down_right = down_right * b // (q - down)
+            yield down, down_size, down_right
 
 
 def _unrank_wide(rank: int, p: int, q: int, total: int) -> bytes:
@@ -208,32 +205,27 @@ def _unrank_wide(rank: int, p: int, q: int, total: int) -> bytes:
     A word of at most _WIDE_SLOTS slots is unrank_merge's, in kind codes. A
     wider one is split after its first w1 = (p+q) // 2 slots: its block
     (_blocks) fixes the leaves j in the left half, and within the block the
-    rank is left_rank * binom(w2, q - j) + right_rank, each half ranked in
-    split order again. The halves wait on an explicit stack, each with its
-    word count, which the block has already formed, so no binomial is formed
-    twice. A split walks O(sqrt(w)) blocks of w-bit steps and makes one
+    rank is left_rank * binom(w2, q - j) + right_rank. Each half is unranked
+    by a recursive call, handed the word count its block has already formed,
+    so no binomial is formed twice. The recursion halves one word, so it is
+    ceil(log2(w / _WIDE_SLOTS)) calls deep, at most 53 for any word an index
+    can hold. A split walks O(sqrt(w)) blocks of w-bit steps and makes one
     divmod, against the w steps of a running binomial across the whole word.
     """
     if rank < 0:
         raise ValueError(f"rank {exact_text(rank)} out of range: negative")
-    words = []
-    stack = [(rank, p, q, total)]
-    while stack:
-        rank, p, q, total = stack.pop()
-        w = p + q
-        if w <= _WIDE_SLOTS:
-            words.append(bytes(_merge_word(rank, p, q, total)).translate(_KIND_OF_LETTER))
-            continue
-        w1 = w // 2
-        for j, size, right in _blocks(w1, w - w1, q):
-            if rank < size:
-                break
-            rank -= size
-        else:
-            raise ValueError(f"rank out of range for binom({w},{q})")
-        left, rest = divmod(rank, right)
-        stack += ((rest, w - w1 - q + j, q - j, right), (left, w1 - j, j, size // right))
-    return b"".join(words)
+    w = p + q
+    if w <= _WIDE_SLOTS:
+        return bytes(_merge_word(rank, p, q, total)).translate(_KIND_OF_LETTER)
+    w1 = w // 2
+    for j, size, right in _blocks(w1, w - w1, q):
+        if rank < size:
+            break
+        rank -= size
+    else:
+        raise ValueError(f"rank out of range for binom({w},{q})")
+    left, rest = divmod(rank, right)
+    return _unrank_wide(left, w1 - j, j, size // right) + _unrank_wide(rest, w - w1 - q + j, q - j, right)
 
 
 def _rank_merge(word: bytes) -> int:
@@ -257,26 +249,20 @@ def _rank_merge(word: bytes) -> int:
 
 def _rank_wide(word: bytes) -> int:
     """The rank of a word of INTERNAL and LEAF codes in _unrank_wide's split
-    order: its inverse. The spans of the split are listed top-down, each
-    before its halves, and ranked bottom-up."""
-    spans = [(0, len(word))]
-    for a, b in spans:  # the loop reaches the halves it appends
-        if b - a > _WIDE_SLOTS:
-            spans += ((a, a + (b - a) // 2), (a + (b - a) // 2, b))
-    ranks = {}
-    for a, b in reversed(spans):
-        if b - a <= _WIDE_SLOTS:
-            ranks[a, b] = _rank_merge(word[a:b])
-            continue
-        m = a + (b - a) // 2
-        left_ones = word.count(LEAF, a, m)
-        offset = 0
-        for j, size, right in _blocks(m - a, b - m, word.count(LEAF, a, b)):
-            if j == left_ones:
-                break
-            offset += size
-        ranks[a, b] = offset + ranks[a, m] * right + ranks[m, b]
-    return ranks[0, len(word)]
+    order: its inverse. A word of more than _WIDE_SLOTS slots is ranked as
+    the offset of the block its left half's leaf count names, plus the halves'
+    ranks, each by a recursive call, combined as _unrank_wide splits them:
+    ceil(log2(w / _WIDE_SLOTS)) calls deep, at most 53."""
+    if len(word) <= _WIDE_SLOTS:
+        return _rank_merge(word)
+    w1 = len(word) // 2
+    left_ones = word.count(LEAF, 0, w1)
+    offset = 0
+    for j, size, right in _blocks(w1, len(word) - w1, word.count(LEAF)):
+        if j == left_ones:
+            break
+        offset += size
+    return offset + _rank_wide(word[:w1]) * right + _rank_wide(word[w1:])
 
 
 @cache
@@ -309,14 +295,18 @@ class Setup:
     _WideRow past _NARROW_SLOTS slots. Their counts and bases, the word
     counts, are level_choices(p) (the last choice, binom(l_h, l_h), is 1),
     and that walk is the validation: an invalid p raises ValueError naming
-    its Kraft sum. `tree` is the product tree of the bases in the same depth
-    order (profiles._product_tree), and `count`, its root, is N.
+    its Kraft sum. A valid p whose trees have more nodes than an index can
+    hold raises MemoryError. `tree` is the product tree of the bases in the
+    same depth order (profiles._product_tree), and `count`, its root, is N.
     """
 
     __slots__ = ("profile", "rows", "tree", "count")
 
     def __init__(self, p: Profile):
         internals, choices = level_choices(p)
+        # The kind string of a tree's 2L - 1 nodes must fit one bytes object.
+        if 2 * p.total_leaves - 1 > sys.maxsize:
+            raise MemoryError("a tree of this profile has more nodes than an index can hold")
         bases = choices[:-1]
         # Depth k's i_k + l_k slots are the 2 * i_{k-1} children above it.
         self.profile, self.rows = p, [

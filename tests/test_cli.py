@@ -441,6 +441,13 @@ def test_sample_invalid_profile(capsys):
     assert "invalid profile" in capsys.readouterr().err
 
 
+def test_sample_past_the_index_size_is_one_error_line(capsys):
+    # A valid profile whose one tree has 2^64 - 1 nodes, more than a bytes
+    # object can hold: one line, exit 1, no traceback.
+    assert run(["sample", "--profile", ",".join(["0"] * 63 + [str(2**63)])]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 def test_negative_seeds_are_rejected(capsys):
     # random.Random seeds by abs(seed), so -5 would print the trees of 5.
     for argv in (["sample", "--seed", "-5"], ["bench-bits", "--samples", "3", "--seed", "-1"]):

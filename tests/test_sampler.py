@@ -18,6 +18,7 @@ from growingtrees.sampler import (
     _WIDE_SLOTS,
     BitSource,
     Setup,
+    _blocks,
     _build,
     _draw,
     _mixed_radix,
@@ -425,6 +426,21 @@ def test_split_order_is_a_bijection(monkeypatch):
                     _unrank_wide(rank, p, q, total)
 
 
+def test_blocks_run_from_the_mode_outward():
+    # The split order's blocks, written out: the hypergeometric mode j0, then
+    # j0 + 1, j0 - 1, j0 + 2, ..., each within the left half's possible j.
+    for w1 in range(25):
+        for w2 in range(25):
+            for q in range(w1 + w2 + 1):
+                lo, hi = max(0, q - w2), min(q, w1)
+                j0 = (q + 1) * (w1 + 1) // (w1 + w2 + 2)
+                order = [j0]
+                for step in range(1, w1 + w2 + 1):
+                    order += [j for j in (j0 + step, j0 - step) if lo <= j <= hi]
+                expected = [(j, comb(w1, j) * comb(w2, q - j), comb(w2, q - j)) for j in order]
+                assert list(_blocks(w1, w2, q)) == expected, (w1, w2, q)
+
+
 def test_rank_tree_inverts_wide_rows():
     rng = random.Random(89)
     profiles_seen = [
@@ -706,6 +722,10 @@ def test_invalid_profile_rejected_before_bits_flow():
         samples(Profile((0, 1, 1)), src, 1)
     with pytest.raises(ValueError, match="invalid profile"):
         samples(Profile((0, 1, 1)), src, 5)
+    # Valid, but its one tree has 2^64 - 1 nodes, more than a bytes object
+    # can hold.
+    with pytest.raises(MemoryError):
+        samples(Profile((0,) * 63 + (2**63,)), src, 1)
     assert src.bits_consumed == 0
 
 

@@ -244,6 +244,10 @@ def test_json_document_errors():
         from_json('{"step":1,"tree":{"kind":"internal","l":{"kind":"seed"},"r":{"kind":"anchor"}}}')
     with pytest.raises(ValueError, match=r"node 0: unknown kind \[1\]"):
         from_json('{"step":0,"tree":{"kind":[1]}}')
+    with pytest.raises(ValueError, match="node 0: internal node needs l and r"):
+        from_json('{"step":1,"tree":{"kind":"internal","l":{"kind":"anchor"}}}')
+    with pytest.raises(ValueError, match="node 0: anchor node cannot have children"):
+        from_json('{"step":0,"tree":{"kind":"anchor","l":{"kind":"anchor"},"r":{"kind":"anchor"}}}')
     with pytest.raises(ValueError, match="step must be a nonnegative integer"):
         from_json('{"step":-2,"tree":{"kind":"anchor"}}')
     with pytest.raises(ValueError, match="step must be a nonnegative integer"):
