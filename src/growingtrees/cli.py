@@ -2,11 +2,11 @@
 
 Output conventions: machine-readable results on stdout, diagnostics on
 stderr. Exit codes: 0 success, 1 domain errors (invalid profile, out-of-range
-sizes) and running out of memory, 2 usage errors. Commands that draw
-randomness take --seed and echo the seed in every record, so a rerun with
-the same arguments and seed is byte-identical. CSV tables use the grid
-layout: header row "n,<n values>", then one row per anchor count 2k with
-blank cells for zeros.
+sizes), running out of memory and an output pipe closed early, 2 usage
+errors. Commands that draw randomness take --seed and echo the seed in every
+record, so a rerun with the same arguments and seed is byte-identical. CSV
+tables use the grid layout: header row "n,<n values>", then one row per
+anchor count 2k with blank cells for zeros.
 """
 
 from __future__ import annotations

@@ -33,9 +33,11 @@ vertices (0,0), (1,0), (2,1); scaling_limit_deviation measures the distance
 to that limit shape.
 
 Cells are stored per column as contiguous k-intervals (the column sections
-of every S_h are intervals), which keeps the psi-iteration and the scaling
-diagnostic at O(2^h) time and memory even where the cell count is tens of
-millions.
+of every S_h are intervals). s_domain reads each column off the two
+boundary formulas, bottom on Gamma_h and top on Lambda_h, so the region and
+the scaling diagnostic take O(2^h) time and memory even where the cell
+count is tens of millions. The psi reach from S_1 is the tests' route to
+the same region.
 """
 
 from __future__ import annotations
@@ -170,9 +172,10 @@ def gamma(h: int) -> CellSet:
 def lambda_upper(h: int) -> CellSet:
     """Upper boundary Lambda_h = {(n, a_hat_{n-h+1}) : h <= n <= 2^h - 1}.
 
-    Cardinality 2^h - h. The index n-h+1 is the one consistent with the
-    bound k <= n - h + 1 and with the brute-force boundaries of the height
-    tables; see the package notes on the companion sequence conventions.
+    Cardinality 2^h - h. The companion is indexed from the first column:
+    column n takes a_hat_{n-h+1}, and since a_hat_m <= m every cell keeps
+    k <= n - h + 1, the bound h <= n - k + 1 of s_domain. The tests check
+    this boundary against the support of the height tables.
     """
     if h < 1:
         raise ValueError("h must be at least 1")
@@ -181,45 +184,19 @@ def lambda_upper(h: int) -> CellSet:
     return CellSet(columns={n: (a_hat[n - h + 1], a_hat[n - h + 1]) for n in range(h, top + 1)}, h=h)
 
 
-def psi_image(upper: dict[int, int], h: int) -> dict[int, tuple[int, int]]:
-    """One psi step: columns of the union of psi(n,k) over an upper boundary.
-
-    upper maps n to the top k of column n of S_h, for n = h..2^h-1. The
-    image's column n' collects i with 1 <= i <= 2*upper[n'-i]; the feasible i
-    form an interval because upper is nondecreasing, so a single ascending
-    two-pointer sweep produces all columns of S_{h+1} in O(2^h).
-    """
-    top_next = (1 << (h + 1)) - 1
-    source_hi = (1 << h) - 1
-    columns: dict[int, tuple[int, int]] = {}
-    i_star = 0
-    for n2 in range(h + 1, top_next + 1):
-        while True:
-            cand = i_star + 1
-            src = n2 - cand
-            if src < h or cand > 2 * upper.get(src, 0):
-                break
-            i_star = cand
-        k_min = max(1, n2 - source_hi)
-        if not k_min <= i_star:
-            raise AssertionError(f"empty column {n2} in psi image at h={h}")
-        columns[n2] = (k_min, i_star)
-    return columns
-
-
 def s_domain(h: int) -> CellSet:
-    """The nonzero-cell region S_h, by iterating psi over upper boundaries.
+    """The nonzero-cell region S_h, read off its two boundary formulas.
 
-    S_1 = {(1,1)} and S_{j+1} = psi(upper boundary of S_j). Every cell
-    satisfies h <= n - k + 1 <= 2^{h-1}.
+    Column n (h <= n <= 2^h - 1) is one k-interval: its bottom is the Gamma_h
+    diagonal, k = max(1, n - 2^{h-1} + 1), and its top is the Lambda_h cell of
+    that column. Every cell satisfies h <= n - k + 1 <= 2^{h-1}. The tests
+    check the region against the psi reach from S_1 = {(1,1)} and against
+    the support of the height tables.
     """
     if h < 1:
         raise ValueError("h must be at least 1")
-    columns = {1: (1, 1)}
-    for j in range(1, h):
-        upper = {n: hi for n, (_, hi) in columns.items()}
-        columns = psi_image(upper, j)
-    return CellSet(columns=columns, h=h)
+    diag = (1 << (h - 1)) - 1  # Gamma_h is the diagonal n - k = 2^{h-1} - 1
+    return CellSet(columns={n: (max(1, n - diag), hi) for n, (_, hi) in lambda_upper(h).columns.items()}, h=h)
 
 
 def s_area_formula(h: int) -> int:

@@ -3,8 +3,10 @@
 The library computes each quantity one way. These helpers compute a_n by
 two independent identities, so the tests can check a_seq against both, list
 the valid profiles by walks that share no code with the library's, so the
-tests can check the counts and the sampler against the lists, and form the
-Kraft sum by Horner's rule, so the tests can check kraft_sum's balanced sum.
+tests can check the counts and the sampler against the lists, form the
+Kraft sum by Horner's rule, so the tests can check kraft_sum's balanced sum,
+and reach the cell region S_h by iterating psi from S_1, so the tests can
+check s_domain's boundary formulas.
 """
 
 from fractions import Fraction
@@ -97,3 +99,20 @@ def kraft_sum_horner(levels):
     for l in levels:
         numerator = 2 * numerator + l
     return Fraction(numerator, 1 << (len(levels) - 1))
+
+
+def psi_reach(h):
+    """The cells of S_h, reached from S_1 = {(1, 1)} by h - 1 steps of
+    psi(n, k) = {(n + i, i) : 1 <= i <= 2k}.
+
+    Each step maps only the top cell of each column: psi(n, k) lies inside
+    psi(n, k') for k <= k', so the top cell reaches everything its column
+    does.
+    """
+    cells = {(1, 1)}
+    for _ in range(h - 1):
+        tops = {}
+        for n, k in cells:
+            tops[n] = max(k, tops.get(n, 0))
+        cells = {(n + i, i) for n, k in tops.items() for i in range(1, 2 * k + 1)}
+    return cells

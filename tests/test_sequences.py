@@ -14,13 +14,12 @@ from growingtrees.sequences import (
     b_seq,
     gamma,
     lambda_upper,
-    psi_image,
     ruler,
     s_area_formula,
     s_domain,
     scaling_limit_deviation,
 )
-from reference_routes import a_gf_coeffs, a_seq_meta
+from reference_routes import a_gf_coeffs, a_seq_meta, psi_reach
 
 
 def test_a_prefix():
@@ -166,7 +165,7 @@ def test_s_domain_small():
 
 
 def test_s_domain_matches_height_table_support():
-    for h in range(1, 8):
+    for h in range(1, 10):
         assert s_domain(h).cells() == set(t_height_table(h).entries)
 
 
@@ -199,11 +198,9 @@ def test_boundary_formulas_match_extraction():
         assert _upper_boundary(region) == lambda_upper(h).cells()
 
 
-def test_psi_image_single_step():
-    upper3 = {n: hi for n, (_, hi) in s_domain(3).columns.items()}
-    assert psi_image(upper3, 3) == s_domain(4).columns
-    with pytest.raises(AssertionError, match="empty column"):
-        psi_image({}, 1)
+def test_s_domain_is_the_psi_reach():
+    for h in range(1, 11):
+        assert s_domain(h).cells() == psi_reach(h)
 
 
 def test_upper_boundary_hugs_half_slope_line():
