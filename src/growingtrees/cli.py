@@ -4,9 +4,9 @@ Output conventions: machine-readable results on stdout, diagnostics on
 stderr. Exit codes: 0 success, 1 domain errors (invalid profile, out-of-range
 sizes), running out of memory and an output pipe closed early, 2 usage
 errors. Commands that draw randomness take --seed and echo the seed in every
-record, so a rerun with the same arguments and seed is byte-identical. CSV
-tables use the grid layout: header row "n,<n values>", then one row per
-anchor count 2k with blank cells for zeros.
+record, so a rerun with the same arguments and seed is byte-identical. The
+count tables and cell regions print their own text: CSV tables use the grid
+layout of CountTable.to_csv.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ import sys
 # so a wrapper set on the module attribute sees the call. json, math and
 # random load where they are used.
 
-# Output-size guards for the unbounded-growth commands. The library itself
-# goes further; these only keep terminal use sane.
-MAX_CLI_TABLE_NMAX = 300
-MAX_CLI_HEIGHT_TABLE = 10
+# Output-size guard for seq. The library itself goes further; this and the
+# bounds in cmd_table and cmd_domain only keep terminal use sane.
 MAX_CLI_SEQ_NMAX = 100_000
 
 
@@ -65,40 +63,22 @@ def _fresh_seed() -> int:
     return random.SystemRandom().getrandbits(63)
 
 
-def _emit_cells(cells: "sequences.CellSet", fmt: str) -> None:
-    # A CellSet yields its cells in (n, k) order.
-    if fmt == "json":
-        import json
+def cmd_table(args: argparse.Namespace) -> int:
+    """table and height-table: one count table, as CSV or JSON."""
+    from . import enumeration
 
-        print(json.dumps([[n, k] for n, k in cells], separators=(",", ":")))
-    else:
-        for n, k in cells:
-            print(f"{n},{k}")
-
-
-def _emit_table(table: "enumeration.CountTable", header: tuple[str, int], fmt: str) -> None:
-    """Print a count table as CSV, or as JSON with the header pair and [n, 2k, value] cells."""
-    if fmt == "json":
-        cells = ",".join([f"[{n},{2 * k},{v}]" for n in sorted(table.columns)
-                          for k, v in enumerate(table.columns[n], 1) if v])
-        print(f'{{"{header[0]}":{header[1]},"cells":[{cells}]}}')
+    # Each command's size argument, its bound, the noun of its error hint,
+    # and its builder.
+    name, top, larger, build = {
+        "table": ("nmax", 300, "tables", enumeration.t_table),
+        "height-table": ("h", 10, "heights", enumeration.t_height_table)}[args.command]
+    size = getattr(args, name)
+    _check_size(name, size, top, f"; use the library for larger {larger}")
+    table = build(size)
+    if args.format == "json":
+        print(table.to_json())
     else:
         print(table.to_csv(), end="")
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    from . import enumeration
-
-    _check_size("nmax", args.nmax, MAX_CLI_TABLE_NMAX, "; use the library for larger tables")
-    _emit_table(enumeration.t_table(args.nmax), ("n_max", args.nmax), args.format)
-    return 0
-
-
-def cmd_height_table(args: argparse.Namespace) -> int:
-    from . import enumeration
-
-    _check_size("h", args.h, MAX_CLI_HEIGHT_TABLE, "; use the library for larger heights")
-    _emit_table(enumeration.t_height_table(args.h), ("h", args.h), args.format)
     return 0
 
 
@@ -132,12 +112,15 @@ def cmd_domain(args: argparse.Namespace) -> int:
                   "lambda": (16, sequences.lambda_upper),
                   "area": (100_000, sequences.s_area_formula)}[args.which]
     _check_size("h", args.h, top)
+    result = build(args.h)
     if args.which == "area":
         from . import profiles
 
-        print(profiles.exact_text(build(args.h)))
+        print(profiles.exact_text(result))
+    elif args.format == "json":
+        print(result.to_json())
     else:
-        _emit_cells(build(args.h), args.format)
+        print(result.to_csv(), end="")
     return 0
 
 
@@ -297,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ht.add_argument("--h", type=_positive_arg, required=True)
     p_ht.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_ht.set_defaults(handler=cmd_height_table)
+    p_ht.set_defaults(handler=cmd_table)
 
     p_seq = sub.add_parser(
         "seq",

@@ -124,6 +124,14 @@ class CountTable(Record):
             lines.append(f"{2 * k}," + ",".join([str(v) if v else "" for v in row]))
         return "\n".join(lines) + "\n"
 
+    def to_json(self) -> str:
+        """{"n_max":N,"cells":[[n,2k,value],...]}, or {"h":h,...} at a fixed
+        height, with the nonzero cells in (n, k) order and no trailing newline."""
+        head = f'"n_max":{self.n_max}' if self.h is None else f'"h":{self.h}'
+        cells = ",".join([f"[{n},{2 * k},{v}]" for n in sorted(self.columns)
+                          for k, v in enumerate(self.columns[n], 1) if v])
+        return f'{{{head},"cells":[{cells}]}}'
+
 
 # Old name of the fixed-height table, kept because benchmark/tracing.py wraps it.
 HeightTable = CountTable

@@ -160,6 +160,14 @@ class CellSet(Record):
         """Materialize as a plain set; only sensible for small instances."""
         return set(iter(self))
 
+    def to_csv(self) -> str:
+        """One "n,k" line per cell, in (n, k) order, each ending in a newline."""
+        return "".join([f"{n},{k}\n" for n, k in self])
+
+    def to_json(self) -> str:
+        """[[n,k],...] in (n, k) order, with no trailing newline."""
+        return "[" + ",".join([f"[{n},{k}]" for n, k in self]) + "]"
+
 
 def gamma(h: int) -> CellSet:
     """Right boundary Gamma_h: the diagonal n - k = 2^{h-1} - 1, k = 1..2^{h-1}."""

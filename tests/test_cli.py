@@ -687,6 +687,17 @@ def test_import_and_parser_leave_dataclasses_typing_decimal_fractions_unloaded()
     assert _loaded_modules("import growingtrees") == "['growingtrees']\n"
 
 
+def test_table_and_domain_commands_leave_json_unloaded():
+    # The count tables and cell regions write their own CSV and JSON text,
+    # without the json module.
+    for argv in (["table", "--nmax", "3"], ["height-table", "--h", "3"],
+                 ["domain", "cells", "--h", "3"], ["table", "--nmax", "3", "--format", "json"],
+                 ["domain", "cells", "--h", "3", "--format", "json"]):
+        statements = f"import growingtrees.cli; growingtrees.cli.run({argv!r})"
+        loaded = _loaded_modules(statements).splitlines()[-1]
+        assert "'json'" not in loaded, (argv, loaded)
+
+
 def test_profile_commands_leave_decimal_and_fractions_unloaded():
     # exact_text tries str() before it imports decimal, and only an invalid
     # profile's message needs fractions.
@@ -715,6 +726,9 @@ def test_every_profile_command_gives_the_one_invalid_profile_error(argv, capsys)
     ["height-table", "--h", "3", "--format", "json"],
     ["seq", "a", "--nmax", "8", "--format", "json"],
     ["domain", "area", "--h", "5"],
+    ["domain", "cells", "--h", "3"],
+    ["domain", "gamma", "--h", "3", "--format", "json"],
+    ["table", "--nmax", "4", "--format", "json"],
     ["profile", "validate", "--profile", "0,1,2"],
     ["sample", "--profile", "0,0,2,4", "--count", "2", "--seed", "7"],
     ["sample", "--profile", "0,0,2,4", "--seed", "7", "--format", "dot"],

@@ -1,5 +1,6 @@
 """Count tables, Catalan identities, truncated series, and the map probe."""
 
+import json
 import math
 from collections import defaultdict
 from math import comb
@@ -60,6 +61,18 @@ def test_count_table_csv_layout():
     assert t_table(4).to_csv() == "n,1,2,3,4\n2,1,2,4,12\n4,,,1,2\n"
 
 
+def test_count_table_json_layout():
+    assert t_table(3).to_json() == '{"n_max":3,"cells":[[1,2,1],[2,2,2],[3,2,4],[3,4,1]]}'
+    assert t_height_table(2).to_json() == '{"h":2,"cells":[[2,2,2],[3,4,1]]}'
+
+
+def test_count_table_json_round_trip():
+    # The cells read back as the nonzero entries, with k written as 2k.
+    for table in [t_table(12)] + [t_height_table(h) for h in range(1, 6)]:
+        cells = json.loads(table.to_json())["cells"]
+        assert cells == [[n, 2 * k, v] for (n, k), v in sorted(table.entries.items())]
+
+
 def test_count_table_guard():
     with pytest.raises(ValueError, match="at least 1"):
         t_table(0)
@@ -99,6 +112,7 @@ def test_empty_table():
     assert empty.columns == {}
     assert empty.entries == {}
     assert empty.to_csv() == "n\n"
+    assert empty.to_json() == '{"h":3,"cells":[]}'
     assert empty.total() == 0
     assert empty.value(1, 1) == 0
     assert empty.max_k(1) == 0

@@ -123,11 +123,14 @@ def test_cellset_interface():
     assert len(cells) == 3
     assert list(cells) == [(3, 1), (3, 2), (4, 2)]
     assert cells.cells() == {(3, 1), (3, 2), (4, 2)}
+    assert cells.to_csv() == "3,1\n3,2\n4,2\n"
+    assert cells.to_json() == "[[3,1],[3,2],[4,2]]"
 
 
 def test_gamma_examples():
     assert gamma(1).cells() == {(1, 1)}
     assert gamma(2).cells() == {(2, 1), (3, 2)}
+    assert gamma(2).to_csv() == "2,1\n3,2\n"
     assert gamma(3).cells() == {(4, 1), (5, 2), (6, 3), (7, 4)}
     with pytest.raises(ValueError, match="at least 1"):
         gamma(0)
@@ -159,6 +162,7 @@ def test_lambda_self_similar_decomposition():
 def test_s_domain_small():
     assert s_domain(1).cells() == {(1, 1)}
     assert s_domain(2).cells() == {(2, 1), (3, 2)}
+    assert s_domain(2).to_json() == "[[2,1],[3,2]]"
     assert s_domain(3).cells() == {(3, 1), (4, 1), (4, 2), (5, 2), (6, 3), (7, 4)}
     with pytest.raises(ValueError, match="at least 1"):
         s_domain(0)
