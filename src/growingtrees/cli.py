@@ -18,12 +18,9 @@ import sys
 
 # Each command imports the submodules it uses, so a fresh process loads only
 # its own command's code, and calls through the module (enumeration.t_table),
-# so a wrapper set on the module attribute sees the call. json, math and
-# random load where they are used.
-
-# Output-size guard for seq. The library itself goes further; this and the
-# bounds in cmd_table and cmd_domain only keep terminal use sane.
-MAX_CLI_SEQ_NMAX = 100_000
+# so a wrapper set on the module attribute sees the call. math and random
+# load where they are used, and json only for oracle, whose reports nest
+# lists: every other record is written as its own text.
 
 
 def _levels_arg(text: str) -> tuple[int, ...]:
@@ -85,22 +82,14 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_seq(args: argparse.Namespace) -> int:
     from . import sequences
 
-    n_max = args.nmax
-    _check_size("nmax", n_max, MAX_CLI_SEQ_NMAX)
-    if args.which == "a":
-        values = sequences.a_seq(n_max)[1:]
-    elif args.which == "b":
-        values = sequences.b_seq(n_max)[1:]
-    elif args.which == "ahat":
-        values = sequences.a_hat_seq(n_max)[1:]
-    else:
-        values = [sequences.ruler(n) for n in range(1, n_max + 1)]
-    if args.format == "json":
-        import json
-
-        print(json.dumps(values, separators=(",", ":")))
-    else:
-        print(",".join(str(v) for v in values))
+    # Output size only: the library itself goes further.
+    _check_size("nmax", args.nmax, 100_000)
+    # Each builder's list starts at n = 0, which the command leaves out; the
+    # ruler function has no n = 0 term.
+    build = {"a": sequences.a_seq, "b": sequences.b_seq, "ahat": sequences.a_hat_seq,
+             "bhat": lambda n: [None, *map(sequences.ruler, range(1, n + 1))]}[args.which]
+    text = ",".join(map(str, build(args.nmax)[1:]))
+    print(f"[{text}]" if args.format == "json" else text)
     return 0
 
 
@@ -221,7 +210,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_bits(args: argparse.Namespace) -> int:
-    import json
     import math
 
     from . import profiles, sampler
@@ -239,14 +227,11 @@ def cmd_bench_bits(args: argparse.Namespace) -> int:
         pass
     mean_bits = src.bits_consumed / args.samples
     bound = math.log2(n)
-    print(json.dumps({
-        "profile": str(p),
-        "samples": args.samples,
-        "seed": seed,
-        "mean_bits": round(mean_bits, 6),
-        "entropy_bound": round(bound, 6),
-        "overhead_bits": round(mean_bits - bound, 6),
-    }, separators=(",", ":")))
+    # The profile's text is digits and commas, and a finite float's repr is
+    # what JSON writes for it.
+    print(f'{{"profile":"{p}","samples":{args.samples},"seed":{seed},'
+          f'"mean_bits":{round(mean_bits, 6)!r},"entropy_bound":{round(bound, 6)!r},'
+          f'"overhead_bits":{round(mean_bits - bound, 6)!r}}}')
     return 0
 
 

@@ -90,8 +90,9 @@ class _Memo(dict):
     """convert(key) for each key looked up, kept: a miss calls convert once
     (__missing__), a hit is one dict lookup in C, and a conversion that
     raises keeps nothing. Each use makes a fresh one (per call of
-    read_levels, write_levels or exact_text's decimal route, and per tree
-    that tree_core writes), so it holds one call's keys and nothing more."""
+    read_levels, write_levels or exact_text's decimal route, per tree that
+    tree_core writes, and per document that tree_core._canonical_tree
+    reads), so it holds one call's keys and nothing more."""
 
     __slots__ = ("convert",)
 

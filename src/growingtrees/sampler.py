@@ -27,14 +27,16 @@ the one sampling call, validates p and sets it up once (Setup). Each depth
 one walk of profiles.level_choices, which is also the validation. The
 product tree of those bases, whose root is N, splits every rank, one pass
 of divmod per tree level, and the build is one join of the rows' words, so
-a command that draws k trees of one profile pays for the profile once and a
-sample runs no Python loop per level. A row of at most 8 slots is a table
-of all its words in combinadic (lex) order, built on first use and shared
-by every profile (510 words in all). A wider row unranks its word when
-asked: in lex order with a running binomial up to 1,024 slots
-(unrank_merge), in split order above (_unrank_wide), where a word is cut in
-halves whose ranks are combined by blocks, so a wide level costs well under
-the O(W^2) bit operations of one running binomial across W slots.
+a command that draws k trees of one profile pays for the profile once. A
+row of at most 8 slots (a narrow depth) is a table of all its words in
+combinadic (lex) order, built on first use and shared by every profile (510
+words in all), so a sample joins its narrow depths with no Python-level
+step. A wider row (_WideRow) unranks its word when asked, one Python call
+per wide depth with a loop over its slots: in lex order with a running
+binomial up to 1,024 slots (unrank_merge), in split order above
+(_unrank_wide), where a word is cut in halves whose ranks are combined by
+blocks, so a wide level costs well under the O(W^2) bit operations of one
+running binomial across W slots.
 
 Randomness flows through a BitSource, which hands out fair bits and counts
 every bit drawn. Every uniform integer comes from one routine, _draw, which

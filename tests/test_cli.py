@@ -17,7 +17,7 @@ import pytest
 import growingtrees
 import reference_data as ref
 from random_profiles import narrow_profile, random_split_profile
-from growingtrees import cli, oracle, profiles, sampler
+from growingtrees import cli, oracle, profiles, sampler, sequences
 from growingtrees.cli import run
 from growingtrees.enumeration import t_height_table
 from growingtrees.tree_core import from_json, profile, to_json
@@ -108,6 +108,19 @@ def test_seq_outputs(capsys):
     assert capsys.readouterr().out.strip() == ",".join(str(v) for v in ref.RULER_PREFIX[1:])
     assert run(["seq", "ahat", "--nmax", "12", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == list(ref.A_HAT_PREFIX[1:])
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 50])
+def test_seq_bytes_in_both_formats(n_max, capsys):
+    # Plain is the terms joined by commas; json is what json.dumps writes
+    # for the same list of ints.
+    for which, values in (("a", sequences.a_seq(n_max)[1:]), ("b", sequences.b_seq(n_max)[1:]),
+                          ("ahat", sequences.a_hat_seq(n_max)[1:]),
+                          ("bhat", [sequences.ruler(n) for n in range(1, n_max + 1)])):
+        assert run(["seq", which, "--nmax", str(n_max)]) == 0
+        assert capsys.readouterr() == (",".join(map(str, values)) + "\n", "")
+        assert run(["seq", which, "--nmax", str(n_max), "--format", "json"]) == 0
+        assert capsys.readouterr() == (json.dumps(values, separators=(",", ":")) + "\n", "")
 
 
 def test_seq_rejects_unknown_name(capsys):
@@ -687,15 +700,19 @@ def test_import_and_parser_leave_dataclasses_typing_decimal_fractions_unloaded()
     assert _loaded_modules("import growingtrees") == "['growingtrees']\n"
 
 
-def test_table_and_domain_commands_leave_json_unloaded():
-    # The count tables and cell regions write their own CSV and JSON text,
-    # without the json module.
+def test_only_oracle_loads_json():
+    # The count tables, cell regions, sequences and bench-bits records write
+    # their own text, without the json module; oracle's reports nest lists
+    # and go through it.
     for argv in (["table", "--nmax", "3"], ["height-table", "--h", "3"],
                  ["domain", "cells", "--h", "3"], ["table", "--nmax", "3", "--format", "json"],
-                 ["domain", "cells", "--h", "3", "--format", "json"]):
+                 ["domain", "cells", "--h", "3", "--format", "json"],
+                 ["seq", "a", "--nmax", "8", "--format", "json"],
+                 ["bench-bits", "--profile", "0,0,2,4", "--samples", "3", "--seed", "1"],
+                 ["oracle", "catalan", "--nmax", "3"]):
         statements = f"import growingtrees.cli; growingtrees.cli.run({argv!r})"
         loaded = _loaded_modules(statements).splitlines()[-1]
-        assert "'json'" not in loaded, (argv, loaded)
+        assert ("'json'" in loaded) == (argv[0] == "oracle"), (argv, loaded)
 
 
 def test_profile_commands_leave_decimal_and_fractions_unloaded():
@@ -725,6 +742,8 @@ def test_every_profile_command_gives_the_one_invalid_profile_error(argv, capsys)
     ["table", "--nmax", "4"],
     ["height-table", "--h", "3", "--format", "json"],
     ["seq", "a", "--nmax", "8", "--format", "json"],
+    ["seq", "bhat", "--nmax", "8", "--format", "json"],
+    ["seq", "b", "--nmax", "8"],
     ["domain", "area", "--h", "5"],
     ["domain", "cells", "--h", "3"],
     ["domain", "gamma", "--h", "3", "--format", "json"],
