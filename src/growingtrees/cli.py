@@ -175,10 +175,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             print("error: profile-count requires --profile", file=sys.stderr)
             return 2
         p = profiles.Profile(args.profile)
-        try:
-            formula = profiles.count_trees(p)  # its walk is the validation
-        except ValueError:  # an invalid profile: no tree has it
-            formula = 0
+        formula = profiles.count_trees(p) if profiles.is_valid(p) else 0
         checks.append((f"trees with profile {p}", formula, len(oracle.trees_with_profile(p))))
     else:
         # One pass over the states, counting as they stream by: active

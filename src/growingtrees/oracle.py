@@ -20,7 +20,7 @@ import itertools
 from collections.abc import Iterator
 from functools import cache
 
-from .profiles import Profile
+from .profiles import Profile, exact_text
 from .tree_core import (
     INTERNAL,
     LEAF,
@@ -69,7 +69,7 @@ def trees_with_profile(p: Profile) -> list[Tree]:
     """Every binary tree whose leaf profile equals p; empty for invalid p."""
     leaves = p.total_leaves
     if leaves > MAX_ORACLE_LEAVES:
-        raise ValueError(f"profile has {leaves} leaves, oracle bound is {MAX_ORACLE_LEAVES}")
+        raise ValueError(f"profile has {exact_text(leaves)} leaves, oracle bound is {MAX_ORACLE_LEAVES}")
     return [t for t in all_binary_trees(leaves) if profile(t) == p]
 
 

@@ -18,17 +18,19 @@ The number of binary trees realizing a valid profile is the product
 one independent choice per level: the l_{k+1} leaves at depth k+1 pick their
 positions among the 2*i_k children slots of the depth-k internal nodes.
 
-One walk of the levels (_level_walk) forms those counts in small exact
-integers, and it is the validity test. is_valid, internal_profile,
-truncate_profile, level_choices, count_trees and the sampler derive from
-it, and each that needs a valid profile rejects an invalid one with the
-same error, which names its Kraft sum. kraft_sum reports the exact sum as a
-fractions.Fraction for messages, its numerator a balanced sum of shifted
-halves, and exact_text writes numbers past str()'s digit limit through
-decimal. Each module is imported only where it is needed, so importing the
-package loads neither. Counts are exact big integers. read_levels and
-write_levels turn a profile's comma-separated text into its levels and
-back, exactly at any size, converting each distinct entry once.
+Validity is one test, the Kraft equality: the numerator
+sum_i l_i * 2^{h-i}, a balanced sum of shifted halves, equals 2^h.
+is_valid compares the two integers; kraft_sum reports the exact sum as a
+fractions.Fraction for messages and profile validate. One walk of the
+levels (_level_walk) forms the internal counts and level binomials in
+small exact integers. internal_profile, truncate_profile, level_choices,
+count_trees and the sampler derive from it, and it rejects an invalid
+profile with the one error that names its Kraft sum. exact_text writes
+numbers past str()'s digit limit through decimal. fractions and decimal
+are imported only where they are needed, so importing the package loads
+neither. Counts are exact big integers. read_levels and write_levels turn
+a profile's comma-separated text into its levels and back, exactly at any
+size, converting each distinct entry once.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ class Profile(Record):
     l_0 = 0 since a tree with internal nodes has no leaf at the root.
 
     Kraft validity is deliberately not enforced here: invalid profiles are
-    legal values (they simply count zero trees) and several operations
-    report on them.
+    legal values. is_valid and kraft_sum report on them; internal_profile,
+    truncate_profile, level_choices, count_trees and the sampler reject
+    them with the ValueError that names their Kraft sum.
     """
 
     __slots__ = ("levels",)
@@ -198,43 +201,48 @@ def _decimal(n: int, bits: int, powers: _Memo) -> Decimal:
     return lo + _decimal(hi, bits - half, powers) * powers[half]
 
 
-def kraft_sum(p: Profile) -> Fraction:
-    """Exact Kraft sum sum_i l_i / 2^i of a profile: sum_i l_i * 2^{h-i}
-    over 2^h. The numerator of levels a..b-1 is a balanced sum of shifted
-    halves, numer(a:b) = numer(a:m) * 2^{b-m} + numer(m:b), so each round of
-    pairs is linear in the bits it holds and the sum takes O(h log h) bit
-    operations, not Horner's O(h^2). It serves messages and profile
-    validate; is_valid is the level walk. fractions is imported here, on the
-    first call, not with the package."""
-    from fractions import Fraction
-
+def _kraft_numerator(levels: tuple[int, ...]) -> int:
+    """The Kraft sum's numerator over 2^h, sum_i l_i * 2^{h-i}, for the
+    levels (l_0, ..., l_h). The numerator of levels a..b-1 is a balanced sum
+    of shifted halves, numer(a:b) = numer(a:m) * 2^{b-m} + numer(m:b), so
+    each round of pairs is linear in the bits it holds and the sum takes
+    O(h log h) bit operations, not Horner's O(h^2)."""
     # Each term is the numerator of `width` consecutive levels; a zero term
     # in front of an odd count stands for empty levels above level 0.
-    terms, width = list(p.levels), 1
+    terms, width = list(levels), 1
     while len(terms) > 1:
         if len(terms) & 1:
             terms.insert(0, 0)
         terms = [(hi << width) + lo for hi, lo in zip(terms[::2], terms[1::2])]
         width *= 2
-    return Fraction(terms[0], 1 << p.height)
+    return terms[0]
+
+
+def kraft_sum(p: Profile) -> Fraction:
+    """Exact Kraft sum sum_i l_i / 2^i of a profile, as a Fraction: its
+    numerator over 2^h. It serves messages and profile validate; is_valid
+    compares the same numerator with 2^h and needs no Fraction. fractions
+    (which imports decimal) is imported here, on the first call, not with
+    the package."""
+    from fractions import Fraction
+
+    return Fraction(_kraft_numerator(p.levels), 1 << p.height)
 
 
 def is_valid(p: Profile) -> bool:
-    """True iff some binary tree realizes p (Kraft sum = 1): iff the level
-    walk closes, which forms no binomial of more than _COMB_DIRECT slots."""
-    return _level_walk(p) is not None
+    """True iff some binary tree realizes p: iff its Kraft sum is 1, that
+    is, iff its numerator equals 2^h. It makes no level walk, so it keeps
+    no internal count, and builds no Fraction."""
+    return _kraft_numerator(p.levels) == 1 << p.height
 
 
 def internal_profile(p: Profile) -> tuple[int, ...]:
     """Internal-node counts (i_0, ..., i_{h-1}), i_0 = 1, forced by a valid
     profile of height >= 1: the level walk's, all positive. An invalid p
-    raises count_trees's ValueError, naming its Kraft sum."""
+    raises the walk's ValueError, naming its Kraft sum."""
     if p.height < 1:
         raise ValueError("a height-0 profile has no internal levels")
-    walk = _level_walk(p)
-    if walk is None:
-        raise _invalid_profile(p)
-    return tuple(walk[0])
+    return tuple(_level_walk(p)[0])
 
 
 # math.comb divides big numbers, so its time grows with the square of its
@@ -269,16 +277,18 @@ def _comb(n: int, k: int) -> int:
     return _product_tree(powers)[-1][0]
 
 
-def _level_walk(p: Profile) -> tuple[list[int], list[int]] | None:
-    """The internal-node counts [i_0, ..., i_{h-1}] of p and its binomials
-    binom(2*i_k, l_{k+1}), with 0 for those of more than _COMB_DIRECT slots,
-    which level_choices forms; None if p is invalid.
+def _level_walk(p: Profile) -> tuple[list[int], list[int]]:
+    """The internal-node counts [i_0, ..., i_{h-1}] of a valid p and its
+    binomials binom(2*i_k, l_{k+1}), with 0 for those of more than
+    _COMB_DIRECT slots, which level_choices forms. An invalid p raises
+    _invalid_profile(p).
 
     The counts come top-down, i_0 = 1 (none for the profile (1)) and
     i_k = 2*i_{k-1} - l_k, so that i_k = 2^k * (1 - sum_{j<=k} l_j / 2^j)
     and p is valid iff i_h = 0. A count below 0 stays below 0, and one above
     the leaf total L never comes back down to 0, so the walk stops at the
-    first such depth and its integers never exceed 2L.
+    first such depth and its integers never exceed 2L. It keeps all h
+    counts, which its callers return or use.
     """
     levels = p.levels
     top = p.total_leaves
@@ -289,10 +299,13 @@ def _level_walk(p: Profile) -> tuple[list[int], list[int]] | None:
         slots = 2 * internal
         internal = slots - l
         if not 0 <= internal <= top:
-            return None
+            break
         # Narrow levels skip the call: _comb would hand them to math.comb.
         choices.append(comb(slots, l) if slots <= _COMB_DIRECT else 0)
-    return None if internal else (internals, choices)
+    else:
+        if not internal:
+            return internals, choices
+    raise _invalid_profile(p)
 
 
 def level_choices(p: Profile) -> tuple[list[int], list[int]]:
@@ -300,15 +313,12 @@ def level_choices(p: Profile) -> tuple[list[int], list[int]]:
     binom(2*i_k, l_{k+1}), k = 0..h-1, the ways level k+1's leaves can sit
     among the 2*i_k child slots of depth k: the level walk with its wide
     binomials formed. An invalid p raises ValueError naming its Kraft sum."""
-    walk = _level_walk(p)
-    if walk is None:
-        raise _invalid_profile(p)
-    internals, choices = walk
+    internals, choices = _level_walk(p)
     if not all(choices):
         for k, choice in enumerate(choices):
             if not choice:
                 choices[k] = _comb(2 * internals[k], p.levels[k + 1])
-    return walk
+    return internals, choices
 
 
 def _product_tree(factors: list[int]) -> list[list[int]]:

@@ -488,6 +488,15 @@ def test_oracle_profile_count(capsys):
     assert "requires --profile" in capsys.readouterr().err
 
 
+def test_oracle_bound_error_past_the_str_digit_limit(capsys):
+    # 14,300 empty levels, then 2^14300 leaves (valid) or one more (invalid):
+    # the leaf total in the error has 4,305 digits either way.
+    for total in (2**14300, 2**14300 + 1):
+        digits = str(Decimal(total))
+        assert run(["oracle", "profile-count", "--profile", "0," * 14300 + digits]) == 1
+        assert capsys.readouterr() == ("", f"error: profile has {digits} leaves, oracle bound is 12\n")
+
+
 def test_oracle_histories(capsys):
     assert run(["oracle", "histories", "--steps", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

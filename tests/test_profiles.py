@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from growingtrees.profiles import (
 import reference_data as ref
 from random_profiles import narrow_profile, random_split_profile
 from reference_routes import kraft_sum_horner, valid_profiles, valid_profiles_of_height
+from test_cli import _loaded_modules
 
 
 def test_kraft_sum_examples():
@@ -94,6 +96,37 @@ def test_is_valid_is_the_kraft_test(rng, height, nudge):
     assert is_valid(p) == (kraft_sum(p) == 1) == (nudge == 0)
     narrow = Profile((0,) + (1,) * (height - 1) + (2 + nudge,))
     assert is_valid(narrow) == (nudge == 0)
+
+
+def test_is_valid_reads_the_kraft_numerator_without_a_walk(monkeypatch):
+    # The complete profile of height 40,000 and its neighbour one leaf short
+    # at the last level. The level walk would keep 40,000 internal counts of
+    # up to 40,000 bits (a 104 MiB peak); the numerator holds one list of
+    # the levels.
+    complete = (0,) * 40_000 + (2**40_000,)
+    for levels, valid in ((complete, True), (complete[:-1] + (2**40_000 - 1,), False)):
+        p = Profile(levels)
+        tracemalloc.start()
+        try:
+            assert is_valid(p) is valid
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (valid, peak)
+
+    def no_walk(p):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(profiles, "_level_walk", no_walk)
+    assert is_valid(Profile((0, 1, 2))) and not is_valid(Profile((0, 1, 1)))
+    # Nor does it build a Fraction: fractions, and decimal with it, stay
+    # unloaded in a fresh interpreter.
+    for levels, valid in (((0, 1, 2), True), ((0, 1, 1), False)):
+        statements = ("from growingtrees.profiles import Profile, is_valid; "
+                      f"assert is_valid(Profile({levels!r})) is {valid}")
+        loaded = _loaded_modules(statements).splitlines()[-1]
+        assert "growingtrees.profiles" in loaded
+        assert "decimal" not in loaded and "fractions" not in loaded, (levels, loaded)
 
 
 def test_structural_constraints():
@@ -378,7 +411,7 @@ def test_validity_equivalence_random_tall(tail):
     except ValueError:
         internal = None
     # Checked against the exact Kraft sum and the bottom-up relation, not
-    # against is_valid, which is the same level walk.
+    # against is_valid, which reads the same Kraft numerator.
     assert (internal is not None) == (kraft_sum(p) == 1), p
     if internal is not None:
         below = internal[1:] + (0,)

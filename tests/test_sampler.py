@@ -590,15 +590,21 @@ def test_one_setup_walk_per_sampling_command(monkeypatch, capsys):
         validated.clear()
         walked.clear()
         assert cli.run(argv) == 0
+        p = Profile(levels)
         # One walk of the levels, which is the validation: count_trees's for
-        # bench-bits, profile count and oracle profile-count, Setup's for
-        # sample, internal_profile's for profile internal and truncate.
-        sets_up = [Profile(levels)] if argv[0] == "sample" else []
-        assert (setups, validated, walked) == (sets_up, [], [Profile(levels)]), argv
+        # bench-bits and profile count, Setup's for sample, internal_profile's
+        # for profile internal and truncate. oracle profile-count asks
+        # is_valid once and walks only the valid profile, for count_trees.
+        if argv[0] == "oracle":
+            assert (setups, validated, walked) == ([], [p], [p] if levels == (0, 1, 2) else []), argv
+        else:
+            sets_up = [p] if argv[0] == "sample" else []
+            assert (setups, validated, walked) == (sets_up, [], [p]), argv
     # rank_tree walks the profile once more, on its own.
     for levels in drawn:
         p = Profile(levels)
         tree = next(samples(p, BitSource(1), 1))
+        validated.clear()
         walked.clear()
         rank_tree(p, tree)
         assert (validated, walked) == ([], [p]), levels
