@@ -175,8 +175,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             print("error: profile-count requires --profile", file=sys.stderr)
             return 2
         p = profiles.Profile(args.profile)
-        formula = profiles.count_trees(p) if profiles.is_valid(p) else 0
-        checks.append((f"trees with profile {p}", formula, len(oracle.trees_with_profile(p))))
+        # The oracle's leaf bound is checked first: past it, no level walk.
+        trees = len(oracle.trees_with_profile(p))
+        checks.append((f"trees with profile {p}", profiles.count_trees(p) if profiles.is_valid(p) else 0, trees))
     else:
         # One pass over the states, counting as they stream by: active
         # states by (height, (n, anchors)), and every state by its column n.

@@ -73,9 +73,6 @@ def trees_with_profile(p: Profile) -> list[Tree]:
     return [t for t in all_binary_trees(leaves) if profile(t) == p]
 
 
-_CHOICE_PAIR = (GrowthChoice.DIE, GrowthChoice.BRANCH)
-
-
 def all_growth_histories(h_steps: int) -> Iterator[tuple[Tree, TreeStats]]:
     """Every state reachable from the seed within h_steps growth steps.
 
@@ -91,9 +88,9 @@ def all_growth_histories(h_steps: int) -> Iterator[tuple[Tree, TreeStats]]:
 
 def _expand(t: Tree, n: int, ell: int, h_steps: int) -> Iterator[tuple[Tree, TreeStats]]:
     m = t.anchor_count
-    for choices in itertools.product(_CHOICE_PAIR, repeat=m):
+    for choices in itertools.product(GrowthChoice, repeat=m):
         child = grow_step(t, choices)
-        branched = sum(1 for c in choices if c is GrowthChoice.BRANCH)
+        branched = choices.count(GrowthChoice.BRANCH)
         child_n = n + branched
         child_m = 2 * branched
         child_ell = ell + (m - branched)

@@ -23,9 +23,10 @@ sum_i l_i * 2^{h-i}, a balanced sum of shifted halves, equals 2^h.
 is_valid compares the two integers; kraft_sum reports the exact sum as a
 fractions.Fraction for messages and profile validate. One walk of the
 levels (_level_walk) forms the internal counts and level binomials in
-small exact integers. internal_profile, truncate_profile, level_choices,
-count_trees and the sampler derive from it, and it rejects an invalid
-profile with the one error that names its Kraft sum. exact_text writes
+small exact integers. internal_profile, level_choices, count_trees and
+the sampler derive from it, and it rejects an invalid profile with the one
+error that names its Kraft sum. truncate_profile needs only i_{k+1}, which
+it reads off the Kraft numerator of l_0, ..., l_{k+1}. exact_text writes
 numbers past str()'s digit limit through decimal. fractions and decimal
 are imported only where they are needed, so importing the package loads
 neither. Counts are exact big integers. read_levels and write_levels turn
@@ -352,12 +353,18 @@ def truncate_profile(p: Profile, k: int) -> Profile:
     The result (l_0, ..., l_k, i_{k+1} + l_{k+1}) replaces each depth-(k+1)
     subtree root slot by a leaf, so it is again a valid profile, of height
     exactly k + 1. For k = h-1 the profile is returned unchanged (i_h = 0).
+
+    i_{k+1} = 2^{k+1} * (1 - sum_{j<=k+1} l_j / 2^j) is 2^{k+1} less the
+    Kraft numerator of l_0, ..., l_{k+1}, so no level walk is made and no
+    other internal count is kept. An invalid p raises ValueError naming its
+    Kraft sum.
     """
     h = p.height
     if h < 1:
         raise ValueError("a height-0 profile has no level to truncate at")
     if not 0 <= k <= h - 1:
         raise ValueError(f"level {k} out of range: need 0 <= k <= {h - 1}")
-    internals = internal_profile(p)
-    below = internals[k + 1] if k + 1 < h else 0
+    if not is_valid(p):
+        raise _invalid_profile(p)
+    below = (1 << k + 1) - _kraft_numerator(p.levels[:k + 2])
     return Profile(p.levels[: k + 1] + (below + p.levels[k + 1],))

@@ -33,7 +33,7 @@ combinadic (lex) order, built on first use and shared by every profile (510
 words in all), so a sample joins its narrow depths with no Python-level
 step. A wider row (_WideRow) unranks its word when asked, one Python call
 per wide depth with a loop over its slots: in lex order with a running
-binomial up to 1,024 slots (unrank_merge), in split order above
+binomial up to 1,024 slots (_merge_word), in split order above
 (_unrank_wide), where a word is cut in halves whose ranks are combined by
 blocks, so a wide level costs well under the O(W^2) bit operations of one
 running binomial across W slots.
@@ -135,30 +135,31 @@ def unrank_merge(rank: int, p: int, q: int) -> tuple[int, ...]:
     """
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
-    return _merge_word(rank, p, q, comb(p + q, q))
+    return tuple(int(kind == LEAF) for kind in _merge_word(rank, p, q, comb(p + q, q)))
 
 
-def _merge_word(rank: int, p: int, q: int, total: int) -> tuple[int, ...]:
-    """unrank_merge(rank, p, q) for a caller that already holds its total =
-    binom(p+q, q), with the same range check."""
+def _merge_word(rank: int, p: int, q: int, total: int) -> bytes:
+    """unrank_merge(rank, p, q)'s word in kind codes, INTERNAL for its 0 and
+    LEAF for its 1, which _rank_merge reads back, for a caller that already
+    holds its total = binom(p+q, q), with the same range check."""
     if not 0 <= rank < total:
         raise ValueError(f"rank {exact_text(rank)} out of range for binom({p + q},{q}) = {exact_text(total)}")
-    word = []
+    word = bytearray()
     ones_left = q
     for slots_left in range(p + q, 0, -1):
         if ones_left == 0:
-            word += [0] * slots_left
+            word += bytes((INTERNAL,)) * slots_left
             break
         here = total * ones_left // slots_left
         if rank < here:
-            word.append(1)
+            word.append(LEAF)
             ones_left -= 1
             total = here
         else:
-            word.append(0)
+            word.append(INTERNAL)
             rank -= here
             total -= here
-    return tuple(word)
+    return bytes(word)
 
 
 # Rows of at most this many slots are tables of all their words: 2 + 4 + ...
@@ -166,9 +167,6 @@ def _merge_word(rank: int, p: int, q: int, total: int) -> tuple[int, ...]:
 _NARROW_SLOTS = 8
 # Words of more than this many slots are unranked by halves (_unrank_wide).
 _WIDE_SLOTS = 1024
-
-# unrank_merge's letters to kind codes: 0 -> INTERNAL, 1 -> LEAF.
-_KIND_OF_LETTER = bytes.maketrans(bytes((0, 1)), bytes((INTERNAL, LEAF)))
 
 
 def _blocks(w1: int, w2: int, q: int) -> Iterator[tuple[int, int, int]]:
@@ -204,7 +202,7 @@ def _unrank_wide(rank: int, p: int, q: int, total: int) -> bytes:
     """The rank-th merge word of p INTERNAL and q LEAF codes in split order;
     rank runs over [0, total), total = binom(p+q, q).
 
-    A word of at most _WIDE_SLOTS slots is unrank_merge's, in kind codes. A
+    A word of at most _WIDE_SLOTS slots is _merge_word's, in lex order. A
     wider one is split after its first w1 = (p+q) // 2 slots: its block
     (_blocks) fixes the leaves j in the left half, and within the block the
     rank is left_rank * binom(w2, q - j) + right_rank. Each half is unranked
@@ -218,7 +216,7 @@ def _unrank_wide(rank: int, p: int, q: int, total: int) -> bytes:
         raise ValueError(f"rank {exact_text(rank)} out of range: negative")
     w = p + q
     if w <= _WIDE_SLOTS:
-        return bytes(_merge_word(rank, p, q, total)).translate(_KIND_OF_LETTER)
+        return _merge_word(rank, p, q, total)
     w1 = w // 2
     for j, size, right in _blocks(w1, w - w1, q):
         if rank < size:
@@ -231,8 +229,9 @@ def _unrank_wide(rank: int, p: int, q: int, total: int) -> bytes:
 
 
 def _rank_merge(word: bytes) -> int:
-    """The rank of a word of INTERNAL and LEAF codes in unrank_merge's lex
-    order, LEAF for its 1: its inverse, with the same running binomial."""
+    """The rank of a word of INTERNAL and LEAF codes in _merge_word's lex
+    order, which is unrank_merge's with LEAF for its 1: _merge_word's
+    inverse, with the same running binomial."""
     ones_left = word.count(LEAF)
     total = comb(len(word), ones_left)
     rank = 0
@@ -271,7 +270,8 @@ def _rank_wide(word: bytes) -> int:
 def _narrow_row(p: int, q: int) -> tuple[bytes, ...]:
     """Every merge word of p INTERNAL and q LEAF codes, indexed by its
     unrank_merge rank: the row of a depth of at most _NARROW_SLOTS slots."""
-    return tuple(bytes(unrank_merge(r, p, q)).translate(_KIND_OF_LETTER) for r in range(comb(p + q, q)))
+    total = comb(p + q, q)
+    return tuple(_merge_word(r, p, q, total) for r in range(total))
 
 
 class _WideRow:

@@ -43,7 +43,7 @@ Serialization formats:
 
 from __future__ import annotations
 
-from enum import Enum, IntEnum
+from enum import IntEnum
 from itertools import accumulate
 
 from ._record import Record
@@ -57,13 +57,15 @@ class NodeKind(IntEnum):
     LEAF = 3
 
 
-class GrowthChoice(Enum):
-    DIE = "die"
-    BRANCH = "branch"
-
-
 # Plain-int kind codes for the traversal loops.
 INTERNAL, ANCHOR, DEAD_LEAF, LEAF = (int(k) for k in NodeKind)
+
+
+class GrowthChoice(IntEnum):
+    """An anchor's fate in a growth step, valued as the kind code the anchor becomes."""
+
+    DIE = DEAD_LEAF
+    BRANCH = INTERNAL
 
 
 class Tree(Record):
@@ -171,13 +173,16 @@ def grow_step(t: Tree, choices: list[GrowthChoice] | tuple[GrowthChoice, ...]) -
 
     Die turns the anchor into a dead leaf; Branch turns it into an internal
     node with two fresh anchors. The choice list length must equal the
-    anchor count and the tree must be growing (step set) and active.
+    anchor count, every choice must be a GrowthChoice member, and the tree
+    must be growing (step set) and active.
 
     In level order the anchors of a growing tree, which all sit on the
-    deepest level, are its last m nodes, left to right, so the step keeps
-    the other nodes as they are and appends the fresh anchors. Anchors that
-    are not the last nodes raise ValueError; the anchor depths are not
-    checked further (validate_growing does that).
+    deepest level, are its last m nodes, left to right. A choice's value is
+    the kind code its anchor becomes, so the step keeps the other nodes as
+    they are, writes the choices in the anchors' place, bytes(choices), and
+    appends two fresh anchors per branch. Anchors that are not the last
+    nodes raise ValueError; the anchor depths are not checked further
+    (validate_growing does that).
     """
     if t.step is None:
         raise ValueError("frozen tree: no growth state to grow")
@@ -189,17 +194,12 @@ def grow_step(t: Tree, choices: list[GrowthChoice] | tuple[GrowthChoice, ...]) -
     kept = len(t.nodes) - m
     if t.nodes.find(ANCHOR) != kept:
         raise ValueError("anchors are not the last nodes in level order: not a growing tree")
-    kinds = bytearray()
-    branch, die = GrowthChoice.BRANCH, GrowthChoice.DIE  # enum attribute lookups are slow
-    for position, choice in enumerate(choices):
-        if choice is branch:
-            kinds.append(INTERNAL)
-        elif choice is die:
-            kinds.append(DEAD_LEAF)
-        else:
-            raise ValueError(f"choice {position}: {choice!r} is not a GrowthChoice")
-    kinds += bytes((ANCHOR,)) * (2 * kinds.count(INTERNAL))
-    return Tree(t.nodes[:kept] + kinds, t.step + 1)
+    # On the type: a plain int, a bool or a NodeKind holds a kind code too.
+    if set(map(type, choices)) != {GrowthChoice}:
+        position = next(i for i, choice in enumerate(choices) if type(choice) is not GrowthChoice)
+        raise ValueError(f"choice {position}: {choices[position]!r} is not a GrowthChoice")
+    kinds = bytes(choices)
+    return Tree(t.nodes[:kept] + kinds + bytes((ANCHOR,)) * (2 * kinds.count(INTERNAL)), t.step + 1)
 
 
 def grow_history(choices_per_step: list[list[GrowthChoice]]) -> Tree:

@@ -497,6 +497,17 @@ def test_oracle_bound_error_past_the_str_digit_limit(capsys):
         assert capsys.readouterr() == ("", f"error: profile has {digits} leaves, oracle bound is 12\n")
 
 
+def test_oracle_bound_is_checked_before_the_formula_counts(monkeypatch, capsys):
+    # A valid 13-leaf profile is past the oracle's bound, which answers
+    # before count_trees walks the levels.
+    def no_count(p):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(profiles, "count_trees", no_count)
+    assert run(["oracle", "profile-count", "--profile", "0" + ",1" * 11 + ",2"]) == 1
+    assert capsys.readouterr() == ("", "error: profile has 13 leaves, oracle bound is 12\n")
+
+
 def test_oracle_histories(capsys):
     assert run(["oracle", "histories", "--steps", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -348,6 +348,29 @@ def test_the_validity_queries_form_no_wide_binomial(monkeypatch):
         count_trees(p)
 
 
+def test_truncation_reads_one_internal_count():
+    # i_{k+1} is 2^{k+1} less the Kraft numerator of l_0, ..., l_{k+1}; the
+    # level walk's internal counts are the reference.
+    rng = random.Random(47)
+    drawn = [narrow_profile(rng, rng.randint(2, 60)) for _ in range(40)]
+    drawn += [random_split_profile(rng, rng.randint(2, 60)) for _ in range(40)]
+    for p in drawn:
+        internals = internal_profile(p) + (0,)
+        for k in range(p.height):
+            assert truncate_profile(p, k) == Profile(p.levels[:k + 1] + (internals[k + 1] + p.levels[k + 1],))
+    # The complete 40,000-level profile cut halfway: the walk would keep
+    # all 40,000 counts, of up to 40,000 bits (a 104 MiB peak).
+    complete = Profile((0,) * 40_000 + (2**40_000,))
+    tracemalloc.start()
+    try:
+        cut = truncate_profile(complete, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cut == Profile((0,) * 20_001 + (2**20_001,))
+    assert peak < 4 << 20, peak
+
+
 def test_truncate_examples():
     p = Profile((0, 0, 2, 4))
     assert truncate_profile(p, 1) == Profile((0, 0, 4))

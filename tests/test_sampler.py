@@ -22,7 +22,9 @@ from growingtrees.sampler import (
     _build,
     _draw,
     _mixed_radix,
+    _merge_word,
     _narrow_row,
+    _rank_merge,
     _rank_wide,
     _unrank_wide,
     entropy_bound,
@@ -189,6 +191,15 @@ def test_unrank_merge_guards():
         unrank_merge(comb(30000, 15000), 15000, 15000)
     with pytest.raises(ValueError, match="nonnegative"):
         unrank_merge(0, -1, 2)
+
+
+def test_merge_words_are_kind_codes_that_rank_merge_reads_back():
+    for slots in range(11):
+        for q in range(slots + 1):
+            total = comb(slots, q)
+            for r in range(total):
+                word = _merge_word(r, slots - q, q, total)
+                assert type(word) is bytes and _rank_merge(word) == r, (slots, q, r)
 
 
 def _rank_word(word):
@@ -593,10 +604,13 @@ def test_one_setup_walk_per_sampling_command(monkeypatch, capsys):
         p = Profile(levels)
         # One walk of the levels, which is the validation: count_trees's for
         # bench-bits and profile count, Setup's for sample, internal_profile's
-        # for profile internal and truncate. oracle profile-count asks
-        # is_valid once and walks only the valid profile, for count_trees.
+        # for profile internal. profile truncate asks is_valid once and makes
+        # no walk. oracle profile-count asks is_valid once and walks only the
+        # valid profile, for count_trees.
         if argv[0] == "oracle":
             assert (setups, validated, walked) == ([], [p], [p] if levels == (0, 1, 2) else []), argv
+        elif argv[1] == "truncate":
+            assert (setups, validated, walked) == ([], [p], []), argv
         else:
             sets_up = [p] if argv[0] == "sample" else []
             assert (setups, validated, walked) == (sets_up, [], [p]), argv

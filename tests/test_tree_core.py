@@ -92,12 +92,33 @@ def test_grow_step_rejects_a_frozen_tree():
 
 
 def test_grow_step_rejects_unknown_choices():
-    for bad in ("branch", True, None, "B"):
+    two = grow_step(new_seed(), _choices("B"))
+    # A plain int, a bool or a NodeKind holds a kind code, but is no choice.
+    for bad in ("branch", True, None, "B", 0, 2, NodeKind.INTERNAL, NodeKind.DEAD_LEAF):
         with pytest.raises(ValueError, match="choice 0: .* is not a GrowthChoice"):
             grow_step(new_seed(), [bad])
-    two = grow_step(new_seed(), _choices("B"))
+        with pytest.raises(ValueError, match=f"^choice 0: {re.escape(repr(bad))} is not a GrowthChoice$"):
+            grow_step(two, [bad, GrowthChoice.BRANCH])
+        with pytest.raises(ValueError, match=f"^choice 1: {re.escape(repr(bad))} is not a GrowthChoice$"):
+            grow_step(two, [GrowthChoice.DIE, bad])
     with pytest.raises(ValueError, match="choice 1: 'die' is not a GrowthChoice"):
         grow_step(two, [GrowthChoice.DIE, "die"])
+
+
+def test_a_growth_choice_is_the_kind_its_anchor_becomes():
+    assert list(GrowthChoice) == [GrowthChoice.DIE, GrowthChoice.BRANCH]
+    assert GrowthChoice.DIE == NodeKind.DEAD_LEAF and GrowthChoice.BRANCH == NodeKind.INTERNAL
+    # Each step keeps the nodes above the anchors, writes the choices in the
+    # anchors' place and appends two fresh anchors per branch.
+    rng = random.Random(29)
+    for _ in range(40):
+        t = new_seed()
+        while t.is_active and t.step < 12:
+            choices = [rng.choice(list(GrowthChoice)) for _ in range(t.anchor_count)]
+            kept = t.nodes[:len(t.nodes) - t.anchor_count]
+            t = grow_step(t, choices)
+            fresh = bytes((NodeKind.ANCHOR,)) * (2 * choices.count(GrowthChoice.BRANCH))
+            assert t.nodes == kept + bytes(choices) + fresh
 
 
 def test_validate_rejects_anchor_off_step():
